@@ -301,33 +301,34 @@ def check_covariance_ordering(
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def _complement_norm_and_radius(T: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
-    """Operator norm and spectral radius of T restricted to the pi-orthogonal
-    complement of the constants in L2(pi)."""
-    s = np.sqrt(pi)
-    Ts = s[:, None] * T / np.where(s > 0, s, 1.0)[None, :]
-    proj = np.eye(len(pi)) - np.outer(s, s)
-    Tperp = proj @ Ts @ proj
-    norm = float(np.linalg.svd(Tperp, compute_uv=False)[0])
-    radius = float(np.max(np.abs(np.linalg.eigvals(Tperp))))
-    return norm, radius
+def _complement_radius(T: np.ndarray, pi: np.ndarray) -> float:
+    """Spectral radius of T on the pi-orthogonal complement of the constants.
+
+    T - 1 pi^T has the spectrum of T with the eigenvalue 1 of the
+    constants replaced by 0, because T 1 = 1 and pi T = pi.
+    """
+    return float(np.max(np.abs(np.linalg.eigvals(T - np.outer(np.ones(len(pi)), pi)))))
 
 
 def exact_asymptotic_variance_alternating(
-    P: FiniteKernel,
-    Q: FiniteKernel,
-    pi: np.ndarray,
-    f: np.ndarray,
-    tol: float = 1e-10,
-    max_terms: int = 2_000_000,
+    P: FiniteKernel, Q: FiniteKernel, pi: np.ndarray, f: np.ndarray
 ):
     """Asymptotic variance of path averages of f along the alternating chain.
 
     The chain starts at pi and applies P on even steps and Q on odd
-    steps; both kernels must preserve pi.  The lag-covariance series is
-    summed exactly via matrix-vector products and truncated once a
-    geometric tail bound falls below ``tol``.  With P == Q this is the
-    ordinary homogeneous-chain asymptotic variance.
+    steps; both kernels must preserve pi.  With A = P, B = Q,
+    fbar = f - pi.f, l = pi * fbar and the fundamental matrices
+    Z_XY = (I - XY + 1 pi^T)^-1 (Kemeny & Snell 1960), the lag
+    covariances sum in closed form to
+
+        sigma^2 = ||fbar||^2_pi + l Z_AB A (I + B) fbar + l Z_BA B (I + A) fbar,
+
+    computed with one linear solve per kernel order.  With P == Q this
+    is the ordinary homogeneous-chain asymptotic variance.  The spectral
+    radius of AB off the constants is checked before solving, so a
+    periodic or reducible product raises NonErgodic instead of meeting
+    a singular matrix.  States of zero pi-mass are never entered from
+    the support of pi and are left out.
 
     ``f`` may be a single state vector or a (k, n_states) stack, in
     which case an array of k variances is returned.
@@ -343,37 +344,28 @@ def exact_asymptotic_variance_alternating(
     if np.all(norm2 == 0.0):
         return 0.0 if single else np.zeros(F.shape[0])
     A, B = P.matrix, Q.matrix
-    sigma_norm, radius = _complement_norm_and_radius(A @ B, pi)
+    support = pi > 0
+    if not support.all():
+        block = np.ix_(support, support)
+        A, B, pi, Fbar = A[block], B[block], pi[support], Fbar[:, support]
+    AB, BA = A @ B, B @ A
+    radius = _complement_radius(AB, pi)
     if radius >= 1.0 - 1e-12:
         raise NonErgodic(
             f"product kernel has spectral radius {radius:.15f} on the "
             "complement of the constants"
         )
-    # Contraction factor for the tail bound; P and Q themselves are
-    # L2(pi)-contractions by reversibility.  When the one-step operator
-    # norm is not itself contracting, the spectral radius still governs
-    # the asymptotic decay.
-    decay = sigma_norm if sigma_norm < 1.0 else (1.0 + radius) / 2.0
-
-    sigma2 = norm2.copy()
-    lev = Fbar * pi  # left vectors of the even-start covariance terms
-    lodd = Fbar * pi
-    t = 1
-    scale = float(np.max(norm2))
-    while True:
-        if t % 2 == 1:
-            lev = lev @ A
-            lodd = lodd @ B
-        else:
-            lev = lev @ B
-            lodd = lodd @ A
-        sigma2 += (lev * Fbar).sum(axis=1) + (lodd * Fbar).sum(axis=1)
-        tail = 8.0 * scale * decay ** (t // 2) / (1.0 - decay)
-        if tail < tol:
-            break
-        if t >= max_terms:
-            raise NonErgodic("covariance series failed to converge")
-        t += 1
+    eye_plus_1pi = np.eye(len(pi)) + np.outer(np.ones(len(pi)), pi)
+    L = (Fbar * pi).T  # columns l = pi * fbar, one per function
+    Fcols = Fbar.T
+    # Solving against the transposes gives the columns (l Z_XY)^T.
+    lz_ab = np.linalg.solve((eye_plus_1pi - AB).T, L)
+    lz_ba = np.linalg.solve((eye_plus_1pi - BA).T, L)
+    sigma2 = (
+        norm2
+        + (lz_ab * (A @ (Fcols + B @ Fcols))).sum(axis=0)
+        + (lz_ba * (B @ (Fcols + A @ Fcols))).sum(axis=0)
+    )
     return float(sigma2[0]) if single else sigma2
 
 
@@ -414,7 +406,7 @@ def check_gibbs_iid_bound(
     pim = index_marginal(spec)
     hv = np.array([float(h(m)) for m in range(1, spec.n + 1)])
     var_iid = float(pim @ (hv - pim @ hv) ** 2)
-    sigma2 = exact_asymptotic_variance_alternating(G, G, pim, hv, tol=min(tol, 1e-12))
+    sigma2 = exact_asymptotic_variance_alternating(G, G, pim, hv)
     if sigma2 < var_iid - tol:
         raise OrderingViolation(
             f"Gibbs asymptotic variance {sigma2:g} below i.i.d. variance {var_iid:g}"

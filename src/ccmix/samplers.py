@@ -214,6 +214,10 @@ def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     """
     target = bundle.target
     sid = config.sampler_id
+    if config.initial_state.m > target.n:
+        raise ConfigError(
+            f"initial label {config.initial_state.m} outside 1..{target.n}"
+        )
     if sid in (SamplerId.GIBBS,) and target.conditional_sampler is None:
         raise ConfigError("Gibbs sampling needs target.conditional_sampler")
     if sid in (SamplerId.CC,) and target.conditional_sampler is None:

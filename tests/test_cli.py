@@ -56,6 +56,11 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["toy", "--iters", "100", "--burn-in", "100"])
 
+    def test_oracle_refuses_experiment_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            parse_args(["oracle", "--iters", "5"])
+        assert "--iters" in capsys.readouterr().err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             parse_args(["frobnicate"])

@@ -219,7 +219,7 @@ class TestAsymptoticVariance:
         K = FiniteKernel(np.array([[1 - a, a], [b, 1 - b]]), 2, 1)
         pi = np.array([b, a]) / (a + b)
         f = np.array([0.0, 1.0])
-        got = exact_asymptotic_variance_alternating(K, K, pi, f, tol=1e-13)
+        got = exact_asymptotic_variance_alternating(K, K, pi, f)
         want = pi[0] * pi[1] * (2 - a - b) / (a + b)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -269,6 +269,52 @@ class TestAsymptoticVariance:
             exact_asymptotic_variance_alternating(
                 swap, swap, pi, np.array([0.0, 1.0])
             )
+
+    def test_reducible_kernel_raises(self):
+        eye = FiniteKernel(np.eye(2), 2, 1)
+        with pytest.raises(NonErgodic):
+            exact_asymptotic_variance_alternating(
+                eye, eye, np.array([0.5, 0.5]), np.array([0.0, 1.0])
+            )
+
+    def test_zero_mass_absorbing_state_is_ignored(self):
+        # State 0 carries no pi-mass and is never entered from the
+        # support, so its self-loop must not count as a second
+        # invariant class; on the support the chain is i.i.d.
+        K = FiniteKernel(
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]), 3, 1
+        )
+        pi = np.array([0.0, 0.5, 0.5])
+        got = exact_asymptotic_variance_alternating(K, K, pi, np.array([5.0, 0.0, 1.0]))
+        assert got == pytest.approx(0.25, abs=1e-12)
+
+    @staticmethod
+    def _lag_sum(A, B, pi, f):
+        # Reference: the alternating lag covariances summed term by term,
+        # sum_k l (AB)^k A (I + B) fbar + l (BA)^k B (I + A) fbar.
+        fbar = f - pi @ f
+        total = float(pi @ fbar**2)
+        for X, Y in ((A, B), (B, A)):
+            left = pi * fbar
+            right = X @ (fbar + Y @ fbar)
+            while True:
+                term = float(left @ right)
+                total += term
+                if abs(term) < 1e-16:
+                    break
+                left = left @ X @ Y
+        return total
+
+    @pytest.mark.parametrize("refresh", [build_Q3, build_Q4])
+    def test_closed_form_matches_lag_sum(self, refresh, specs):
+        rng = np.random.default_rng(10)
+        for spec in specs[:3]:
+            pi = target_distribution(spec)
+            P3, Q = build_P3(spec), refresh(spec)
+            F = rng.standard_normal((4, spec.n_states))
+            got = exact_asymptotic_variance_alternating(P3, Q, pi, F)
+            want = [self._lag_sum(P3.matrix, Q.matrix, pi, f) for f in F]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     def test_dimension_mismatch(self, specs):
         spec = specs[0]

@@ -263,6 +263,14 @@ class TestRunChain:
             with pytest.raises(ConfigError):
                 run_chain(self._config(sid), no_proposal)
 
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_initial_label_beyond_n_rejected(self, sampler_id, toy_bundle):
+        config = SamplerConfig(
+            sampler_id, n_iterations=10, burn_in=0, initial_state=State(7, 0.0)
+        )
+        with pytest.raises(ConfigError):
+            run_chain(config, toy_bundle)
+
     def test_mwg_acceptance_covers_post_burn_in(self):
         # A target that forbids z > 0 paired with a positive-only
         # proposal: every proposed move is rejected.
