@@ -19,16 +19,11 @@ from .model import (
 from .samplers import (
     ChainTrace,
     ConfigError,
-    MissingConditionalSampler,
     ModelBundle,
     SamplerConfig,
     SamplerId,
-    cc_step,
-    fcc_step,
-    gibbs_step,
-    mcc_step,
-    mwg_step,
     run_chain,
+    step,
 )
 from .diagnostics import (
     AcfEstimate,
@@ -36,7 +31,6 @@ from .diagnostics import (
     acf,
     asymptotic_variance_batch_means,
     kde,
-    trace_mean,
 )
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ class RunConfig:
     burn_in: int = 1000
     output_dir: Path = Path("out")
     spec_file: Optional[Path] = None
-    seeds_replicates: int = 10
+    replicates: int = 10
 
 
 def parse_args(argv) -> RunConfig:
@@ -77,7 +77,7 @@ def parse_args(argv) -> RunConfig:
         iterations=ns.iters,
         burn_in=ns.burn_in,
         output_dir=ns.out,
-        seeds_replicates=ns.replicates,
+        replicates=ns.replicates,
     )
 
 
@@ -211,14 +211,14 @@ def main(argv=None) -> int:
                 seed=config.seed,
                 n_iter=config.iterations,
                 burn_in=config.burn_in,
-                replicates=config.seeds_replicates,
+                replicates=config.replicates,
             )
         else:
             report = run_posterior_experiment(
                 seed=config.seed,
                 n_iter=config.iterations,
                 burn_in=config.burn_in,
-                replicates=config.seeds_replicates,
+                replicates=config.replicates,
             )
         files = emit_reports(report, config.output_dir)
     except IOError as exc:

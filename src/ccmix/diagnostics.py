@@ -1,12 +1,10 @@
-"""Trace diagnostics: autocorrelation, batch-means variance, KDE, path means."""
+"""Trace diagnostics: autocorrelation, batch-means variance, KDE."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .samplers import ChainTrace
 
 __all__ = [
     "AcfEstimate",
@@ -15,12 +13,10 @@ __all__ = [
     "SeriesTooShort",
     "TooFewBatches",
     "EmptySample",
-    "EmptyTrace",
     "acf",
     "asymptotic_variance_batch_means",
     "kde",
     "silverman_bandwidth",
-    "trace_mean",
     "DEFAULT_MAX_LAG",
 ]
 
@@ -40,10 +36,6 @@ class TooFewBatches(ValueError):
 
 
 class EmptySample(ValueError):
-    pass
-
-
-class EmptyTrace(ValueError):
     pass
 
 
@@ -132,12 +124,3 @@ def kde(samples, grid, bandwidth: float | None = None) -> np.ndarray:
         out[lo : lo + step] = np.exp(-0.5 * d * d).sum(axis=1) / norm
     return out
 
-
-def trace_mean(trace: ChainTrace, f) -> float:
-    """Arithmetic mean of f(m, z) along the trace."""
-    if len(trace) == 0:
-        raise EmptyTrace("cannot average over an empty trace")
-    total = 0.0
-    for m, z in zip(trace.m, trace.z):
-        total += f(int(m), z)
-    return total / len(trace)

@@ -9,11 +9,10 @@ compares MwG, MCC and FCC against quadrature ground truth.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .model import MixtureTarget, ProposalFamily, PseudoPriorSet, State
 from .samplers import ChainTrace, ModelBundle, SamplerConfig, SamplerId, run_chain
 
 __all__ = [
-    "ObservationModel",
     "SamplerResult",
     "ExperimentReport",
     "QuadratureNotConverged",
@@ -70,19 +68,6 @@ _LOG_HALF = math.log(0.5)
 
 def _norm_logpdf(z: float, mu: float, var: float) -> float:
     return -0.5 * math.log(2.0 * math.pi * var) - (z - mu) ** 2 / (2.0 * var)
-
-
-@dataclass(frozen=True)
-class ObservationModel:
-    """A latent mixture observed through a measurement density.
-
-    ``log_g(m, z, x)`` is the log measurement density of X given
-    (M, Z) = (m, z); ``x_obs`` the distinguished observation.
-    """
-
-    log_g: Callable[[int, float, float], float]
-    x_obs: float
-    prior: MixtureTarget
 
 
 def _gaussian_pseudo(means, variances) -> PseudoPriorSet:
@@ -158,31 +143,6 @@ def posterior_model(x_obs: float = POSTERIOR_X_OBS) -> ModelBundle:
     """Posterior target with prior-conditional pseudo-priors and proposals."""
     pseudo = _gaussian_pseudo(TOY_MEANS, (TOY_VAR, TOY_VAR))
     return ModelBundle(posterior_target(x_obs), pseudo, _independence_proposal(pseudo))
-
-
-def observation_model(x_obs: float = POSTERIOR_X_OBS) -> ObservationModel:
-    """The two-layer model behind :func:`posterior_target`."""
-    log_alpha = tuple(math.log(a) for a in POSTERIOR_WEIGHTS)
-
-    def prior_log_density(m, z):
-        return log_alpha[m - 1] + _norm_logpdf(z, TOY_MEANS[m - 1], TOY_VAR)
-
-    sd = math.sqrt(TOY_VAR)
-
-    def prior_conditional(m, rng):
-        return TOY_MEANS[m - 1] + sd * rng.standard_normal()
-
-    prior = MixtureTarget(
-        n=2,
-        z_dim=1,
-        log_density=prior_log_density,
-        conditional_sampler=prior_conditional,
-    )
-    return ObservationModel(
-        log_g=lambda m, z, x: _norm_logpdf(x, z * z, POSTERIOR_NOISE_VAR),
-        x_obs=x_obs,
-        prior=prior,
-    )
 
 
 def _posterior_marginal_unnorm(
@@ -273,82 +233,6 @@ class ExperimentReport:
     density_grid: Optional[np.ndarray] = None
     density_exact: Optional[np.ndarray] = None
     density_kde: Optional[np.ndarray] = None
-
-    def to_json(self) -> str:
-        def enc(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            return v
-
-        payload = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "n_iterations": self.n_iterations,
-            "burn_in": self.burn_in,
-            "mu_z_true": self.mu_z_true,
-            "density_grid": enc(self.density_grid),
-            "density_exact": enc(self.density_exact),
-            "density_kde": enc(self.density_kde),
-            "results": {
-                k: {
-                    "sampler_id": r.sampler_id,
-                    "acf_m": {
-                        "lags": r.acf_m.lags.tolist(),
-                        "values": r.acf_m.values.tolist(),
-                        "series_length": r.acf_m.series_length,
-                    },
-                    "acf_z": {
-                        "lags": r.acf_z.lags.tolist(),
-                        "values": r.acf_z.values.tolist(),
-                        "series_length": r.acf_z.series_length,
-                    },
-                    "mean_z": r.mean_z,
-                    "acceptance_rate": r.acceptance_rate,
-                    "wall_clock_seconds": r.wall_clock_seconds,
-                    "wall_clocks": r.wall_clocks,
-                    "lag1_m": r.lag1_m,
-                }
-                for k, r in self.results.items()
-            },
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        raw = json.loads(text)
-
-        def arr(v):
-            return None if v is None else np.array(v)
-
-        def dec_acf(d):
-            return AcfEstimate(
-                np.array(d["lags"]), np.array(d["values"]), d["series_length"]
-            )
-
-        results = {
-            k: SamplerResult(
-                sampler_id=r["sampler_id"],
-                acf_m=dec_acf(r["acf_m"]),
-                acf_z=dec_acf(r["acf_z"]),
-                mean_z=r["mean_z"],
-                acceptance_rate=r["acceptance_rate"],
-                wall_clock_seconds=r["wall_clock_seconds"],
-                wall_clocks=r["wall_clocks"],
-                lag1_m=r["lag1_m"],
-            )
-            for k, r in raw["results"].items()
-        }
-        return cls(
-            experiment=raw["experiment"],
-            seed=raw["seed"],
-            n_iterations=raw["n_iterations"],
-            burn_in=raw["burn_in"],
-            results=results,
-            mu_z_true=raw["mu_z_true"],
-            density_grid=arr(raw["density_grid"]),
-            density_exact=arr(raw["density_exact"]),
-            density_kde=arr(raw["density_kde"]),
-        )
 
 
 def default_initial_state(bundle: ModelBundle, seed: int) -> State:

@@ -52,8 +52,8 @@ class MixtureTarget:
 
     ``log_density(m, z)`` may return -inf for zero-mass points but never
     NaN.  ``conditional_sampler(m, rng)``, when present, draws exactly
-    from pi*(dz | m); samplers that need exact conditional draws (Gibbs,
-    CC, MCC) require it.
+    from pi*(dz | m); the samplers with an exact refresh (Gibbs and CC)
+    require it.
     """
 
     n: int

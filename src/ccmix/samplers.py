@@ -1,20 +1,34 @@
 """The five transition kernels and the chain driver.
 
-Samplers: plain Gibbs, Metropolis-within-Gibbs (MwG), the Carlin &
-Chib-type sweep (CC), its Metropolised variant (MCC) and the frozen
-variant (FCC) that passes the selected auxiliary value on without a
-refresh step.
+Every sweep is an *index selection* followed by a *refresh* of z, and
+each sampler is one cell of a 2 x 3 table:
 
-Every step consumes its random draws in a fixed order (auxiliary
-refreshes in label order, then the index draw, then the continuous
-update) so that variants sharing a seed also share their index stream.
+==============  =============  ==========  ==============
+selection       exact refresh  MH refresh  frozen refresh
+==============  =============  ==========  ==============
+conditional     gibbs          mwg         --
+pseudo-prior    cc             mcc         fcc
+==============  =============  ==========  ==============
+
+The conditional selection draws m' ~ pi*(. | z) and selects z itself;
+the pseudo-prior selection (Carlin & Chib 1995) refreshes the inactive
+auxiliary points from their pseudo-priors and draws m' from the
+reweighted index probabilities, selecting u_m'.  The exact refresh
+draws z' ~ pi*(. | m'), the MH refresh proposes from the selected point
+and accepts or rejects, and the frozen refresh keeps the selected point
+as is.  ``step`` runs one sweep of any sampler; ``run_chain`` iterates
+the same pair of functions.
+
+Every sweep consumes its random draws in a fixed order (auxiliary
+refreshes in label order, then the index draw, then the refresh) so that
+variants sharing a seed also share their index stream.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -36,19 +50,10 @@ __all__ = [
     "SamplerConfig",
     "ModelBundle",
     "ChainTrace",
-    "MissingConditionalSampler",
     "ConfigError",
-    "gibbs_step",
-    "mwg_step",
-    "cc_step",
-    "mcc_step",
-    "fcc_step",
+    "step",
     "run_chain",
 ]
-
-
-class MissingConditionalSampler(ValueError):
-    """Exact conditional sampling is required but unavailable."""
 
 
 class ConfigError(ValueError):
@@ -62,9 +67,6 @@ class SamplerId(str, Enum):
     MCC = "mcc"
     FCC = "fcc"
 
-
-# Samplers whose steps include a Metropolis-Hastings accept/reject.
-_METROPOLISED = frozenset({SamplerId.MWG, SamplerId.MCC})
 
 DEFAULT_BURN_IN = 1000
 
@@ -120,90 +122,95 @@ class ChainTrace:
         return State(int(self.m[k]), self.z[k])
 
 
-def gibbs_step(target: MixtureTarget, state: State, rng: np.random.Generator) -> State:
-    """One sweep of the plain Gibbs sampler: m' ~ pi*(.|z), z' ~ pi*(.|m')."""
-    if target.conditional_sampler is None:
-        raise MissingConditionalSampler(
-            "gibbs_step needs an exact conditional sampler; use mwg_step instead"
-        )
-    w = conditional_index_weights(target, state.z)
-    m_new = draw_index(w, rng)
-    z_new = target.conditional_sampler(m_new, rng)
-    return State(m_new, z_new)
+# Selections: (bundle, state, rng) -> (m', u_sel).
 
 
-def mwg_step(
-    target: MixtureTarget,
-    proposal: ProposalFamily,
-    state: State,
-    rng: np.random.Generator,
-) -> tuple[State, bool]:
-    """Metropolis-within-Gibbs sweep: exact index draw, MH update of z."""
-    w = conditional_index_weights(target, state.z)
-    m_new = draw_index(w, rng)
-    z_prop = proposal.sampler(m_new, state.z, rng)
-    log_alpha = mh_log_acceptance(target, proposal, m_new, state.z, z_prop)
-    accepted = rng.random() < math.exp(log_alpha)
-    z_new = z_prop if accepted else state.z
-    return State(m_new, z_new), accepted
+def _conditional_select(bundle, state, rng):
+    """Draw m' ~ pi*(. | z); the selected point is z itself."""
+    w = conditional_index_weights(bundle.target, state.z)
+    return draw_index(w, rng), state.z
 
 
-def _cc_select(target, pseudo, state, rng):
-    """Steps (i)-(ii) shared by the CC, MCC and FCC sweeps.
-
-    Refreshes the auxiliary points for all inactive components (label
-    order), keeps u_m = z, and draws the new index.  Returns the new
-    label and its auxiliary point.
-    """
+def _pseudo_select(bundle, state, rng):
+    """Refresh the inactive auxiliaries (label order), keep u_m = z, draw m'."""
+    target, pseudo = bundle.target, bundle.pseudo
     u = [None] * target.n
     for j in range(1, target.n + 1):
         u[j - 1] = state.z if j == state.m else pseudo.sampler(j, rng)
-    w = cc_index_weights(target, pseudo, u)
-    m_new = draw_index(w, rng)
+    m_new = draw_index(cc_index_weights(target, pseudo, u), rng)
     return m_new, u[m_new - 1]
 
 
-def cc_step(
-    target: MixtureTarget,
-    pseudo: PseudoPriorSet,
-    state: State,
-    rng: np.random.Generator,
-) -> State:
-    """One Carlin & Chib-type sweep with exact conditional refresh."""
-    if target.conditional_sampler is None:
-        raise MissingConditionalSampler(
-            "cc_step needs an exact conditional sampler; use mcc_step instead"
-        )
-    m_new, _ = _cc_select(target, pseudo, state, rng)
-    z_new = target.conditional_sampler(m_new, rng)
-    return State(m_new, z_new)
+# Refreshes: (bundle, m', u_sel, rng) -> (z', accepted), where accepted
+# is None unless the refresh has an accept/reject.
 
 
-def mcc_step(
-    target: MixtureTarget,
-    pseudo: PseudoPriorSet,
-    proposal: ProposalFamily,
-    state: State,
-    rng: np.random.Generator,
-) -> tuple[State, bool]:
-    """Metropolised Carlin & Chib sweep: MH refresh of the selected point."""
-    m_new, u_sel = _cc_select(target, pseudo, state, rng)
-    z_prop = proposal.sampler(m_new, u_sel, rng)
-    log_alpha = mh_log_acceptance(target, proposal, m_new, u_sel, z_prop)
+def _exact_refresh(bundle, m, u, rng):
+    return bundle.target.conditional_sampler(m, rng), None
+
+
+def _mh_refresh(bundle, m, u, rng):
+    z_prop = bundle.proposal.sampler(m, u, rng)
+    log_alpha = mh_log_acceptance(bundle.target, bundle.proposal, m, u, z_prop)
     accepted = rng.random() < math.exp(log_alpha)
-    z_new = z_prop if accepted else u_sel
-    return State(m_new, z_new), accepted
+    return (z_prop if accepted else u), accepted
 
 
-def fcc_step(
-    target: MixtureTarget,
-    pseudo: PseudoPriorSet,
+def _frozen_refresh(bundle, m, u, rng):
+    return u, None
+
+
+_KERNELS = {
+    SamplerId.GIBBS: (_conditional_select, _exact_refresh),
+    SamplerId.MWG: (_conditional_select, _mh_refresh),
+    SamplerId.CC: (_pseudo_select, _exact_refresh),
+    SamplerId.MCC: (_pseudo_select, _mh_refresh),
+    SamplerId.FCC: (_pseudo_select, _frozen_refresh),
+}
+
+# The bundle part each selection or refresh needs: (name, accessor).
+_NEEDS = {
+    _pseudo_select: ("a PseudoPriorSet", lambda b: b.pseudo),
+    _exact_refresh: (
+        "target.conditional_sampler",
+        lambda b: b.target.conditional_sampler,
+    ),
+    _mh_refresh: ("a ProposalFamily", lambda b: b.proposal),
+}
+
+
+def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State) -> None:
+    """Raise ConfigError unless the bundle and state fit the sampler."""
+    for part in _KERNELS[sampler_id]:
+        if part in _NEEDS:
+            name, get = _NEEDS[part]
+            if get(bundle) is None:
+                raise ConfigError(f"{sampler_id.value} sampling needs {name}")
+    target = bundle.target
+    if not 1 <= state.m <= target.n:
+        raise ConfigError(f"label {state.m} outside 1..{target.n}")
+    # A one-dimensional z is a scalar, not an array of length 1.
+    shape = () if target.z_dim == 1 else (target.z_dim,)
+    if np.shape(state.z) != shape:
+        raise ConfigError(f"z must have shape {shape}, got {np.shape(state.z)}")
+
+
+def step(
+    sampler_id: SamplerId,
+    bundle: ModelBundle,
     state: State,
     rng: np.random.Generator,
-) -> State:
-    """Frozen Carlin & Chib sweep: the selected auxiliary point is kept as is."""
-    m_new, u_sel = _cc_select(target, pseudo, state, rng)
-    return State(m_new, u_sel)
+) -> tuple[State, Optional[bool]]:
+    """One sweep of the sampler from ``state``.
+
+    Returns the new state and whether the MH refresh accepted its
+    proposal (None for samplers without one).
+    """
+    _check(sampler_id, bundle, state)
+    select, refresh = _KERNELS[sampler_id]
+    m_new, u_sel = select(bundle, state, rng)
+    z_new, accepted = refresh(bundle, m_new, u_sel, rng)
+    return State(m_new, z_new), accepted
 
 
 def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
@@ -212,20 +219,9 @@ def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     Fully deterministic given the seed: one fresh RNG stream per chain,
     sub-draws consumed in the fixed per-step order.
     """
-    target = bundle.target
     sid = config.sampler_id
-    if config.initial_state.m > target.n:
-        raise ConfigError(
-            f"initial label {config.initial_state.m} outside 1..{target.n}"
-        )
-    if sid in (SamplerId.GIBBS,) and target.conditional_sampler is None:
-        raise ConfigError("Gibbs sampling needs target.conditional_sampler")
-    if sid in (SamplerId.CC,) and target.conditional_sampler is None:
-        raise ConfigError("CC sampling needs target.conditional_sampler")
-    if sid in (SamplerId.CC, SamplerId.MCC, SamplerId.FCC) and bundle.pseudo is None:
-        raise ConfigError(f"{sid.value} sampling needs a PseudoPriorSet")
-    if sid in (SamplerId.MWG, SamplerId.MCC) and bundle.proposal is None:
-        raise ConfigError(f"{sid.value} sampling needs a ProposalFamily")
+    _check(sid, bundle, config.initial_state)
+    select, refresh = _KERNELS[sid]
 
     rng = np.random.default_rng(config.seed)
     state = config.initial_state
@@ -233,29 +229,21 @@ def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     m_out = np.empty(n_keep, dtype=np.int64)
     z_out = [None] * n_keep
     n_accepted = 0
-    pseudo, proposal = bundle.pseudo, bundle.proposal
 
     t0 = time.perf_counter()
     for k in range(config.n_iterations):
-        if sid is SamplerId.GIBBS:
-            state = gibbs_step(target, state, rng)
-        elif sid is SamplerId.MWG:
-            state, accepted = mwg_step(target, proposal, state, rng)
-        elif sid is SamplerId.CC:
-            state = cc_step(target, pseudo, state, rng)
-        elif sid is SamplerId.MCC:
-            state, accepted = mcc_step(target, pseudo, proposal, state, rng)
-        else:
-            state = fcc_step(target, pseudo, state, rng)
+        m_new, u_sel = select(bundle, state, rng)
+        z_new, accepted = refresh(bundle, m_new, u_sel, rng)
+        state = State(m_new, z_new)
         idx = k - config.burn_in
         if idx >= 0:
             m_out[idx] = state.m
             z_out[idx] = state.z
-            if sid in _METROPOLISED and accepted:
+            if accepted:
                 n_accepted += 1
     wall = time.perf_counter() - t0
 
-    acc = n_accepted / n_keep if sid in _METROPOLISED else None
+    acc = n_accepted / n_keep if refresh is _mh_refresh else None
     return ChainTrace(
         m=m_out,
         z=np.asarray(z_out, dtype=float),

@@ -21,12 +21,12 @@ from conftest import (
 from scipy import stats
 
 from ccmix import (
+    ModelBundle,
     ProposalFamily,
+    SamplerId,
     State,
     cc_index_weights,
-    cc_step,
-    fcc_step,
-    mcc_step,
+    step,
 )
 from ccmix.experiments import (
     run_posterior_experiment,
@@ -284,10 +284,11 @@ def test_criterion_8_collapse_identities(toy_bundle):
     delta = ProposalFamily(
         n=2, log_density=lambda l, u, z: 0.0, sampler=lambda l, u, rng: u
     )
+    bundle = ModelBundle(target, pseudo, delta)
     res = _paired_outputs(
         toy_bundle,
-        lambda s, r: mcc_step(target, pseudo, delta, s, r)[0],
-        lambda s, r: fcc_step(target, pseudo, s, r),
+        lambda s, r: step(SamplerId.MCC, bundle, s, r)[0],
+        lambda s, r: step(SamplerId.FCC, bundle, s, r)[0],
         n,
         seed=8001,
     )
@@ -299,10 +300,11 @@ def test_criterion_8_collapse_identities(toy_bundle):
         log_density=lambda l, u, z: target.log_density(l, z),
         sampler=lambda l, u, rng: target.conditional_sampler(l, rng),
     )
+    bundle = ModelBundle(target, pseudo, conditional)
     res = _paired_outputs(
         toy_bundle,
-        lambda s, r: mcc_step(target, pseudo, conditional, s, r)[0],
-        lambda s, r: cc_step(target, pseudo, s, r),
+        lambda s, r: step(SamplerId.MCC, bundle, s, r)[0],
+        lambda s, r: step(SamplerId.CC, bundle, s, r)[0],
         n,
         seed=8101,
     )
@@ -333,7 +335,7 @@ def test_criterion_9_optimal_pseudo_priors():
     labels = np.empty(n, dtype=int)
     chain_rng = np.random.default_rng(9002)
     for i in range(n):
-        state = cc_step(bundle.target, bundle.pseudo, state, chain_rng)
+        state, _ = step(SamplerId.CC, bundle, state, chain_rng)
         labels[i] = state.m
     p_freq = chi2_pvalue(np.bincount(labels, minlength=3)[1:], [0.5, 0.5])
     z_runs = runs_test_zscore(labels)

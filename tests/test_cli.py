@@ -25,7 +25,7 @@ class TestParseArgs:
         assert cfg == RunConfig(command="toy")
         assert cfg.seed == 42 and cfg.iterations == 101_000
         assert cfg.burn_in == 1000 and cfg.output_dir == Path("out")
-        assert cfg.spec_file is None and cfg.seeds_replicates == 10
+        assert cfg.spec_file is None and cfg.replicates == 10
 
     def test_all_flags(self, tmp_path):
         cfg = parse_args(
@@ -45,7 +45,7 @@ class TestParseArgs:
         )
         assert cfg.command == "posterior"
         assert cfg.seed == 7 and cfg.iterations == 5000 and cfg.burn_in == 500
-        assert cfg.output_dir == tmp_path and cfg.seeds_replicates == 3
+        assert cfg.output_dir == tmp_path and cfg.replicates == 3
 
     def test_oracle_spec_flag(self, tmp_path):
         cfg = parse_args(["oracle", "--spec", str(tmp_path / "s.tsv")])

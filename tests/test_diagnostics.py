@@ -5,18 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ccmix import (
-    ChainTrace,
-    SamplerId,
-    acf,
-    asymptotic_variance_batch_means,
-    kde,
-    trace_mean,
-)
+from ccmix import acf, asymptotic_variance_batch_means, kde
 from ccmix.diagnostics import (
     ConstantSeries,
     EmptySample,
-    EmptyTrace,
     SeriesTooShort,
     TooFewBatches,
     silverman_bandwidth,
@@ -182,27 +174,3 @@ class TestKde:
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             kde([0.0], [0.0], bandwidth=0.0)
-
-
-class TestTraceMean:
-    def _trace(self, m, z):
-        return ChainTrace(
-            m=np.asarray(m, dtype=np.int64),
-            z=np.asarray(z, dtype=float),
-            sampler_id=SamplerId.GIBBS,
-            seed=0,
-            burn_in=0,
-            wall_clock_seconds=0.0,
-        )
-
-    def test_constant_function(self):
-        assert trace_mean(self._trace([1, 2, 1], [0.0, 1.0, 2.0]), lambda m, z: 1.0) == 1.0
-
-    def test_indicator_and_coordinate(self):
-        t = self._trace([1, 2, 2, 1], [0.0, 1.0, 2.0, 3.0])
-        assert trace_mean(t, lambda m, z: float(m == 2)) == 0.5
-        assert trace_mean(t, lambda m, z: z) == 1.5
-
-    def test_empty_trace_raises(self):
-        with pytest.raises(EmptyTrace):
-            trace_mean(self._trace([], []), lambda m, z: 1.0)

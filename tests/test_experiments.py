@@ -9,7 +9,6 @@ from scipy import stats
 from ccmix import SamplerId
 from ccmix.experiments import (
     DEFAULT_DENSITY_GRID_STEP,
-    ExperimentReport,
     POSTERIOR_X_OBS,
     QuadratureNotConverged,
     TOY_MEANS,
@@ -17,7 +16,6 @@ from ccmix.experiments import (
     TOY_PSEUDO_VARS,
     TOY_VAR,
     default_initial_state,
-    observation_model,
     posterior_model,
     posterior_target,
     run_posterior_experiment,
@@ -79,13 +77,6 @@ class TestPosteriorModel:
 
     def test_no_conditional_sampler(self):
         assert posterior_target().conditional_sampler is None
-
-    def test_observation_model_consistency(self):
-        obs = observation_model()
-        target = posterior_target()
-        for m, z in ((1, -0.3), (2, 0.8)):
-            combined = obs.prior.log_density(m, z) + obs.log_g(m, z, obs.x_obs)
-            assert combined == pytest.approx(target.log_density(m, z), rel=1e-12)
 
 
 class TestTruePosterior:
@@ -167,18 +158,6 @@ class TestRunToyExperiment:
             assert r.mean_z == r2.mean_z
             assert r.lag1_m == r2.lag1_m
 
-    def test_json_round_trip(self, toy_report_small):
-        back = ExperimentReport.from_json(toy_report_small.to_json())
-        assert back.experiment == toy_report_small.experiment
-        assert back.seed == toy_report_small.seed
-        for name, r in toy_report_small.results.items():
-            r2 = back.results[name]
-            np.testing.assert_array_equal(r.acf_m.values, r2.acf_m.values)
-            np.testing.assert_array_equal(r.acf_z.lags, r2.acf_z.lags)
-            assert r.mean_z == r2.mean_z
-            assert r.wall_clocks == r2.wall_clocks
-            assert r.acceptance_rate == r2.acceptance_rate
-
 
 class TestRunPosteriorExperiment:
     def test_structure(self, posterior_report_small):
@@ -200,13 +179,6 @@ class TestRunPosteriorExperiment:
         # rough magnitude.
         for r in posterior_report_small.results.values():
             assert -1.2 < r.mean_z < 1.2
-
-    def test_json_round_trip(self, posterior_report_small):
-        back = ExperimentReport.from_json(posterior_report_small.to_json())
-        assert back.mu_z_true == posterior_report_small.mu_z_true
-        np.testing.assert_array_equal(back.density_grid, posterior_report_small.density_grid)
-        np.testing.assert_array_equal(back.density_exact, posterior_report_small.density_exact)
-        np.testing.assert_array_equal(back.density_kde, posterior_report_small.density_kde)
 
     def test_robust_to_perturbed_pseudo_variances(self):
         # The toy study keeps working when the pseudo-prior variances are

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import chi2_pvalue, finite_bundle
 
-from ccmix import State, fcc_step, gibbs_step, mcc_step
+from ccmix import SamplerId, State, step
 from ccmix.oracle import (
     DimensionMismatch,
     FiniteKernel,
@@ -436,12 +436,12 @@ class TestMonteCarloBridge:
 
     STEPS = 200_000
 
-    def _empirical_row(self, spec, bundle, stepper, m0, g0):
+    def _empirical_row(self, spec, bundle, sampler_id, m0, g0):
         rng = np.random.default_rng(31415)
         counts = np.zeros(spec.n_states)
         state0 = State(m0, float(spec.grid[g0]))
         for _ in range(self.STEPS):
-            new = stepper(bundle, state0, rng)
+            new, _ = step(sampler_id, bundle, state0, rng)
             g = int(np.searchsorted(spec.grid, new.z))
             counts[spec.state_index(new.m, g)] += 1
         return counts
@@ -451,13 +451,7 @@ class TestMonteCarloBridge:
         bundle = finite_bundle(spec)
         P3 = build_P3(spec)
         m0, g0 = 1, 2
-        counts = self._empirical_row(
-            spec,
-            bundle,
-            lambda b, s, r: fcc_step(b.target, b.pseudo, s, r),
-            m0,
-            g0,
-        )
+        counts = self._empirical_row(spec, bundle, SamplerId.FCC, m0, g0)
         row = P3.matrix[spec.state_index(m0, g0)]
         assert chi2_pvalue(counts, row) > 0.001
 
@@ -466,13 +460,7 @@ class TestMonteCarloBridge:
         bundle = finite_bundle(spec)
         K = build_P3(spec).matrix @ build_Q3(spec).matrix
         m0, g0 = 2, 0
-        counts = self._empirical_row(
-            spec,
-            bundle,
-            lambda b, s, r: mcc_step(b.target, b.pseudo, b.proposal, s, r)[0],
-            m0,
-            g0,
-        )
+        counts = self._empirical_row(spec, bundle, SamplerId.MCC, m0, g0)
         row = K[spec.state_index(m0, g0)]
         assert chi2_pvalue(counts, row) > 0.001
 
@@ -487,6 +475,6 @@ class TestMonteCarloBridge:
         counts = np.zeros(spec.n)
         for _ in range(50_000):
             g = rng.choice(spec.grid_size, p=cond)
-            new = gibbs_step(bundle.target, State(2, float(spec.grid[g])), rng)
+            new, _ = step(SamplerId.GIBBS, bundle, State(2, float(spec.grid[g])), rng)
             counts[new.m - 1] += 1
         assert chi2_pvalue(counts, G[1]) > 0.001

@@ -17,19 +17,15 @@ from conftest import (
 from ccmix import (
     ChainTrace,
     ConfigError,
-    MissingConditionalSampler,
     MixtureTarget,
     ModelBundle,
     ProposalFamily,
+    PseudoPriorSet,
     SamplerConfig,
     SamplerId,
     State,
-    cc_step,
-    fcc_step,
-    gibbs_step,
-    mcc_step,
-    mwg_step,
     run_chain,
+    step,
 )
 from ccmix.experiments import posterior_model, toy_model
 
@@ -43,16 +39,28 @@ def _delta_proposal(n):
     )
 
 
+def _plane_bundle():
+    """Standard normal components on R^2, with every auxiliary part."""
+
+    def log_density(m, z):
+        return -0.5 * float(z @ z)
+
+    def draw(m, rng):
+        return rng.standard_normal(2)
+
+    return ModelBundle(
+        MixtureTarget(n=2, z_dim=2, log_density=log_density, conditional_sampler=draw),
+        PseudoPriorSet(n=2, log_density=log_density, sampler=draw),
+        ProposalFamily(
+            n=2,
+            log_density=lambda l, u, z: log_density(l, z),
+            sampler=lambda l, u, rng: draw(l, rng),
+        ),
+    )
+
+
 def _one_step(sampler_id, bundle, state, rng):
-    if sampler_id is SamplerId.GIBBS:
-        return gibbs_step(bundle.target, state, rng)
-    if sampler_id is SamplerId.MWG:
-        return mwg_step(bundle.target, bundle.proposal, state, rng)[0]
-    if sampler_id is SamplerId.CC:
-        return cc_step(bundle.target, bundle.pseudo, state, rng)
-    if sampler_id is SamplerId.MCC:
-        return mcc_step(bundle.target, bundle.pseudo, bundle.proposal, state, rng)[0]
-    return fcc_step(bundle.target, bundle.pseudo, state, rng)
+    return step(sampler_id, bundle, state, rng)[0]
 
 
 def _push_exact_sample(sampler_id, bundle, ms, zs, seed):
@@ -102,18 +110,6 @@ class TestInvariance:
 
 
 class TestStepMechanics:
-    def test_gibbs_requires_conditional_sampler(self):
-        target = MixtureTarget(n=2, z_dim=1, log_density=lambda m, z: -z * z)
-        with pytest.raises(MissingConditionalSampler):
-            gibbs_step(target, State(1, 0.0), np.random.default_rng(0))
-
-    def test_cc_requires_conditional_sampler(self, toy_bundle):
-        target = MixtureTarget(
-            n=2, z_dim=1, log_density=toy_bundle.target.log_density
-        )
-        with pytest.raises(MissingConditionalSampler):
-            cc_step(target, toy_bundle.pseudo, State(1, 0.0), np.random.default_rng(0))
-
     def test_single_component_gibbs(self):
         target = MixtureTarget(
             n=1,
@@ -121,7 +117,9 @@ class TestStepMechanics:
             log_density=lambda m, z: -0.5 * z * z,
             conditional_sampler=lambda m, rng: rng.standard_normal(),
         )
-        new = gibbs_step(target, State(1, 5.0), np.random.default_rng(0))
+        new, _ = step(
+            SamplerId.GIBBS, ModelBundle(target), State(1, 5.0), np.random.default_rng(0)
+        )
         assert new.m == 1
 
     def test_single_component_fcc_is_identity(self):
@@ -132,19 +130,22 @@ class TestStepMechanics:
             pseudo_calls.append(j)
             return 0.0
 
-        from ccmix import PseudoPriorSet
-
         pseudo = PseudoPriorSet(n=1, log_density=lambda j, u: 0.0, sampler=sampler)
-        new = fcc_step(target, pseudo, State(1, 0.7), np.random.default_rng(0))
+        new, _ = step(
+            SamplerId.FCC,
+            ModelBundle(target, pseudo),
+            State(1, 0.7),
+            np.random.default_rng(0),
+        )
         assert new == State(1, 0.7)
         assert pseudo_calls == []  # the active component is never refreshed
 
     def test_mwg_delta_proposal_freezes_z(self, toy_bundle):
-        proposal = _delta_proposal(2)
+        bundle = ModelBundle(toy_bundle.target, proposal=_delta_proposal(2))
         rng = np.random.default_rng(9)
         state = State(1, 0.4)
         for _ in range(20):
-            state, accepted = mwg_step(toy_bundle.target, proposal, state, rng)
+            state, accepted = step(SamplerId.MWG, bundle, state, rng)
             assert accepted
             assert state.z == 0.4
 
@@ -153,7 +154,7 @@ class TestStepMechanics:
         rng = np.random.default_rng(2)
         state = State(2, 1.1)
         for _ in range(50):
-            new = fcc_step(toy_bundle.target, toy_bundle.pseudo, state, rng)
+            new = _one_step(SamplerId.FCC, toy_bundle, state, rng)
             if new.m == state.m:
                 assert new.z == state.z
             state = new
@@ -165,19 +166,10 @@ class TestStepMechanics:
         state = State(1, -0.9)
         seeds = range(30)
         for seed in seeds:
-            m_cc = cc_step(
-                toy_bundle.target, toy_bundle.pseudo, state, np.random.default_rng(seed)
-            ).m
-            m_mcc = mcc_step(
-                toy_bundle.target,
-                toy_bundle.pseudo,
-                toy_bundle.proposal,
-                state,
-                np.random.default_rng(seed),
-            )[0].m
-            m_fcc = fcc_step(
-                toy_bundle.target, toy_bundle.pseudo, state, np.random.default_rng(seed)
-            ).m
+            m_cc, m_mcc, m_fcc = (
+                _one_step(sid, toy_bundle, state, np.random.default_rng(seed)).m
+                for sid in (SamplerId.CC, SamplerId.MCC, SamplerId.FCC)
+            )
             assert m_cc == m_mcc == m_fcc
 
 
@@ -244,32 +236,42 @@ class TestRunChain:
                 initial_state=State(1, 0.0),
             )
 
+    def _assert_rejected(self, sid, bundle, state):
+        """Both entry points raise ConfigError before drawing anything."""
+        config = SamplerConfig(sid, n_iterations=10, burn_in=0, initial_state=state)
+        with pytest.raises(ConfigError):
+            run_chain(config, bundle)
+        with pytest.raises(ConfigError):
+            step(sid, bundle, state, np.random.default_rng(0))
+
     def test_missing_model_parts_rejected(self, toy_bundle):
+        state = State(1, 0.0)
         no_cond = ModelBundle(
             MixtureTarget(n=2, z_dim=1, log_density=toy_bundle.target.log_density),
             toy_bundle.pseudo,
             toy_bundle.proposal,
         )
-        with pytest.raises(ConfigError):
-            run_chain(self._config(SamplerId.GIBBS), no_cond)
-        with pytest.raises(ConfigError):
-            run_chain(self._config(SamplerId.CC), no_cond)
+        for sid in (SamplerId.GIBBS, SamplerId.CC):
+            self._assert_rejected(sid, no_cond, state)
         no_pseudo = ModelBundle(toy_bundle.target)
         for sid in (SamplerId.CC, SamplerId.MCC, SamplerId.FCC):
-            with pytest.raises(ConfigError):
-                run_chain(self._config(sid), no_pseudo)
+            self._assert_rejected(sid, no_pseudo, state)
         no_proposal = ModelBundle(toy_bundle.target, toy_bundle.pseudo)
         for sid in (SamplerId.MWG, SamplerId.MCC):
-            with pytest.raises(ConfigError):
-                run_chain(self._config(sid), no_proposal)
+            self._assert_rejected(sid, no_proposal, state)
 
     @pytest.mark.parametrize("sampler_id", list(SamplerId))
     def test_initial_label_beyond_n_rejected(self, sampler_id, toy_bundle):
-        config = SamplerConfig(
-            sampler_id, n_iterations=10, burn_in=0, initial_state=State(7, 0.0)
-        )
-        with pytest.raises(ConfigError):
-            run_chain(config, toy_bundle)
+        self._assert_rejected(sampler_id, toy_bundle, State(7, 0.0))
+
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_wrong_z_dimension_rejected(self, sampler_id, toy_bundle):
+        self._assert_rejected(sampler_id, toy_bundle, State(1, np.zeros(3)))
+        plane = _plane_bundle()
+        for z in (0.0, np.zeros(3), np.zeros((2, 1))):
+            self._assert_rejected(sampler_id, plane, State(1, z))
+        new, _ = step(sampler_id, plane, State(1, np.zeros(2)), np.random.default_rng(0))
+        assert np.shape(new.z) == (2,)
 
     def test_mwg_acceptance_covers_post_burn_in(self):
         # A target that forbids z > 0 paired with a positive-only
@@ -297,20 +299,12 @@ class TestCollapseSmoke:
     full-size statistical checks live in the acceptance suite."""
 
     def test_mcc_with_delta_proposal_equals_fcc(self, toy_bundle):
-        proposal = _delta_proposal(2)
+        delta = ModelBundle(toy_bundle.target, toy_bundle.pseudo, _delta_proposal(2))
         ms, zs = sample_toy_exact(2000, np.random.default_rng(17))
         for i, (m, z) in enumerate(zip(ms, zs)):
             state = State(int(m), float(z))
-            a = mcc_step(
-                toy_bundle.target,
-                toy_bundle.pseudo,
-                proposal,
-                state,
-                np.random.default_rng(i),
-            )[0]
-            b = fcc_step(
-                toy_bundle.target, toy_bundle.pseudo, state, np.random.default_rng(i)
-            )
+            a = _one_step(SamplerId.MCC, delta, state, np.random.default_rng(i))
+            b = _one_step(SamplerId.FCC, delta, state, np.random.default_rng(i))
             assert a.m == b.m and a.z == b.z
 
     def test_mcc_with_exact_conditional_proposal_equals_cc(self, toy_bundle):
@@ -323,13 +317,12 @@ class TestCollapseSmoke:
             log_density=lambda l, u, z: target.log_density(l, z),
             sampler=lambda l, u, rng: target.conditional_sampler(l, rng),
         )
+        bundle = ModelBundle(target, toy_bundle.pseudo, proposal)
         ms, zs = sample_toy_exact(2000, np.random.default_rng(23))
         for i, (m, z) in enumerate(zip(ms, zs)):
             state = State(int(m), float(z))
-            a = mcc_step(
-                target, toy_bundle.pseudo, proposal, state, np.random.default_rng(i)
-            )[0]
-            b = cc_step(target, toy_bundle.pseudo, state, np.random.default_rng(i))
+            a = _one_step(SamplerId.MCC, bundle, state, np.random.default_rng(i))
+            b = _one_step(SamplerId.CC, bundle, state, np.random.default_rng(i))
             assert a.m == b.m and a.z == b.z
 
     def test_mwg_with_exact_conditional_proposal_equals_gibbs(self, toy_bundle):
@@ -339,9 +332,10 @@ class TestCollapseSmoke:
             log_density=lambda l, u, z: target.log_density(l, z),
             sampler=lambda l, u, rng: target.conditional_sampler(l, rng),
         )
+        bundle = ModelBundle(target, proposal=proposal)
         ms, zs = sample_toy_exact(2000, np.random.default_rng(29))
         for i, (m, z) in enumerate(zip(ms, zs)):
             state = State(int(m), float(z))
-            a = mwg_step(target, proposal, state, np.random.default_rng(i))[0]
-            b = gibbs_step(target, state, np.random.default_rng(i))
+            a = _one_step(SamplerId.MWG, bundle, state, np.random.default_rng(i))
+            b = _one_step(SamplerId.GIBBS, bundle, state, np.random.default_rng(i))
             assert a.m == b.m and a.z == b.z
