@@ -110,6 +110,28 @@ class TestInvariance:
 
 
 class TestStepMechanics:
+    def test_gibbs_requires_conditional_sampler(self):
+        target = MixtureTarget(n=2, z_dim=1, log_density=lambda m, z: -z * z)
+        with pytest.raises(ConfigError, match="conditional_sampler"):
+            step(
+                SamplerId.GIBBS,
+                ModelBundle(target),
+                State(1, 0.0),
+                np.random.default_rng(0),
+            )
+
+    def test_cc_requires_conditional_sampler(self, toy_bundle):
+        target = MixtureTarget(
+            n=2, z_dim=1, log_density=toy_bundle.target.log_density
+        )
+        with pytest.raises(ConfigError, match="conditional_sampler"):
+            step(
+                SamplerId.CC,
+                ModelBundle(target, toy_bundle.pseudo),
+                State(1, 0.0),
+                np.random.default_rng(0),
+            )
+
     def test_single_component_gibbs(self):
         target = MixtureTarget(
             n=1,
