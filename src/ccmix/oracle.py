@@ -8,11 +8,13 @@ with component labels m in 1..n and grid indices g in 0..G-1.
 
 Kernels built here:
 
-* ``build_P3``: the index-selection sweep shared by the MCC and FCC
+* ``build_P3``: the index-selection sweep shared by the CC, MCC and FCC
   samplers (auxiliary refresh + index draw), marginalized exactly over
-  the refreshed points.
+  the refreshed points.  Its flow between two labels is one symmetric
+  G x G core per unordered label pair, an expectation over the G^(n-2)
+  values of the other labels' refreshed weights: n(n-1)/2 x G^n terms.
 * ``build_Q3``: the within-component Metropolis-Hastings refresh, block
-  diagonal over the labels.
+  diagonal over the labels, one array expression per block.
 * ``build_Q4``: the frozen (identity) refresh.
 * ``build_gibbs_index_kernel``: the induced label chain of the plain
   Gibbs sampler.
@@ -21,7 +23,7 @@ Kernels built here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -168,79 +170,94 @@ def _cond_z_given_m(spec: FiniteMixtureSpec) -> np.ndarray:
     return spec.prob / row_sums
 
 
+def _refresh_sum_support(ratio, pseudo, labels):
+    """Values and weights of S = sum_j r_j(U_j), U_j ~ rho_j, over ``labels``.
+
+    The support is enumerated as one flat array of G^len(labels) terms.
+    """
+    values, weights = np.zeros(1), np.ones(1)
+    for j in labels:
+        values = (values[:, None] + ratio[j]).ravel()
+        weights = (weights[:, None] * pseudo[j]).ravel()
+    return values, weights
+
+
 def build_P3(spec: FiniteMixtureSpec) -> FiniteKernel:
     """Exact kernel of the shared selection sweep (steps (i)-(ii)).
 
-    For each start state (m, z) the refreshed auxiliary points u_j,
-    j != m, are enumerated over the full grid; the index-move weights
-    are proportional to pi*(k, u_k) / rho_k(u_k).
+    From (m, z_g) the refreshed points U_j ~ rho_j, j != m, and the index
+    draw with weights r_j(u_j) = pi*(j, u_j) / rho_j(u_j) (u_m = z_g)
+    move the chain to (k, u) with probability
+
+        P((m, g) -> (k, u)) = pi*(k, u) C_mk[g, u],
+        C_mk[g, u] = E[1 / (r_m(g) + r_k(u) + S_mk)],
+
+    where S_mk = sum_{j not in {m, k}} r_j(U_j).  The core C_mk is
+    symmetric in the pair, C_km = C_mk^T, so one G x G core per
+    unordered pair fills both off-diagonal blocks and makes the kernel
+    pi*-reversible by construction.  Staying on label m keeps z, so the
+    diagonal takes the rest of each row; on a pi*-null start whose index
+    weights can all vanish this includes the chance that no move is
+    drawn.  Each of the n(n-1)/2 cores enumerates the G^(n-2) support of
+    S_mk for every (g, u): n(n-1)/2 x G^n terms in all, one start point
+    g at a time.
     """
     n, G = spec.n, spec.grid_size
-    if G ** (n - 1) * n * G > MAX_ENUMERATION_TERMS:
+    # The budget is set on n G^n terms, within a factor (n - 1) / 2 of
+    # the n(n-1)/2 G^n that the cores enumerate.
+    if n * G**n > MAX_ENUMERATION_TERMS:
         raise TooLarge("auxiliary-grid enumeration exceeds the term budget")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            spec.pseudo > 0,
-            spec.prob / np.where(spec.pseudo > 0, spec.pseudo, 1.0),
-            0.0,
-        )
     if np.any((spec.pseudo == 0) & (spec.prob > 0)):
         raise ValueError("a pseudo-prior vanishes where the target does not")
+    ratio = np.divide(
+        spec.prob, spec.pseudo, out=np.zeros((n, G)), where=spec.pseudo > 0
+    )
 
     P = np.zeros((n * G, n * G))
-    for m in range(1, n + 1):
-        others = [j for j in range(1, n + 1) if j != m]
-        # All assignments of grid indices to the refreshed components.
-        combos = np.array(list(product(range(G), repeat=len(others))), dtype=int)
-        w_prior = np.ones(len(combos))
-        ratio_others = np.empty((len(combos), len(others)))
-        for c, j in enumerate(others):
-            w_prior *= spec.pseudo[j - 1, combos[:, c]]
-            ratio_others[:, c] = ratio[j - 1, combos[:, c]]
-        sum_others = ratio_others.sum(axis=1)
-        for g in range(G):
-            row = spec.state_index(m, g)
-            r_m = ratio[m - 1, g]
-            total = sum_others + r_m
-            ok = total > 0
-            # Move to the current component: the auxiliary point is z itself.
-            P[row, spec.state_index(m, g)] += np.sum(
-                w_prior[ok] * r_m / total[ok]
-            )
-            for c, j in enumerate(others):
-                contrib = np.zeros(len(combos))
-                contrib[ok] = w_prior[ok] * ratio_others[ok, c] / total[ok]
-                np.add.at(P[row, (j - 1) * G : j * G], combos[:, c], contrib)
+    for m, k in combinations(range(n), 2):
+        others = [j for j in range(n) if j not in (m, k)]
+        values, weights = _refresh_sum_support(ratio, spec.pseudo, others)
+        C = np.empty((G, G))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for g in range(G):
+                C[g] = (1.0 / (ratio[m, g] + ratio[k][:, None] + values)) @ weights
+        # A total can vanish only where pi*(m, g) = pi*(k, u) = 0, which
+        # makes C[g, u] infinite or NaN; that pair has no flow.
+        C[~np.isfinite(C)] = 0.0
+        P[m * G : (m + 1) * G, k * G : (k + 1) * G] = C * spec.prob[k]
+        P[k * G : (k + 1) * G, m * G : (m + 1) * G] = C.T * spec.prob[m]
+    P[np.diag_indices(n * G)] = 1.0 - P.sum(axis=1)
     return FiniteKernel(P, n, G)
 
 
 def build_Q3(spec: FiniteMixtureSpec) -> FiniteKernel:
-    """Exact within-component Metropolis-Hastings refresh, block diagonal."""
+    """Exact within-component Metropolis-Hastings refresh, block diagonal.
+
+    A move g -> g2 != g of block m has probability R[g, g2] alpha with
+    alpha = min(1, p[g2] R[g2, g] / (p[g] R[g, g2])), p = pi*(. | m),
+    and alpha = 0 when the reverse move is impossible.  A zero-mass
+    current point is never reached under pi*; its row parks the chain.
+    """
     if spec.proposal is None:
         raise ValueError("spec has no proposal table")
     n, G = spec.n, spec.grid_size
     cond = _cond_z_given_m(spec)
+    diag = np.diag_indices(G)
     Q = np.zeros((n * G, n * G))
-    for m in range(1, n + 1):
-        R = spec.proposal[m - 1]
-        pm = cond[m - 1]
-        K = np.zeros((G, G))
-        for g in range(G):
-            if pm[g] == 0.0:
-                # Zero-mass current point: park the chain (never reached
-                # under pi*, but rows must still be stochastic).
-                K[g, g] = 1.0
-                continue
-            for g2 in range(G):
-                if g2 == g or R[g, g2] == 0.0:
-                    continue
-                if pm[g2] == 0.0 or R[g2, g] == 0.0:
-                    alpha = 0.0
-                else:
-                    alpha = min(1.0, pm[g2] * R[g2, g] / (pm[g] * R[g, g2]))
-                K[g, g2] = R[g, g2] * alpha
-            K[g, g] = 1.0 - K[g].sum()
-        Q[(m - 1) * G : m * G, (m - 1) * G : m * G] = K
+    for m in range(n):
+        R, pm = spec.proposal[m], cond[m]
+        flow = pm[:, None] * R
+        # Moves out of a zero-mass point keep alpha = 0, so its row parks;
+        # an impossible reverse move has flow.T = 0 and alpha = 0.
+        accept = np.zeros((G, G))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(flow.T, flow, out=accept, where=(pm[:, None] > 0) & (R > 0))
+        # fmin ignores a NaN ratio (both flows underflowed to zero), so
+        # such a move is accepted.
+        K = R * np.fmin(1.0, accept)
+        K[diag] = 0.0
+        K[diag] = 1.0 - K.sum(axis=1)
+        Q[m * G : (m + 1) * G, m * G : (m + 1) * G] = K
     return FiniteKernel(Q, n, G)
 
 

@@ -27,6 +27,7 @@ variants sharing a seed also share their index stream.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -187,6 +188,14 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State) -> None:
             if get(bundle) is None:
                 raise ConfigError(f"{sampler_id.value} sampling needs {name}")
     target = bundle.target
+    for name, part in (("pseudo-prior", bundle.pseudo), ("proposal", bundle.proposal)):
+        if part is not None and part.n != target.n:
+            raise ConfigError(
+                f"{name} has {part.n} components, the target has {target.n}"
+            )
+    # A float label would pass the range test and never equal j in 1..n.
+    if isinstance(state.m, bool) or not isinstance(state.m, numbers.Integral):
+        raise ConfigError(f"label must be an integer, got {state.m!r}")
     if not 1 <= state.m <= target.n:
         raise ConfigError(f"label {state.m} outside 1..{target.n}")
     # A one-dimensional z is a scalar, not an array of length 1.

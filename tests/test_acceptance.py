@@ -5,11 +5,16 @@ failure on any test here means the corresponding criterion is FAIL.
 Criteria 1-5 verify the exact finite-state theory on a fixed family of
 20 random specs; 6-7 reproduce the two numerical studies at full size;
 8-9 check the structural collapse identities and the optimal
-pseudo-prior behaviour.
+pseudo-prior behaviour.  Two checks ride along without a criterion
+number: criteria 1-3 with their bounds on specs with four and five
+components, and a count of model calls per step behind criterion 7's
+cost claim.
 """
 
 import math
 import time
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,12 +28,15 @@ from scipy import stats
 from ccmix import (
     ModelBundle,
     ProposalFamily,
+    SamplerConfig,
     SamplerId,
     State,
     cc_index_weights,
+    run_chain,
     step,
 )
 from ccmix.experiments import (
+    posterior_model,
     run_posterior_experiment,
     run_toy_experiment,
     toy_model,
@@ -142,6 +150,22 @@ def test_criterion_3_kernel_orderings(kernels):
     )
 
 
+@pytest.mark.parametrize("n, G", [(4, 8), (5, 6), (5, 8)])
+def test_exact_checks_at_four_and_five_components(n, G):
+    """Criteria 1-3 with their bounds on specs with more components."""
+    rng = np.random.default_rng([SPEC_SEED, n, G])
+    for _ in range(3):
+        spec = random_spec(rng, n, G)
+        pi = target_distribution(spec)
+        P3, Q3, Q4 = build_P3(spec), build_Q3(spec), build_Q4(spec)
+        assert check_reversibility(P3, pi) <= 1e-12
+        assert check_reversibility(Q3, pi) <= 1e-14
+        for K in (P3.matrix, P3.matrix @ Q3.matrix, P3.matrix @ Q4.matrix):
+            assert np.max(np.abs(pi @ K - pi)) <= 1e-12
+        assert check_offdiagonal_dominance(Q3, Q4)
+        assert check_covariance_ordering(Q3, Q4, pi) >= -1e-10
+
+
 def test_criterion_4_variance_ordering(kernels):
     """sigma^2 of the metropolised chain never exceeds the frozen one,
     for the label indicator basis plus 100 random label functions."""
@@ -247,6 +271,54 @@ def test_criterion_7_posterior_study(posterior_report):
         f"{report.results['mcc'].wall_clock_seconds:.2f}s; density sup-dev "
         f"{sup:.3f} < 0.05)"
     )
+
+
+def _counted(bundle, counts):
+    """The bundle with every model callback counting its calls in ``counts``."""
+
+    def wrap(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    target, pseudo, proposal = bundle.target, bundle.pseudo, bundle.proposal
+    if target.conditional_sampler is not None:
+        target = replace(
+            target,
+            conditional_sampler=wrap("conditional", target.conditional_sampler),
+        )
+    return ModelBundle(
+        replace(target, log_density=wrap("target", target.log_density)),
+        replace(
+            pseudo,
+            log_density=wrap("pseudo", pseudo.log_density),
+            sampler=wrap("pseudo_draw", pseudo.sampler),
+        ),
+        replace(
+            proposal,
+            log_density=wrap("proposal", proposal.log_density),
+            sampler=wrap("proposal_draw", proposal.sampler),
+        ),
+    )
+
+
+@pytest.mark.parametrize("model", [toy_model, posterior_model])
+def test_fcc_makes_fewer_model_calls_than_mcc(model):
+    """The cost side of criterion 7 without a timing race: per step, FCC
+    calls into the model less often than MCC."""
+    n_steps = 2000
+    per_step = {}
+    for sid in (SamplerId.MCC, SamplerId.FCC):
+        counts = Counter()
+        bundle = _counted(model(), counts)
+        config = SamplerConfig(
+            sid, n_iterations=n_steps, burn_in=0, seed=7, initial_state=State(1, -1.0)
+        )
+        run_chain(config, bundle)
+        per_step[sid] = sum(counts.values()) / n_steps
+    assert per_step[SamplerId.FCC] < per_step[SamplerId.MCC], per_step
 
 
 def _paired_outputs(bundle, stepper_a, stepper_b, n, seed):

@@ -1,10 +1,14 @@
 """Tests for the exact finite-state kernels and orderings."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from conftest import chi2_pvalue, finite_bundle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ccmix import SamplerId, State, step
 from ccmix.oracle import (
@@ -172,6 +176,157 @@ class TestKernelStructure:
         )
         G = build_gibbs_index_kernel(spec)
         assert G.matrix[0, 0] > 0.999 and G.matrix[1, 1] > 0.999
+
+
+def _reference_P3(spec):
+    """The selection sweep by brute force, as a raw matrix.
+
+    For each start state every assignment of grid points to the
+    refreshed components is enumerated (G^(n-1) of them); assignments
+    whose index weights all vanish contribute nothing, which leaves
+    such a row short of 1.
+    """
+    n, G = spec.n, spec.grid_size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(
+            spec.pseudo > 0,
+            spec.prob / np.where(spec.pseudo > 0, spec.pseudo, 1.0),
+            0.0,
+        )
+    P = np.zeros((n * G, n * G))
+    for m in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != m]
+        combos = np.array(list(product(range(G), repeat=len(others))), dtype=int)
+        w_prior = np.ones(len(combos))
+        ratio_others = np.empty((len(combos), len(others)))
+        for c, j in enumerate(others):
+            w_prior *= spec.pseudo[j - 1, combos[:, c]]
+            ratio_others[:, c] = ratio[j - 1, combos[:, c]]
+        sum_others = ratio_others.sum(axis=1)
+        for g in range(G):
+            row = spec.state_index(m, g)
+            r_m = ratio[m - 1, g]
+            total = sum_others + r_m
+            ok = total > 0
+            P[row, row] += np.sum(w_prior[ok] * r_m / total[ok])
+            for c, j in enumerate(others):
+                contrib = np.zeros(len(combos))
+                contrib[ok] = w_prior[ok] * ratio_others[ok, c] / total[ok]
+                np.add.at(P[row, (j - 1) * G : j * G], combos[:, c], contrib)
+    return P
+
+
+def _reference_Q3(spec):
+    """The MH refresh entry by entry, as a raw matrix."""
+    n, G = spec.n, spec.grid_size
+    cond = spec.prob / spec.prob.sum(axis=1, keepdims=True)
+    Q = np.zeros((n * G, n * G))
+    for m in range(1, n + 1):
+        R = spec.proposal[m - 1]
+        pm = cond[m - 1]
+        K = np.zeros((G, G))
+        for g in range(G):
+            if pm[g] == 0.0:
+                K[g, g] = 1.0
+                continue
+            for g2 in range(G):
+                if g2 == g or R[g, g2] == 0.0:
+                    continue
+                if pm[g2] == 0.0 or R[g2, g] == 0.0:
+                    alpha = 0.0
+                else:
+                    alpha = min(1.0, pm[g2] * R[g2, g] / (pm[g] * R[g, g2]))
+                K[g, g2] = R[g, g2] * alpha
+            K[g, g] = 1.0 - K[g].sum()
+        Q[(m - 1) * G : m * G, (m - 1) * G : m * G] = K
+    return Q
+
+
+def _masses(shape):
+    """Nonnegative arrays with many exact zeros."""
+    return arrays(
+        np.float64, shape, elements=st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    )
+
+
+@st.composite
+def sparse_specs(draw):
+    """Specs with zero-mass target cells, pseudo-priors vanishing on some
+    of them, zero proposal entries and hence pi*-null kernel rows.
+
+    Every label keeps some mass, so that build_Q3 applies too.
+    """
+    n = draw(st.integers(1, 5))
+    G = draw(st.integers(2, 6 if n <= 3 else 4))
+    prob = draw(_masses((n, G)))
+    prob[prob.sum(axis=1) == 0, 0] = 1.0
+    pseudo = draw(_masses((n, G)))
+    pseudo[(prob > 0) & (pseudo == 0)] = 1.0
+    proposal = draw(_masses((n, G, G)))
+    stuck = proposal.sum(axis=2) == 0
+    proposal[..., np.arange(G), np.arange(G)] += stuck
+    return FiniteMixtureSpec(
+        n,
+        np.arange(float(G)),
+        prob / prob.sum(),
+        pseudo / pseudo.sum(axis=1, keepdims=True),
+        proposal / proposal.sum(axis=2, keepdims=True),
+    )
+
+
+_PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestReferenceBuilders:
+    """The builders against brute-force references on sparse specs."""
+
+    @_PROPERTY
+    @given(sparse_specs())
+    def test_p3_matches_enumeration(self, spec):
+        want = _reference_P3(spec)
+        # Mass that no assignment moves stays put.
+        want[np.diag_indices(spec.n_states)] += 1.0 - want.sum(axis=1)
+        got = build_P3(spec).matrix
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @_PROPERTY
+    @given(sparse_specs())
+    def test_q3_matches_double_loop(self, spec):
+        np.testing.assert_array_equal(build_Q3(spec).matrix, _reference_Q3(spec))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_p3_matches_enumeration_on_random_specs(self, n):
+        rng = np.random.default_rng(40 + n)
+        for G in (3, 5):
+            spec = random_spec(rng, n, G)
+            got = build_P3(spec).matrix
+            assert np.max(np.abs(got - _reference_P3(spec))) <= 1e-14
+            np.testing.assert_array_equal(build_Q3(spec).matrix, _reference_Q3(spec))
+
+    def test_p3_null_row_keeps_the_rest_on_the_diagonal(self):
+        # From (1, 0), where pi* vanishes, the refreshed u_2 lands on the
+        # null point 0 half the time; then every index weight is zero
+        # and no move is drawn.  The enumeration leaves that half out of
+        # the row; build_P3 keeps it on the diagonal.
+        spec = FiniteMixtureSpec(
+            2,
+            np.arange(2.0),
+            np.array([[0.0, 0.5], [0.0, 0.5]]),
+            np.full((2, 2), 0.5),
+        )
+        ref = _reference_P3(spec)
+        np.testing.assert_allclose(ref[0], [0.0, 0.0, 0.0, 0.5], atol=1e-15)
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            FiniteKernel(ref, 2, 2)
+        P3 = build_P3(spec)
+        np.testing.assert_allclose(P3.matrix[0], [0.5, 0.0, 0.0, 0.5], atol=1e-15)
+        assert check_reversibility(P3, target_distribution(spec)) == 0.0
 
 
 class TestChecks:

@@ -1,6 +1,7 @@
 """Tests of the five transition kernels and the chain driver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,6 +286,27 @@ class TestRunChain:
     @pytest.mark.parametrize("sampler_id", list(SamplerId))
     def test_initial_label_beyond_n_rejected(self, sampler_id, toy_bundle):
         self._assert_rejected(sampler_id, toy_bundle, State(7, 0.0))
+
+    @pytest.mark.parametrize(
+        "sampler_id", [SamplerId.CC, SamplerId.MCC, SamplerId.FCC]
+    )
+    def test_pseudo_component_count_mismatch_rejected(self, sampler_id, toy_bundle):
+        bundle = replace(toy_bundle, pseudo=replace(toy_bundle.pseudo, n=5))
+        self._assert_rejected(sampler_id, bundle, State(1, 0.0))
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.MWG, SamplerId.MCC])
+    def test_proposal_component_count_mismatch_rejected(self, sampler_id, toy_bundle):
+        bundle = replace(toy_bundle, proposal=replace(toy_bundle.proposal, n=7))
+        self._assert_rejected(sampler_id, bundle, State(1, 0.0))
+
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_non_integer_label_rejected(self, sampler_id, toy_bundle):
+        for m in (1.5, 1.0, np.float64(2.0), True):
+            self._assert_rejected(sampler_id, toy_bundle, State(m, 0.0))
+        new, _ = step(
+            sampler_id, toy_bundle, State(np.int64(2), 0.0), np.random.default_rng(0)
+        )
+        assert new.m in (1, 2)
 
     @pytest.mark.parametrize("sampler_id", list(SamplerId))
     def test_wrong_z_dimension_rejected(self, sampler_id, toy_bundle):
