@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_LAG = 50
+_KDE_CHUNK_ELEMENTS = 1_000_000  # 8 MB of float64 per temporary
 
 
 class ConstantSeries(ValueError):
@@ -117,8 +118,9 @@ def kde(samples, grid, bandwidth: float | None = None) -> np.ndarray:
         raise ValueError("bandwidth must be positive")
     out = np.empty(len(g))
     norm = len(x) * h * np.sqrt(2.0 * np.pi)
-    # Chunk the grid so the (grid x samples) matrix stays small.
-    step = max(1, 10_000_000 // max(len(x), 1))
+    # Chunk the grid so the (grid x samples) matrix stays small; each grid
+    # row is summed whole, so the chunk size does not change the result.
+    step = max(1, _KDE_CHUNK_ELEMENTS // len(x))
     for lo in range(0, len(g), step):
         d = (g[lo : lo + step, None] - x[None, :]) / h
         out[lo : lo + step] = np.exp(-0.5 * d * d).sum(axis=1) / norm

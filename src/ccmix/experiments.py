@@ -66,15 +66,18 @@ DEFAULT_DENSITY_GRID_STEP = 0.005
 _LOG_HALF = math.log(0.5)
 
 
-def _norm_logpdf(z: float, mu: float, var: float) -> float:
-    return -0.5 * math.log(2.0 * math.pi * var) - (z - mu) ** 2 / (2.0 * var)
+def _norm_consts(variances) -> tuple[tuple, tuple]:
+    """(const, two_var) per variance: log N(z; mu, var) = const - (z-mu)**2 / two_var."""
+    const = tuple(-0.5 * math.log(2.0 * math.pi * v) for v in variances)
+    return const, tuple(2.0 * v for v in variances)
 
 
 def _gaussian_pseudo(means, variances) -> PseudoPriorSet:
     sds = tuple(math.sqrt(v) for v in variances)
+    const, two_var = _norm_consts(variances)
 
     def log_density(j, u):
-        return _norm_logpdf(u, means[j - 1], variances[j - 1])
+        return const[j - 1] - (u - means[j - 1]) ** 2 / two_var[j - 1]
 
     def sampler(j, rng):
         return means[j - 1] + sds[j - 1] * rng.standard_normal()
@@ -102,9 +105,10 @@ def toy_model(
     pseudo-prior variances for robustness checks.
     """
     sd = math.sqrt(TOY_VAR)
+    (const,), (two_var,) = _norm_consts((TOY_VAR,))
 
     def log_density(m, z):
-        return _LOG_HALF + _norm_logpdf(z, TOY_MEANS[m - 1], TOY_VAR)
+        return _LOG_HALF + (const - (z - TOY_MEANS[m - 1]) ** 2 / two_var)
 
     def conditional_sampler(m, rng):
         return TOY_MEANS[m - 1] + sd * rng.standard_normal()
@@ -128,12 +132,14 @@ def posterior_target(x_obs: float = POSTERIOR_X_OBS) -> MixtureTarget:
     nonlinear in z).
     """
     log_alpha = tuple(math.log(a) for a in POSTERIOR_WEIGHTS)
+    consts = _norm_consts((TOY_VAR, POSTERIOR_NOISE_VAR))
+    (const, lik_const), (two_var, lik_two_var) = consts
 
     def log_density(m, z):
         return (
             log_alpha[m - 1]
-            + _norm_logpdf(z, TOY_MEANS[m - 1], TOY_VAR)
-            + _norm_logpdf(x_obs, z * z, POSTERIOR_NOISE_VAR)
+            + (const - (z - TOY_MEANS[m - 1]) ** 2 / two_var)
+            + (lik_const - (x_obs - z * z) ** 2 / lik_two_var)
         )
 
     return MixtureTarget(n=2, z_dim=1, log_density=log_density)

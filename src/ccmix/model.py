@@ -104,19 +104,24 @@ class State:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"component label must be >= 1, got {self.m}")
-        z = self.z
-        finite = math.isfinite(z) if isinstance(z, float) else bool(
-            np.all(np.isfinite(z))
-        )
-        if not finite:
-            raise ValueError("state z must be finite")
+        _check_finite(self.z)
 
 
-def _normalize_log_weights(logw: Sequence[float]) -> np.ndarray:
+def _check_finite(z) -> None:
+    if not (math.isfinite(z) if isinstance(z, float) else np.all(np.isfinite(z))):
+        raise ValueError("state z must be finite")
+
+
+def _normalize_log_weights(logw: Sequence[float]) -> list[float]:
+    # Loops, not comprehensions: this runs every sweep.  exp(-inf) is 0.0.
     top = max(logw)
-    w = [0.0 if lw == _NEG_INF else math.exp(lw - top) for lw in logw]
+    w = []
+    for lw in logw:
+        w.append(math.exp(lw - top))
     total = sum(w)
-    return np.array([wi / total for wi in w])
+    for i in range(len(w)):
+        w[i] /= total
+    return w
 
 
 def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
@@ -140,10 +145,17 @@ def conditional_index_weights(target: MixtureTarget, z) -> np.ndarray:
 
     Raises AllZeroMass if every component has -inf log-density at z.
     """
-    logw = [target.log_density(m, z) for m in range(1, target.n + 1)]
+    return np.array(_conditional_weights(target, z)[0])
+
+
+def _conditional_weights(target, z, m=0, lt=None):
+    """(pi*(. | z), log pi*(., z)) as lists; ``lt``, when given, is log pi*(m, z)."""
+    logw = []
+    for j in range(1, target.n + 1):
+        logw.append(lt if j == m and lt is not None else target.log_density(j, z))
     if max(logw) == _NEG_INF:
         raise AllZeroMass(f"target has zero mass at z={z!r} for every component")
-    return _normalize_log_weights(logw)
+    return _normalize_log_weights(logw), logw
 
 
 def cc_index_weights(
@@ -157,26 +169,35 @@ def cc_index_weights(
     """
     if len(u) != target.n:
         raise ValueError(f"expected {target.n} auxiliary points, got {len(u)}")
-    logw = [0.0] * target.n
-    for m in range(1, target.n + 1):
-        lt = target.log_density(m, u[m - 1])
-        lr = pseudo.log_density(m, u[m - 1])
-        if lr == _NEG_INF:
-            if lt == _NEG_INF:
-                # Both vanish; the ratio is undefined and the paper gives no
-                # guidance, so the move gets zero weight.
-                warnings.warn(
-                    f"target and pseudo-prior both vanish at component {m}; "
-                    "assigning zero move weight",
-                    RuntimeWarning,
-                )
-                logw[m - 1] = _NEG_INF
-                continue
+    n = target.n
+    return np.array(_cc_weights(target, pseudo, u, [None] * n, [None] * n))
+
+
+def _cc_weights(target, pseudo, u, lt, lr) -> list[float]:
+    """cc_index_weights as a list; fills the None entries of the lists
+    ``lt`` and ``lr`` with log pi*(j, u_j) and log rho_j(u_j)."""
+    logw = []
+    for i, ui in enumerate(u):
+        t, r = lt[i], lr[i]
+        if t is None:
+            t = lt[i] = target.log_density(i + 1, ui)
+        if r is None:
+            r = lr[i] = pseudo.log_density(i + 1, ui)
+        if r != _NEG_INF:
+            logw.append(t - r)
+            continue
+        if t != _NEG_INF:
             raise PseudoPriorZero(
-                f"pseudo-prior {m} vanishes at u={u[m - 1]!r} "
-                "where the target does not"
+                f"pseudo-prior {i + 1} vanishes at u={ui!r} where the target does not"
             )
-        logw[m - 1] = lt - lr
+        # Both vanish; the ratio is undefined and the paper gives no
+        # guidance, so the move gets zero weight.
+        warnings.warn(
+            f"target and pseudo-prior both vanish at component {i + 1}; "
+            "assigning zero move weight",
+            RuntimeWarning,
+        )
+        logw.append(_NEG_INF)
     if max(logw) == _NEG_INF:
         raise AllZeroMass("every index-move weight is zero")
     return _normalize_log_weights(logw)
@@ -191,7 +212,13 @@ def mh_log_acceptance(
                    - log pi*(ell, u) - log r_ell(u, z)).
     A proposed move to a zero-mass point gets log-acceptance -inf (never NaN).
     """
-    lt_u = target.log_density(ell, u)
+    return _mh_log_acceptance(target, proposal, ell, u, z)[0]
+
+
+def _mh_log_acceptance(target, proposal, ell, u, z, lt_u=None):
+    """(mh_log_acceptance, log pi*(ell, z)); ``lt_u``, if given, is log pi*(ell, u)."""
+    if lt_u is None:
+        lt_u = target.log_density(ell, u)
     lr_uz = proposal.log_density(ell, u, z)
     if lt_u == _NEG_INF or lr_uz == _NEG_INF:
         raise InvalidCurrentState(
@@ -200,8 +227,8 @@ def mh_log_acceptance(
     lt_z = target.log_density(ell, z)
     lr_zu = proposal.log_density(ell, z, u)
     if lt_z == _NEG_INF or lr_zu == _NEG_INF:
-        return _NEG_INF
-    return min(0.0, lt_z + lr_zu - lt_u - lr_uz)
+        return _NEG_INF, lt_z
+    return min(0.0, lt_z + lr_zu - lt_u - lr_uz), lt_z
 
 
 def extended_log_density(

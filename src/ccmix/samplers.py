@@ -22,6 +22,12 @@ the same pair of functions.
 Every sweep consumes its random draws in a fixed order (auxiliary
 refreshes in label order, then the index draw, then the refresh) so that
 variants sharing a seed also share their index stream.
+
+The selection hands log pi*(m', u_sel) and log rho_m'(u_sel) to the
+refresh, and the refresh those of the point it keeps to the next sweep,
+so no density is evaluated twice.  Per sweep on n components, Gibbs,
+MwG, CC and MCC evaluate the target n times and FCC n - 1 times; the
+README tables every sampler's model calls.
 """
 
 from __future__ import annotations
@@ -35,11 +41,15 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
+from .model import (  # bench/spans.py traces the three public weight functions here
     MixtureTarget,
     PseudoPriorSet,
     ProposalFamily,
     State,
+    _cc_weights,
+    _check_finite,
+    _conditional_weights,
+    _mh_log_acceptance,
     cc_index_weights,
     conditional_index_weights,
     draw_index,
@@ -123,42 +133,46 @@ class ChainTrace:
         return State(int(self.m[k]), self.z[k])
 
 
-# Selections: (bundle, state, rng) -> (m', u_sel).
+# Selections (bundle, m, z, lt, lr, rng) -> (m', u_sel, lt', lr') and
+# refreshes (bundle, m', u_sel, lt, lr, rng) -> (z', lt', lr', accepted)
+# reuse and hand on lt = log pi*(m, z) and lr = log rho_m(z), None where
+# not computed; accepted is None unless the refresh has an accept/reject.
 
 
-def _conditional_select(bundle, state, rng):
+def _conditional_select(bundle, m, z, lt, lr, rng):
     """Draw m' ~ pi*(. | z); the selected point is z itself."""
-    w = conditional_index_weights(bundle.target, state.z)
-    return draw_index(w, rng), state.z
+    w, logw = _conditional_weights(bundle.target, z, m, lt)
+    m_new = draw_index(w, rng)
+    return m_new, z, logw[m_new - 1], None
 
 
-def _pseudo_select(bundle, state, rng):
+def _pseudo_select(bundle, m, z, lt, lr, rng):
     """Refresh the inactive auxiliaries (label order), keep u_m = z, draw m'."""
     target, pseudo = bundle.target, bundle.pseudo
-    u = [None] * target.n
+    u, lts, lrs = [], [None] * target.n, [None] * target.n
     for j in range(1, target.n + 1):
-        u[j - 1] = state.z if j == state.m else pseudo.sampler(j, rng)
-    m_new = draw_index(cc_index_weights(target, pseudo, u), rng)
-    return m_new, u[m_new - 1]
+        u.append(z if j == m else pseudo.sampler(j, rng))
+    lts[m - 1], lrs[m - 1] = lt, lr
+    i = draw_index(_cc_weights(target, pseudo, u, lts, lrs), rng) - 1
+    return i + 1, u[i], lts[i], lrs[i]
 
 
-# Refreshes: (bundle, m', u_sel, rng) -> (z', accepted), where accepted
-# is None unless the refresh has an accept/reject.
+def _exact_refresh(bundle, m, u, lt, lr, rng):
+    return bundle.target.conditional_sampler(m, rng), None, None, None
 
 
-def _exact_refresh(bundle, m, u, rng):
-    return bundle.target.conditional_sampler(m, rng), None
-
-
-def _mh_refresh(bundle, m, u, rng):
+def _mh_refresh(bundle, m, u, lt, lr, rng):
     z_prop = bundle.proposal.sampler(m, u, rng)
-    log_alpha = mh_log_acceptance(bundle.target, bundle.proposal, m, u, z_prop)
-    accepted = rng.random() < math.exp(log_alpha)
-    return (z_prop if accepted else u), accepted
+    log_alpha, lt_prop = _mh_log_acceptance(
+        bundle.target, bundle.proposal, m, u, z_prop, lt
+    )
+    if rng.random() < math.exp(log_alpha):
+        return z_prop, lt_prop, None, True
+    return u, lt, lr, False
 
 
-def _frozen_refresh(bundle, m, u, rng):
-    return u, None
+def _frozen_refresh(bundle, m, u, lt, lr, rng):
+    return u, lt, lr, None
 
 
 _KERNELS = {
@@ -180,8 +194,9 @@ _NEEDS = {
 }
 
 
-def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State) -> None:
-    """Raise ConfigError unless the bundle and state fit the sampler."""
+def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State) -> float:
+    """Raise ConfigError unless the bundle and state fit the sampler;
+    return log pi*(m, z) of the state, which must be finite."""
     for part in _KERNELS[sampler_id]:
         if part in _NEEDS:
             name, get = _NEEDS[part]
@@ -202,6 +217,10 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State) -> None:
     shape = () if target.z_dim == 1 else (target.z_dim,)
     if np.shape(state.z) != shape:
         raise ConfigError(f"z must have shape {shape}, got {np.shape(state.z)}")
+    lt = target.log_density(state.m, state.z)
+    if lt == -math.inf:
+        raise ConfigError(f"the target has zero mass at the initial state {state}")
+    return lt
 
 
 def step(
@@ -215,11 +234,11 @@ def step(
     Returns the new state and whether the MH refresh accepted its
     proposal (None for samplers without one).
     """
-    _check(sampler_id, bundle, state)
+    lt = _check(sampler_id, bundle, state)
     select, refresh = _KERNELS[sampler_id]
-    m_new, u_sel = select(bundle, state, rng)
-    z_new, accepted = refresh(bundle, m_new, u_sel, rng)
-    return State(m_new, z_new), accepted
+    m, u, lt, lr = select(bundle, state.m, state.z, lt, None, rng)
+    z, _, _, accepted = refresh(bundle, m, u, lt, lr, rng)
+    return State(m, z), accepted
 
 
 def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
@@ -229,32 +248,33 @@ def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     sub-draws consumed in the fixed per-step order.
     """
     sid = config.sampler_id
-    _check(sid, bundle, config.initial_state)
+    lt = _check(sid, bundle, config.initial_state)
     select, refresh = _KERNELS[sid]
 
     rng = np.random.default_rng(config.seed)
-    state = config.initial_state
-    n_keep = config.n_iterations - config.burn_in
-    m_out = np.empty(n_keep, dtype=np.int64)
+    m, z, lr = config.initial_state.m, config.initial_state.z, None
+    burn_in = config.burn_in
+    n_keep = config.n_iterations - burn_in
+    m_out = [0] * n_keep
     z_out = [None] * n_keep
     n_accepted = 0
 
     t0 = time.perf_counter()
     for k in range(config.n_iterations):
-        m_new, u_sel = select(bundle, state, rng)
-        z_new, accepted = refresh(bundle, m_new, u_sel, rng)
-        state = State(m_new, z_new)
-        idx = k - config.burn_in
+        m, u, lt, lr = select(bundle, m, z, lt, lr, rng)
+        z, lt, lr, accepted = refresh(bundle, m, u, lt, lr, rng)
+        _check_finite(z)
+        idx = k - burn_in
         if idx >= 0:
-            m_out[idx] = state.m
-            z_out[idx] = state.z
+            m_out[idx] = m
+            z_out[idx] = z
             if accepted:
                 n_accepted += 1
     wall = time.perf_counter() - t0
 
     acc = n_accepted / n_keep if refresh is _mh_refresh else None
     return ChainTrace(
-        m=m_out,
+        m=np.array(m_out, dtype=np.int64),
         z=np.asarray(z_out, dtype=float),
         sampler_id=sid,
         seed=config.seed,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ccmix import acf, asymptotic_variance_batch_means, kde
+from ccmix import acf, asymptotic_variance_batch_means, diagnostics, kde
 from ccmix.diagnostics import (
     ConstantSeries,
     EmptySample,
@@ -162,6 +162,15 @@ class TestKde:
         np.testing.assert_array_equal(
             kde(x, [0.0]), kde(x, [0.0], bandwidth=h)
         )
+
+    def test_grid_chunk_size_does_not_change_the_estimate(self, monkeypatch):
+        # The posterior study's size: 10k pooled samples, 1201 grid points.
+        x = np.random.default_rng(13).standard_normal(10_000)
+        grid = np.linspace(-3.0, 3.0, 1201)
+        want = kde(x, grid, bandwidth=0.035)
+        for elements in (1, 35_000, 20_000_000):  # 1, 3 and all grid rows a chunk
+            monkeypatch.setattr(diagnostics, "_KDE_CHUNK_ELEMENTS", elements)
+            np.testing.assert_array_equal(kde(x, grid, bandwidth=0.035), want)
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):

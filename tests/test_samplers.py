@@ -1,6 +1,8 @@
 """Tests of the five transition kernels and the chain driver."""
 
 import math
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +11,15 @@ from conftest import (
     bin_counts,
     cdf_bin_probs,
     chi2_pvalue,
+    finite_bundle,
     posterior_z_cdf_factory,
     sample_posterior_exact,
     sample_toy_exact,
     toy_z_cdf,
 )
+from hypothesis import given, settings
+from test_acceptance import _counted
+from test_oracle import sparse_specs
 
 from ccmix import (
     ChainTrace,
@@ -25,10 +31,15 @@ from ccmix import (
     SamplerConfig,
     SamplerId,
     State,
+    cc_index_weights,
+    conditional_index_weights,
+    draw_index,
+    mh_log_acceptance,
     run_chain,
     step,
 )
 from ccmix.experiments import posterior_model, toy_model
+from ccmix.oracle import FiniteMixtureSpec
 
 Z_EDGES = np.linspace(-2.2, 2.2, 19)
 
@@ -58,6 +69,64 @@ def _plane_bundle():
             sampler=lambda l, u, rng: draw(l, rng),
         ),
     )
+
+
+def _gaussian_mixture(means, weights, pseudo_sd, step_sd):
+    """pi*(m, z) = w_m N(z; mu_m, I), with N(mu_j, pseudo_sd^2 I) pseudo-priors
+    and a random-walk proposal; z is a float when the means are."""
+    n, d = len(means), np.size(means[0])
+    mus = [mu if d == 1 else np.asarray(mu, dtype=float) for mu in means]
+    log_w = [math.log(w) for w in weights]
+
+    def sq(x):
+        return float(np.sum(x * x))
+
+    def draw(rng):
+        return rng.standard_normal() if d == 1 else rng.standard_normal(d)
+
+    return ModelBundle(
+        MixtureTarget(
+            n=n,
+            z_dim=d,
+            log_density=lambda m, z: log_w[m - 1] - 0.5 * sq(z - mus[m - 1]),
+            conditional_sampler=lambda m, rng: mus[m - 1] + draw(rng),
+        ),
+        PseudoPriorSet(
+            n=n,
+            log_density=lambda j, u: -0.5 * sq(u - mus[j - 1]) / pseudo_sd**2,
+            sampler=lambda j, rng: mus[j - 1] + pseudo_sd * draw(rng),
+        ),
+        ProposalFamily(
+            n=n,
+            log_density=lambda l, u, z: -0.5 * sq(z - u) / step_sd**2,
+            sampler=lambda l, u, rng: u + step_sd * draw(rng),
+        ),
+    )
+
+
+def _three_component_bundle():
+    return _gaussian_mixture([-2.0, 0.0, 2.5], [0.2, 0.3, 0.5], 1.5, 0.8)
+
+
+def _two_d_bundle():
+    return _gaussian_mixture([(-1.0, 0.0), (1.0, 0.5)], [0.4, 0.6], 1.5, 0.7)
+
+
+def _supported(bundle):
+    """The samplers whose model parts the bundle has."""
+    has_cond = bundle.target.conditional_sampler is not None
+    has_pseudo, has_prop = bundle.pseudo is not None, bundle.proposal is not None
+    return [
+        sid
+        for sid, ok in (
+            (SamplerId.GIBBS, has_cond),
+            (SamplerId.MWG, has_prop),
+            (SamplerId.CC, has_cond and has_pseudo),
+            (SamplerId.MCC, has_pseudo and has_prop),
+            (SamplerId.FCC, has_pseudo),
+        )
+        if ok
+    ]
 
 
 def _one_step(sampler_id, bundle, state, rng):
@@ -309,6 +378,22 @@ class TestRunChain:
         assert new.m in (1, 2)
 
     @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_target_null_initial_state_rejected(self, sampler_id):
+        # pi*(., 0) = 0: the pseudo-prior selection would draw from all-zero
+        # index weights whenever it refreshes u_2 to 0 as well.
+        spec = FiniteMixtureSpec(
+            2,
+            np.arange(2.0),
+            np.array([[0.0, 0.5], [0.0, 0.5]]),
+            np.full((2, 2), 0.5),
+            np.full((2, 2, 2), 0.5),
+        )
+        bundle = finite_bundle(spec)
+        self._assert_rejected(sampler_id, bundle, State(1, 0.0))
+        new, _ = step(sampler_id, bundle, State(1, 1.0), np.random.default_rng(0))
+        assert new.z == 1.0
+
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
     def test_wrong_z_dimension_rejected(self, sampler_id, toy_bundle):
         self._assert_rejected(sampler_id, toy_bundle, State(1, np.zeros(3)))
         plane = _plane_bundle()
@@ -383,3 +468,115 @@ class TestCollapseSmoke:
             a = _one_step(SamplerId.MWG, bundle, state, np.random.default_rng(i))
             b = _one_step(SamplerId.GIBBS, bundle, state, np.random.default_rng(i))
             assert a.m == b.m and a.z == b.z
+
+
+def _reference_chain(sid, bundle, state, n_steps, seed):
+    """The sweep recomputing every density through the public weight and
+    acceptance functions, in the same order of random draws as run_chain."""
+    target, pseudo, proposal = bundle.target, bundle.pseudo, bundle.proposal
+    rng = np.random.default_rng(seed)
+    m, z = state.m, state.z
+    ms, zs, n_accepted = [], [], 0
+    for _ in range(n_steps):
+        if sid in (SamplerId.GIBBS, SamplerId.MWG):
+            m = draw_index(conditional_index_weights(target, z), rng)
+            u = z
+        else:
+            aux = [z if j == m else pseudo.sampler(j, rng) for j in range(1, target.n + 1)]
+            m = draw_index(cc_index_weights(target, pseudo, aux), rng)
+            u = aux[m - 1]
+        if sid in (SamplerId.GIBBS, SamplerId.CC):
+            z = target.conditional_sampler(m, rng)
+        elif sid in (SamplerId.MWG, SamplerId.MCC):
+            z_prop = proposal.sampler(m, u, rng)
+            log_alpha = mh_log_acceptance(target, proposal, m, u, z_prop)
+            accepted = rng.random() < math.exp(log_alpha)
+            n_accepted += accepted
+            z = z_prop if accepted else u
+        else:
+            z = u
+        ms.append(m)
+        zs.append(z)
+    rate = n_accepted / n_steps if sid in (SamplerId.MWG, SamplerId.MCC) else None
+    return np.array(ms), np.asarray(zs, dtype=float), rate
+
+
+def _assert_matches_reference(bundle, state, n_steps, seed):
+    for sid in _supported(bundle):
+        config = SamplerConfig(
+            sid, n_iterations=n_steps, burn_in=0, seed=seed, initial_state=state
+        )
+        trace = run_chain(config, bundle)
+        m, z, rate = _reference_chain(sid, bundle, state, n_steps, seed)
+        assert np.array_equal(trace.m, m), sid
+        assert np.array_equal(trace.z, z), sid
+        assert trace.acceptance_rate == rate, sid
+
+
+class TestCarriedDensities:
+    """run_chain hands the densities it computed from the selection to the
+    refresh and on to the next sweep; the chains must stay bit-identical
+    to recomputing every density, and the model calls per sweep must be
+    the paper's cost."""
+
+    @pytest.mark.parametrize(
+        "model, state",
+        [
+            (toy_model, State(1, -1.0)),
+            (posterior_model, State(2, 0.6)),
+            (_three_component_bundle, State(3, 0.4)),
+            (_two_d_bundle, State(2, np.array([0.3, -0.2]))),
+        ],
+    )
+    def test_chain_matches_reference(self, model, state):
+        _assert_matches_reference(model(), state, n_steps=3000, seed=11)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sparse_specs())
+    def test_chain_matches_reference_on_sparse_specs(self, spec):
+        m, g = np.argwhere(spec.prob > 0)[0]
+        state = State(int(m) + 1, float(spec.grid[g]))
+        with warnings.catch_warnings():
+            # Cells where target and pseudo-prior both vanish warn.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _assert_matches_reference(finite_bundle(spec), state, n_steps=80, seed=5)
+
+    @staticmethod
+    def _per_step_calls(sid, bundle, state, n_steps):
+        """The model calls of steps 2..n_steps of one chain, a Counter each."""
+        totals = []
+        for k in range(1, n_steps + 1):
+            counts = Counter()
+            config = SamplerConfig(
+                sid, n_iterations=k, burn_in=0, seed=3, initial_state=state
+            )
+            run_chain(config, _counted(bundle, counts))
+            totals.append(counts)
+        return [b - a for a, b in zip(totals, totals[1:])]
+
+    @pytest.mark.parametrize(
+        "model, state",
+        [(toy_model, State(1, -1.0)), (_three_component_bundle, State(3, 0.4))],
+    )
+    def test_callbacks_per_sweep(self, model, state):
+        bundle = model()
+        n = bundle.target.n
+        want = {
+            SamplerId.GIBBS: {"target": n, "conditional": 1},
+            # The label draw needs pi*(j, z) for all j, one of them known.
+            SamplerId.MWG: {"target": n, "proposal": 2, "proposal_draw": 1},
+            SamplerId.CC: {
+                "target": n, "pseudo": n, "pseudo_draw": n - 1, "conditional": 1
+            },
+            SamplerId.FCC: {"target": n - 1, "pseudo": n - 1, "pseudo_draw": n - 1},
+        }
+        for sid, calls in want.items():
+            for got in self._per_step_calls(sid, bundle, state, 40):
+                assert dict(got) == calls, sid
+        # MCC evaluates rho at the active point only after an accepted move.
+        for got in self._per_step_calls(SamplerId.MCC, bundle, state, 40):
+            assert got["pseudo"] in (n - 1, n)
+            del got["pseudo"]
+            assert dict(got) == {
+                "target": n, "proposal": 2, "proposal_draw": 1, "pseudo_draw": n - 1
+            }
