@@ -13,7 +13,6 @@ from .model import (
     cc_index_weights,
     conditional_index_weights,
     draw_index,
-    extended_log_density,
     mh_log_acceptance,
 )
 from .samplers import (

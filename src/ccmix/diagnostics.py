@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_LAG = 50
-_KDE_CHUNK_ELEMENTS = 1_000_000  # 8 MB of float64 per temporary
+# exp(-d*d/2) is exactly 0.0 in float64 once d*d/2 passes about 745.13, so
+# samples more than this many bandwidths from a grid point add nothing.
+_KDE_REACH = math.sqrt(2.0 * 745.2)
 
 
 class ConstantSeries(ValueError):
@@ -116,13 +119,17 @@ def kde(samples, grid, bandwidth: float | None = None) -> np.ndarray:
     h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    out = np.empty(len(g))
     norm = len(x) * h * np.sqrt(2.0 * np.pi)
-    # Chunk the grid so the (grid x samples) matrix stays small; each grid
-    # row is summed whole, so the chunk size does not change the result.
-    step = max(1, _KDE_CHUNK_ELEMENTS // len(x))
-    for lo in range(0, len(g), step):
-        d = (g[lo : lo + step, None] - x[None, :]) / h
-        out[lo : lo + step] = np.exp(-0.5 * d * d).sum(axis=1) / norm
-    return out
+    # Each grid point sums only the sorted samples within _KDE_REACH
+    # bandwidths: every term left out is exactly zero, and exp never
+    # takes its slow underflow path.
+    xs = np.sort(x)
+    reach = _KDE_REACH * h
+    lo = np.searchsorted(xs, g - reach, side="left").tolist()
+    hi = np.searchsorted(xs, g + reach, side="right").tolist()
+    out = np.empty(len(g))
+    for i, gi in enumerate(g.tolist()):
+        d = (gi - xs[lo[i] : hi[i]]) / h
+        out[i] = np.exp(-0.5 * d * d).sum()
+    return out / norm
 

@@ -76,17 +76,25 @@ def _gaussian_pseudo(means, variances) -> PseudoPriorSet:
     sds = tuple(math.sqrt(v) for v in variances)
     const, two_var = _norm_consts(variances)
 
+    # Elementwise numpy expressions: a block of points in gives a block
+    # out, and one float in (size=None) gives one float out.  Squares are
+    # products, which round alike on floats and arrays (x ** 2 on a float
+    # calls pow, which does not always round as x * x does).
     def log_density(j, u):
-        return const[j - 1] - (u - means[j - 1]) ** 2 / two_var[j - 1]
+        d = u - means[j - 1]
+        return const[j - 1] - d * d / two_var[j - 1]
 
-    def sampler(j, rng):
-        return means[j - 1] + sds[j - 1] * rng.standard_normal()
+    def sampler(j, rng, size=None):
+        return rng.normal(means[j - 1], sds[j - 1], size)
 
     return PseudoPriorSet(n=len(means), log_density=log_density, sampler=sampler)
 
 
 def _independence_proposal(pseudo: PseudoPriorSet) -> ProposalFamily:
-    """R_l(u, dz) = rho_l(dz): the proposal ignores the current point."""
+    """R_l(u, dz) = rho_l(dz): the proposal ignores the current point.
+
+    It calls the Gaussian pseudo-prior callbacks with one float at a time.
+    """
     return ProposalFamily(
         n=pseudo.n,
         log_density=lambda l, u, z: pseudo.log_density(l, z),
@@ -106,12 +114,14 @@ def toy_model(
     """
     sd = math.sqrt(TOY_VAR)
     (const,), (two_var,) = _norm_consts((TOY_VAR,))
+    const += _LOG_HALF
 
     def log_density(m, z):
-        return _LOG_HALF + (const - (z - TOY_MEANS[m - 1]) ** 2 / two_var)
+        d = z - TOY_MEANS[m - 1]
+        return const - d * d / two_var
 
-    def conditional_sampler(m, rng):
-        return TOY_MEANS[m - 1] + sd * rng.standard_normal()
+    def conditional_sampler(m, rng, size):
+        return rng.normal(TOY_MEANS[m - 1], sd, size)
 
     target = MixtureTarget(
         n=2, z_dim=1, log_density=log_density, conditional_sampler=conditional_sampler
@@ -131,16 +141,14 @@ def posterior_target(x_obs: float = POSTERIOR_X_OBS) -> MixtureTarget:
     No exact conditional sampler exists (the observation equation is
     nonlinear in z).
     """
-    log_alpha = tuple(math.log(a) for a in POSTERIOR_WEIGHTS)
     consts = _norm_consts((TOY_VAR, POSTERIOR_NOISE_VAR))
     (const, lik_const), (two_var, lik_two_var) = consts
+    # log alpha_m plus both normalizing constants, folded into one term.
+    label_const = tuple(math.log(a) + const + lik_const for a in POSTERIOR_WEIGHTS)
 
     def log_density(m, z):
-        return (
-            log_alpha[m - 1]
-            + (const - (z - TOY_MEANS[m - 1]) ** 2 / two_var)
-            + (lik_const - (x_obs - z * z) ** 2 / lik_two_var)
-        )
+        d, e = z - TOY_MEANS[m - 1], x_obs - z * z
+        return label_const[m - 1] - d * d / two_var - e * e / lik_two_var
 
     return MixtureTarget(n=2, z_dim=1, log_density=log_density)
 
@@ -245,9 +253,9 @@ def default_initial_state(bundle: ModelBundle, seed: int) -> State:
     """m = 1 with z drawn from the first pseudo-prior (own RNG stream)."""
     rng = np.random.default_rng([seed, 1])
     if bundle.pseudo is not None:
-        z0 = bundle.pseudo.sampler(1, rng)
+        z0 = bundle.pseudo.sampler(1, rng, 1)[0]
     elif bundle.target.conditional_sampler is not None:
-        z0 = bundle.target.conditional_sampler(1, rng)
+        z0 = bundle.target.conditional_sampler(1, rng, 1)[0]
     else:
         z0 = 0.0
     return State(1, z0)

@@ -5,11 +5,20 @@ A mixture target is a (possibly unnormalized) density pi*(m, z) on
 value (a float for one-dimensional problems, an ndarray otherwise).
 All probability arithmetic is done in log-space with max-subtraction so
 that well-separated modes do not underflow.
+
+The target and pseudo-prior callbacks work on *blocks* of points: an
+array of shape (B,) for one-dimensional z, (B, z_dim) otherwise.  The
+samplers call them positionally.  The proposal callbacks take one point
+at a time, since a general proposal depends on the current point, and
+so the MH refresh also evaluates the target (and the pseudo-prior, for
+MCC) at one point at a time: a float, or an array of shape (z_dim,).
+Elementwise numpy code serves blocks and single points alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -17,6 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 _NEG_INF = float("-inf")
+_INF = float("inf")
 
 __all__ = [
     "MixtureTarget",
@@ -29,7 +39,6 @@ __all__ = [
     "conditional_index_weights",
     "cc_index_weights",
     "mh_log_acceptance",
-    "extended_log_density",
     "draw_index",
 ]
 
@@ -50,16 +59,20 @@ class InvalidCurrentState(ValueError):
 class MixtureTarget:
     """Unnormalized density pi*(m, z) on {1..n} x Z.
 
-    ``log_density(m, z)`` may return -inf for zero-mass points but never
-    NaN.  ``conditional_sampler(m, rng)``, when present, draws exactly
-    from pi*(dz | m); the samplers with an exact refresh (Gibbs and CC)
-    require it.
+    ``log_density(m, z)`` takes a block z of B points and returns the B
+    values log pi*(m, z_b), shape (B,), or one point z and returns a
+    float (the MH refresh calls it so); it may return -inf for zero-mass
+    points but never NaN.  ``conditional_sampler(m, rng, size)``, when
+    present, returns ``size`` exact draws from pi*(dz | m); the samplers
+    with an exact refresh (Gibbs and CC) require it.
     """
 
     n: int
     z_dim: int
-    log_density: Callable[[int, object], float]
-    conditional_sampler: Optional[Callable[[int, np.random.Generator], object]] = None
+    log_density: Callable[[int, np.ndarray], np.ndarray]
+    conditional_sampler: Optional[
+        Callable[[int, np.random.Generator, int], np.ndarray]
+    ] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -70,11 +83,16 @@ class MixtureTarget:
 
 @dataclass(frozen=True)
 class PseudoPriorSet:
-    """The n linking densities rho_j, each a proper probability density."""
+    """The n linking densities rho_j, each a proper probability density.
+
+    ``log_density(j, u)`` maps a block of B points to shape (B,) (and,
+    for MCC, one point to a float), and ``sampler(j, rng, size)`` returns
+    ``size`` draws from rho_j.
+    """
 
     n: int
-    log_density: Callable[[int, object], float]
-    sampler: Callable[[int, np.random.Generator], object]
+    log_density: Callable[[int, np.ndarray], np.ndarray]
+    sampler: Callable[[int, np.random.Generator, int], np.ndarray]
 
     def __post_init__(self):
         if self.n < 1:
@@ -83,7 +101,8 @@ class PseudoPriorSet:
 
 @dataclass(frozen=True)
 class ProposalFamily:
-    """Proposal kernels R_l(u, dz) with transition densities r_l(u, z)."""
+    """Proposal kernels R_l(u, dz) with transition densities r_l(u, z),
+    called with one point u (and z) at a time."""
 
     n: int
     log_density: Callable[[int, object, object], float]
@@ -112,9 +131,17 @@ def _check_finite(z) -> None:
         raise ValueError("state z must be finite")
 
 
-def _normalize_log_weights(logw: Sequence[float]) -> list[float]:
+def _block(z) -> np.ndarray:
+    """One point as a block: shape (1,) for a float z, (1, z_dim) otherwise."""
+    return np.array([z], dtype=float)
+
+
+def _weights(logw: Sequence[float]) -> list[float]:
+    """exp(logw) normalized, by max-subtraction; AllZeroMass if all are -inf."""
     # Loops, not comprehensions: this runs every sweep.  exp(-inf) is 0.0.
     top = max(logw)
+    if top == _NEG_INF:
+        raise AllZeroMass("every index weight is zero")
     w = []
     for lw in logw:
         w.append(math.exp(lw - top))
@@ -124,14 +151,9 @@ def _normalize_log_weights(logw: Sequence[float]) -> list[float]:
     return w
 
 
-def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
-    """Draw a component label 1..n by inverse CDF with a single uniform.
-
-    Ties in the cumulative sums are resolved deterministically in label
-    order, so the draw is reproducible given the RNG stream.
-    """
-    total = sum(weights)
-    u = rng.random() * total
+def _pick(weights: Sequence[float], v: float) -> int:
+    """The label 1..n whose cumulative weight first exceeds v times the total."""
+    u = v * sum(weights)
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
@@ -140,22 +162,71 @@ def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
     return len(weights)
 
 
+def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """Draw a component label 1..n by inverse CDF with a single uniform.
+
+    Ties in the cumulative sums are resolved deterministically in label
+    order, so the draw is reproducible given the RNG stream.
+    """
+    return _pick(weights, rng.random())
+
+
+def _target_rows(target: MixtureTarget, x: np.ndarray) -> list[tuple]:
+    """log pi*(., x_b) for each point x_b of the block x, one tuple of n
+    floats per point."""
+    cols = []
+    for j in range(1, target.n + 1):
+        cols.append(np.asarray(target.log_density(j, x), dtype=float).tolist())
+    return list(zip(*cols))
+
+
+def _ratios(lt: list, lr: list) -> list[float]:
+    """log pi* - log rho entry by entry, +inf wherever rho vanishes;
+    ``_resolve`` turns such an entry into an error or a zero weight only
+    once a sweep uses it."""
+    ratio = list(map(operator.sub, lt, lr))
+    if _NEG_INF in lr:
+        for i, r in enumerate(lr):
+            if r == _NEG_INF:
+                ratio[i] = _INF
+    return ratio
+
+
+def _log_ratios(target, pseudo, j: int, x: np.ndarray):
+    """log pi*(j, x) and its ``_ratios`` over the block x, as lists."""
+    lt = np.asarray(target.log_density(j, x), dtype=float).tolist()
+    return lt, _ratios(lt, np.asarray(pseudo.log_density(j, x), dtype=float).tolist())
+
+
+def _resolve(logw: Sequence[float], lts: Sequence[float]) -> list[float]:
+    """Index log-weights with the +inf entries of vanishing pseudo-priors
+    settled: PseudoPriorZero where the target (log pi* in ``lts``) is
+    positive, zero weight with a RuntimeWarning where it vanishes too."""
+    out = list(logw)
+    for i, lw in enumerate(logw):
+        if lw != _INF:
+            continue
+        if lts[i] != _NEG_INF:
+            raise PseudoPriorZero(
+                f"pseudo-prior {i + 1} vanishes at a point where the target does not"
+            )
+        # Both vanish; the ratio is undefined and the paper gives no
+        # guidance, so the move gets zero weight.
+        warnings.warn(
+            f"target and pseudo-prior both vanish at component {i + 1}; "
+            "assigning zero move weight",
+            RuntimeWarning,
+        )
+        out[i] = _NEG_INF
+    return out
+
+
 def conditional_index_weights(target: MixtureTarget, z) -> np.ndarray:
     """Conditional probabilities pi*(. | z) over the component labels.
 
     Raises AllZeroMass if every component has -inf log-density at z.
     """
-    return np.array(_conditional_weights(target, z)[0])
-
-
-def _conditional_weights(target, z, m=0, lt=None):
-    """(pi*(. | z), log pi*(., z)) as lists; ``lt``, when given, is log pi*(m, z)."""
-    logw = []
-    for j in range(1, target.n + 1):
-        logw.append(lt if j == m and lt is not None else target.log_density(j, z))
-    if max(logw) == _NEG_INF:
-        raise AllZeroMass(f"target has zero mass at z={z!r} for every component")
-    return _normalize_log_weights(logw), logw
+    return np.array(_weights(_target_rows(target, _block(z))[0]))
 
 
 def cc_index_weights(
@@ -169,38 +240,14 @@ def cc_index_weights(
     """
     if len(u) != target.n:
         raise ValueError(f"expected {target.n} auxiliary points, got {len(u)}")
-    n = target.n
-    return np.array(_cc_weights(target, pseudo, u, [None] * n, [None] * n))
-
-
-def _cc_weights(target, pseudo, u, lt, lr) -> list[float]:
-    """cc_index_weights as a list; fills the None entries of the lists
-    ``lt`` and ``lr`` with log pi*(j, u_j) and log rho_j(u_j)."""
-    logw = []
-    for i, ui in enumerate(u):
-        t, r = lt[i], lr[i]
-        if t is None:
-            t = lt[i] = target.log_density(i + 1, ui)
-        if r is None:
-            r = lr[i] = pseudo.log_density(i + 1, ui)
-        if r != _NEG_INF:
-            logw.append(t - r)
-            continue
-        if t != _NEG_INF:
-            raise PseudoPriorZero(
-                f"pseudo-prior {i + 1} vanishes at u={ui!r} where the target does not"
-            )
-        # Both vanish; the ratio is undefined and the paper gives no
-        # guidance, so the move gets zero weight.
-        warnings.warn(
-            f"target and pseudo-prior both vanish at component {i + 1}; "
-            "assigning zero move weight",
-            RuntimeWarning,
-        )
-        logw.append(_NEG_INF)
-    if max(logw) == _NEG_INF:
-        raise AllZeroMass("every index-move weight is zero")
-    return _normalize_log_weights(logw)
+    lts, logw = [], []
+    for j, uj in enumerate(u, start=1):
+        lt, ratio = _log_ratios(target, pseudo, j, _block(uj))
+        lts.append(lt[0])
+        logw.append(ratio[0])
+    if _INF in logw:
+        logw = _resolve(logw, lts)
+    return np.array(_weights(logw))
 
 
 def mh_log_acceptance(
@@ -212,33 +259,18 @@ def mh_log_acceptance(
                    - log pi*(ell, u) - log r_ell(u, z)).
     A proposed move to a zero-mass point gets log-acceptance -inf (never NaN).
     """
-    return _mh_log_acceptance(target, proposal, ell, u, z)[0]
+    lt_u, lt_z = float(target.log_density(ell, u)), float(target.log_density(ell, z))
+    return _mh_log_acceptance(proposal, ell, u, z, lt_u, lt_z)
 
 
-def _mh_log_acceptance(target, proposal, ell, u, z, lt_u=None):
-    """(mh_log_acceptance, log pi*(ell, z)); ``lt_u``, if given, is log pi*(ell, u)."""
-    if lt_u is None:
-        lt_u = target.log_density(ell, u)
+def _mh_log_acceptance(proposal, ell, u, z, lt_u, lt_z):
+    """mh_log_acceptance given lt_u = log pi*(ell, u) and lt_z = log pi*(ell, z)."""
     lr_uz = proposal.log_density(ell, u, z)
     if lt_u == _NEG_INF or lr_uz == _NEG_INF:
         raise InvalidCurrentState(
             f"zero target or proposal density at current point (ell={ell})"
         )
-    lt_z = target.log_density(ell, z)
     lr_zu = proposal.log_density(ell, z, u)
     if lt_z == _NEG_INF or lr_zu == _NEG_INF:
-        return _NEG_INF, lt_z
-    return min(0.0, lt_z + lr_zu - lt_u - lr_uz), lt_z
-
-
-def extended_log_density(
-    target: MixtureTarget, pseudo: PseudoPriorSet, m: int, u: Sequence
-) -> float:
-    """Log-density of the extended target: log pi*(m, u_m) + sum_{j != m} log rho_j(u_j)."""
-    if len(u) != target.n:
-        raise ValueError(f"expected {target.n} auxiliary points, got {len(u)}")
-    total = target.log_density(m, u[m - 1])
-    for j in range(1, target.n + 1):
-        if j != m:
-            total += pseudo.log_density(j, u[j - 1])
-    return total
+        return _NEG_INF
+    return min(0.0, lt_z + lr_zu - lt_u - lr_uz)

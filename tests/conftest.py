@@ -134,36 +134,38 @@ def runs_test_zscore(labels):
 def finite_bundle(spec: FiniteMixtureSpec) -> ModelBundle:
     """Turn a grid spec into a ModelBundle whose z values are the grid atoms."""
     grid = spec.grid
-    lookup = {float(v): g for g, v in enumerate(grid)}
+    _g = grid.searchsorted  # grid index of each atom
 
-    def _g(z):
-        return lookup[float(z)]
+    with np.errstate(divide="ignore"):
+        log_prob, log_pseudo = np.log(spec.prob), np.log(spec.pseudo)
+        log_proposal = None if spec.proposal is None else np.log(spec.proposal)
 
-    def _log(v):
-        return math.log(v) if v > 0 else float("-inf")
+    # Inverse CDF with one uniform per draw, on each row's cumulative
+    # masses; an index past the last cumulative sum (rounding) maps to the
+    # last atom.
+    atoms = np.append(grid, grid[-1])
+
+    def _cdf(w):
+        return np.cumsum(w, axis=-1), w.sum(axis=-1)
 
     cond = spec.prob / spec.prob.sum(axis=1, keepdims=True)
+    cond_cdf, pseudo_cdf = _cdf(cond), _cdf(spec.pseudo)
+
+    def _draw(cdf, row, rng, size):
+        cum, total = cdf[0][row], cdf[1][row]
+        return atoms[cum.searchsorted(rng.random(size) * total, side="right")]
 
     def target_log_density(m, z):
-        return _log(spec.prob[m - 1, _g(z)])
+        return log_prob[m - 1, _g(z)]
 
-    def conditional_sampler(m, rng):
-        return float(grid[_draw(cond[m - 1], rng)])
+    def conditional_sampler(m, rng, size):
+        return _draw(cond_cdf, m - 1, rng, size)
 
     def pseudo_log_density(j, u):
-        return _log(spec.pseudo[j - 1, _g(u)])
+        return log_pseudo[j - 1, _g(u)]
 
-    def pseudo_sampler(j, rng):
-        return float(grid[_draw(spec.pseudo[j - 1], rng)])
-
-    def _draw(w, rng):
-        u = rng.random() * w.sum()
-        acc = 0.0
-        for i, wi in enumerate(w):
-            acc += wi
-            if u < acc:
-                return i
-        return len(w) - 1
+    def pseudo_sampler(j, rng, size):
+        return _draw(pseudo_cdf, j - 1, rng, size)
 
     target = MixtureTarget(
         n=spec.n,
@@ -176,11 +178,13 @@ def finite_bundle(spec: FiniteMixtureSpec) -> ModelBundle:
     )
     proposal = None
     if spec.proposal is not None:
+        proposal_cdf = _cdf(spec.proposal)
+
         def proposal_log_density(l, u, z):
-            return _log(spec.proposal[l - 1, _g(u), _g(z)])
+            return float(log_proposal[l - 1, _g(u), _g(z)])
 
         def proposal_sampler(l, u, rng):
-            return float(grid[_draw(spec.proposal[l - 1, _g(u)], rng)])
+            return float(_draw(proposal_cdf, (l - 1, _g(u)), rng, None))
 
         proposal = ProposalFamily(
             n=spec.n, log_density=proposal_log_density, sampler=proposal_sampler

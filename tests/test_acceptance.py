@@ -7,7 +7,7 @@ Criteria 1-5 verify the exact finite-state theory on a fixed family of
 8-9 check the structural collapse identities and the optimal
 pseudo-prior behaviour.  Two checks ride along without a criterion
 number: criteria 1-3 with their bounds on specs with four and five
-components, and a count of model calls per step behind criterion 7's
+components, and a count of model points per step behind criterion 7's
 cost claim.
 """
 
@@ -274,32 +274,45 @@ def test_criterion_7_posterior_study(posterior_report):
 
 
 def _counted(bundle, counts):
-    """The bundle with every model callback counting its calls in ``counts``."""
+    """The bundle with every model callback counting in ``counts`` the
+    points it evaluates or draws: a density its block's length (one for a
+    single point), a block sampler its size, a proposal callback one."""
 
-    def wrap(name, fn):
+    def wrap(name, fn, points):
         def counted(*args):
-            counts[name] += 1
+            counts[name] += points(*args)
             return fn(*args)
 
         return counted
+
+    block_ndim = 1 if bundle.target.z_dim == 1 else 2
+
+    def evaluated(j, x):  # a block, or one point
+        return len(x) if np.ndim(x) == block_ndim else 1
+
+    def drawn(j, rng, size):
+        return size
+
+    def one(*args):
+        return 1
 
     target, pseudo, proposal = bundle.target, bundle.pseudo, bundle.proposal
     if target.conditional_sampler is not None:
         target = replace(
             target,
-            conditional_sampler=wrap("conditional", target.conditional_sampler),
+            conditional_sampler=wrap("conditional", target.conditional_sampler, drawn),
         )
     return ModelBundle(
-        replace(target, log_density=wrap("target", target.log_density)),
+        replace(target, log_density=wrap("target", target.log_density, evaluated)),
         replace(
             pseudo,
-            log_density=wrap("pseudo", pseudo.log_density),
-            sampler=wrap("pseudo_draw", pseudo.sampler),
+            log_density=wrap("pseudo", pseudo.log_density, evaluated),
+            sampler=wrap("pseudo_draw", pseudo.sampler, drawn),
         ),
         replace(
             proposal,
-            log_density=wrap("proposal", proposal.log_density),
-            sampler=wrap("proposal_draw", proposal.sampler),
+            log_density=wrap("proposal", proposal.log_density, one),
+            sampler=wrap("proposal_draw", proposal.sampler, one),
         ),
     )
 
@@ -307,7 +320,7 @@ def _counted(bundle, counts):
 @pytest.mark.parametrize("model", [toy_model, posterior_model])
 def test_fcc_makes_fewer_model_calls_than_mcc(model):
     """The cost side of criterion 7 without a timing race: per step, FCC
-    calls into the model less often than MCC."""
+    evaluates and draws fewer points of the model than MCC."""
     n_steps = 2000
     per_step = {}
     for sid in (SamplerId.MCC, SamplerId.FCC):
@@ -369,8 +382,8 @@ def test_criterion_8_collapse_identities(toy_bundle):
 
     conditional = ProposalFamily(
         n=2,
-        log_density=lambda l, u, z: target.log_density(l, z),
-        sampler=lambda l, u, rng: target.conditional_sampler(l, rng),
+        log_density=lambda l, u, z: float(target.log_density(l, np.array([z]))[0]),
+        sampler=lambda l, u, rng: target.conditional_sampler(l, rng, 1)[0],
     )
     bundle = ModelBundle(target, pseudo, conditional)
     res = _paired_outputs(

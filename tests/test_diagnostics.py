@@ -163,14 +163,22 @@ class TestKde:
             kde(x, [0.0]), kde(x, [0.0], bandwidth=h)
         )
 
-    def test_grid_chunk_size_does_not_change_the_estimate(self, monkeypatch):
-        # The posterior study's size: 10k pooled samples, 1201 grid points.
-        x = np.random.default_rng(13).standard_normal(10_000)
-        grid = np.linspace(-3.0, 3.0, 1201)
-        want = kde(x, grid, bandwidth=0.035)
-        for elements in (1, 35_000, 20_000_000):  # 1, 3 and all grid rows a chunk
-            monkeypatch.setattr(diagnostics, "_KDE_CHUNK_ELEMENTS", elements)
-            np.testing.assert_array_equal(kde(x, grid, bandwidth=0.035), want)
+    def test_matches_the_dense_sum(self):
+        # The full (grid x samples) sum against the windowed one.  Grid
+        # point 0 sees only samples at and just inside the cut-off: the
+        # ones inside add subnormal terms, which a small bandwidth keeps
+        # above zero after normalization, so each must be in the window.
+        h = 1e-3
+        reach = math.sqrt(2.0 * 745.2) * h
+        edge = reach * np.array([1.0, 1.0 - 1e-4, 1.0 - 2e-4])
+        bulk = np.random.default_rng(14).standard_normal(200) * 0.01 + 1.0
+        x = np.concatenate([bulk, -edge, edge])
+        grid = np.concatenate([[0.0], np.linspace(0.95, 1.05, 201)])
+        got = kde(x, grid, bandwidth=h)
+        d = (grid[:, None] - x[None, :]) / h
+        want = np.exp(-0.5 * d * d).sum(axis=1) / (len(x) * h * np.sqrt(2.0 * np.pi))
+        assert 0.0 < want[0] < 1e-320
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):

@@ -17,7 +17,6 @@ from ccmix import (
     cc_index_weights,
     conditional_index_weights,
     draw_index,
-    extended_log_density,
     mh_log_acceptance,
 )
 from ccmix.experiments import (
@@ -92,7 +91,7 @@ class TestConditionalIndexWeights:
 
     def test_all_zero_mass_raises(self):
         target = MixtureTarget(
-            n=2, z_dim=1, log_density=lambda m, z: float("-inf")
+            n=2, z_dim=1, log_density=lambda m, z: np.full(len(z), -np.inf)
         )
         with pytest.raises(AllZeroMass):
             conditional_index_weights(target, 0.0)
@@ -148,8 +147,8 @@ class TestCcIndexWeights:
     def test_pseudo_zero_target_positive_raises(self, toy_bundle):
         pseudo = PseudoPriorSet(
             n=2,
-            log_density=lambda j, u: float("-inf"),
-            sampler=lambda j, rng: 0.0,
+            log_density=lambda j, u: np.full(len(u), -np.inf),
+            sampler=lambda j, rng, size: np.zeros(size),
         )
         with pytest.raises(PseudoPriorZero):
             cc_index_weights(toy_bundle.target, pseudo, (0.0, 0.0))
@@ -158,12 +157,16 @@ class TestCcIndexWeights:
         target = MixtureTarget(
             n=2,
             z_dim=1,
-            log_density=lambda m, z: float("-inf") if m == 1 else -0.5 * z * z,
+            log_density=lambda m, z: (
+                np.full(len(z), -np.inf) if m == 1 else -0.5 * z * z
+            ),
         )
         pseudo = PseudoPriorSet(
             n=2,
-            log_density=lambda j, u: float("-inf") if j == 1 else -0.5 * u * u,
-            sampler=lambda j, rng: 0.0,
+            log_density=lambda j, u: (
+                np.full(len(u), -np.inf) if j == 1 else -0.5 * u * u
+            ),
+            sampler=lambda j, rng, size: np.zeros(size),
         )
         with pytest.warns(RuntimeWarning):
             w = cc_index_weights(target, pseudo, (0.0, 0.0))
@@ -202,46 +205,19 @@ class TestMhLogAcceptance:
         target = MixtureTarget(
             n=2,
             z_dim=1,
-            log_density=lambda m, z: float("-inf")
-            if z > 1.0
-            else toy_bundle.target.log_density(m, z),
+            log_density=lambda m, z: np.where(
+                z > 1.0, -np.inf, toy_bundle.target.log_density(m, z)
+            ),
         )
         got = mh_log_acceptance(target, toy_bundle.proposal, 1, 0.0, 2.0)
         assert got == float("-inf")
 
     def test_zero_mass_current_raises(self, toy_bundle):
         target = MixtureTarget(
-            n=2, z_dim=1, log_density=lambda m, z: float("-inf")
+            n=2, z_dim=1, log_density=lambda m, z: np.full(np.shape(z), -np.inf)
         )
         with pytest.raises(InvalidCurrentState):
             mh_log_acceptance(target, toy_bundle.proposal, 1, 0.0, 0.5)
-
-
-class TestExtendedLogDensity:
-    def test_matches_scipy_sum(self, toy_bundle):
-        u = (0.3, -0.8)
-        for m in (1, 2):
-            got = extended_log_density(toy_bundle.target, toy_bundle.pseudo, m, u)
-            want = _scipy_toy_logpdf(m, u[m - 1]) + _scipy_pseudo_logpdf(
-                3 - m, u[2 - m]
-            )
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_optimal_pseudo_origin_value(self):
-        bundle = toy_model(optimal_pseudo=True)
-        got = extended_log_density(bundle.target, bundle.pseudo, 1, (0.0, 0.0))
-        assert got == pytest.approx(-5.92158633453519, rel=1e-12)
-
-    def test_zero_mass_component_is_neg_inf(self, toy_bundle):
-        target = MixtureTarget(
-            n=2, z_dim=1, log_density=lambda m, z: float("-inf")
-        )
-        got = extended_log_density(target, toy_bundle.pseudo, 1, (0.0, 0.0))
-        assert got == float("-inf")
-
-    def test_wrong_length_rejected(self, toy_bundle):
-        with pytest.raises(ValueError):
-            extended_log_density(toy_bundle.target, toy_bundle.pseudo, 1, (0.0,))
 
 
 class TestDrawIndex:
@@ -275,7 +251,7 @@ class TestVectorZ:
     def test_two_dimensional_target(self):
         def log_density(m, z):
             mu = np.array([m - 1.5, 1.5 - m])
-            return float(-0.5 * np.sum((z - mu) ** 2))
+            return -0.5 * np.sum((z - mu) ** 2, axis=1)
 
         target = MixtureTarget(n=2, z_dim=2, log_density=log_density)
         w = conditional_index_weights(target, np.zeros(2))

@@ -1,5 +1,6 @@
 """Tests of the five transition kernels and the chain driver."""
 
+import contextlib
 import math
 import warnings
 from collections import Counter
@@ -28,6 +29,7 @@ from ccmix import (
     ModelBundle,
     ProposalFamily,
     PseudoPriorSet,
+    PseudoPriorZero,
     SamplerConfig,
     SamplerId,
     State,
@@ -38,6 +40,7 @@ from ccmix import (
     run_chain,
     step,
 )
+from ccmix import samplers
 from ccmix.experiments import posterior_model, toy_model
 from ccmix.oracle import FiniteMixtureSpec
 
@@ -54,19 +57,19 @@ def _delta_proposal(n):
 def _plane_bundle():
     """Standard normal components on R^2, with every auxiliary part."""
 
-    def log_density(m, z):
-        return -0.5 * float(z @ z)
+    def log_density(m, z):  # a block of points, or one point
+        return -0.5 * np.sum(z * z, axis=-1)
 
-    def draw(m, rng):
-        return rng.standard_normal(2)
+    def draw(m, rng, size):
+        return rng.standard_normal((size, 2))
 
     return ModelBundle(
         MixtureTarget(n=2, z_dim=2, log_density=log_density, conditional_sampler=draw),
         PseudoPriorSet(n=2, log_density=log_density, sampler=draw),
         ProposalFamily(
             n=2,
-            log_density=lambda l, u, z: log_density(l, z),
-            sampler=lambda l, u, rng: draw(l, rng),
+            log_density=lambda l, u, z: -0.5 * float(z @ z),
+            sampler=lambda l, u, rng: rng.standard_normal(2),
         ),
     )
 
@@ -78,28 +81,29 @@ def _gaussian_mixture(means, weights, pseudo_sd, step_sd):
     mus = [mu if d == 1 else np.asarray(mu, dtype=float) for mu in means]
     log_w = [math.log(w) for w in weights]
 
-    def sq(x):
-        return float(np.sum(x * x))
+    def sq(x):  # squared norm of one point, or of each point of a block
+        return x * x if d == 1 else np.sum(x * x, axis=-1)
 
-    def draw(rng):
-        return rng.standard_normal() if d == 1 else rng.standard_normal(d)
+    def draw(rng, size):  # a block of size points
+        return rng.standard_normal(size if d == 1 else (size, d))
 
     return ModelBundle(
         MixtureTarget(
             n=n,
             z_dim=d,
             log_density=lambda m, z: log_w[m - 1] - 0.5 * sq(z - mus[m - 1]),
-            conditional_sampler=lambda m, rng: mus[m - 1] + draw(rng),
+            conditional_sampler=lambda m, rng, size: mus[m - 1] + draw(rng, size),
         ),
         PseudoPriorSet(
             n=n,
             log_density=lambda j, u: -0.5 * sq(u - mus[j - 1]) / pseudo_sd**2,
-            sampler=lambda j, rng: mus[j - 1] + pseudo_sd * draw(rng),
+            sampler=lambda j, rng, size: mus[j - 1] + pseudo_sd * draw(rng, size),
         ),
         ProposalFamily(
             n=n,
-            log_density=lambda l, u, z: -0.5 * sq(z - u) / step_sd**2,
-            sampler=lambda l, u, rng: u + step_sd * draw(rng),
+            log_density=lambda l, u, z: -0.5 * float(np.sum((z - u) ** 2)) / step_sd**2,
+            sampler=lambda l, u, rng: u
+            + step_sd * (rng.standard_normal() if d == 1 else rng.standard_normal(d)),
         ),
     )
 
@@ -110,6 +114,19 @@ def _three_component_bundle():
 
 def _two_d_bundle():
     return _gaussian_mixture([(-1.0, 0.0), (1.0, 0.5)], [0.4, 0.6], 1.5, 0.7)
+
+
+def _exact_conditional_proposal(target):
+    """R_l(u, .) = pi*(. | l), drawn as the exact refresh of ``step`` draws:
+    one point per label in label order, keeping label l's."""
+    labels = range(1, target.n + 1)
+    return ProposalFamily(
+        n=target.n,
+        log_density=lambda l, u, z: float(target.log_density(l, np.array([z]))[0]),
+        sampler=lambda l, u, rng: [
+            target.conditional_sampler(j, rng, 1)[0] for j in labels
+        ][l - 1],
+    )
 
 
 def _supported(bundle):
@@ -207,7 +224,7 @@ class TestStepMechanics:
             n=1,
             z_dim=1,
             log_density=lambda m, z: -0.5 * z * z,
-            conditional_sampler=lambda m, rng: rng.standard_normal(),
+            conditional_sampler=lambda m, rng, size: rng.standard_normal(size),
         )
         new, _ = step(
             SamplerId.GIBBS, ModelBundle(target), State(1, 5.0), np.random.default_rng(0)
@@ -216,13 +233,15 @@ class TestStepMechanics:
 
     def test_single_component_fcc_is_identity(self):
         target = MixtureTarget(n=1, z_dim=1, log_density=lambda m, z: -0.5 * z * z)
-        pseudo_calls = []
+        pseudo_draws = []
 
-        def sampler(j, rng):
-            pseudo_calls.append(j)
-            return 0.0
+        def sampler(j, rng, size):
+            pseudo_draws.append((j, size))
+            return np.zeros(size)
 
-        pseudo = PseudoPriorSet(n=1, log_density=lambda j, u: 0.0, sampler=sampler)
+        pseudo = PseudoPriorSet(
+            n=1, log_density=lambda j, u: np.zeros(len(u)), sampler=sampler
+        )
         new, _ = step(
             SamplerId.FCC,
             ModelBundle(target, pseudo),
@@ -230,7 +249,9 @@ class TestStepMechanics:
             np.random.default_rng(0),
         )
         assert new == State(1, 0.7)
-        assert pseudo_calls == []  # the active component is never refreshed
+        # The 2-point probe of the configuration check, then the active
+        # component's auxiliary, drawn and discarded: z is never refreshed.
+        assert pseudo_draws == [(1, 2), (1, 1)]
 
     def test_mwg_delta_proposal_freezes_z(self, toy_bundle):
         bundle = ModelBundle(toy_bundle.target, proposal=_delta_proposal(2))
@@ -298,11 +319,6 @@ class TestRunChain:
         a = run_chain(self._config(SamplerId.FCC, seed=1), toy_bundle)
         b = run_chain(self._config(SamplerId.FCC, seed=2), toy_bundle)
         assert not np.array_equal(a.z, b.z)
-
-    def test_state_accessor(self, toy_bundle):
-        trace = run_chain(self._config(SamplerId.GIBBS), toy_bundle)
-        s = trace.state(3)
-        assert s.m == trace.m[3] and s.z == trace.z[3]
 
     def test_burn_in_discards_prefix(self, toy_bundle):
         full = run_chain(self._config(SamplerId.CC, n=500, burn=0), toy_bundle)
@@ -408,7 +424,7 @@ class TestRunChain:
         target = MixtureTarget(
             n=1,
             z_dim=1,
-            log_density=lambda m, z: -0.5 * z * z if z <= 0 else float("-inf"),
+            log_density=lambda m, z: np.where(z <= 0, -0.5 * z * z, -np.inf),
         )
         proposal = ProposalFamily(
             n=1,
@@ -441,12 +457,9 @@ class TestCollapseSmoke:
         # accepted point comes from the same position in the stream as
         # the CC refresh draw.
         target = toy_bundle.target
-        proposal = ProposalFamily(
-            n=2,
-            log_density=lambda l, u, z: target.log_density(l, z),
-            sampler=lambda l, u, rng: target.conditional_sampler(l, rng),
+        bundle = ModelBundle(
+            target, toy_bundle.pseudo, _exact_conditional_proposal(target)
         )
-        bundle = ModelBundle(target, toy_bundle.pseudo, proposal)
         ms, zs = sample_toy_exact(2000, np.random.default_rng(23))
         for i, (m, z) in enumerate(zip(ms, zs)):
             state = State(int(m), float(z))
@@ -456,12 +469,7 @@ class TestCollapseSmoke:
 
     def test_mwg_with_exact_conditional_proposal_equals_gibbs(self, toy_bundle):
         target = toy_bundle.target
-        proposal = ProposalFamily(
-            n=2,
-            log_density=lambda l, u, z: target.log_density(l, z),
-            sampler=lambda l, u, rng: target.conditional_sampler(l, rng),
-        )
-        bundle = ModelBundle(target, proposal=proposal)
+        bundle = ModelBundle(target, proposal=_exact_conditional_proposal(target))
         ms, zs = sample_toy_exact(2000, np.random.default_rng(29))
         for i, (m, z) in enumerate(zip(ms, zs)):
             state = State(int(m), float(z))
@@ -471,26 +479,36 @@ class TestCollapseSmoke:
 
 
 def _reference_chain(sid, bundle, state, n_steps, seed):
-    """The sweep recomputing every density through the public weight and
-    acceptance functions, in the same order of random draws as run_chain."""
+    """The chain sweep by sweep through the public weight and acceptance
+    functions, drawing from run_chain's child streams of the seed: every
+    label's auxiliary and exact draw, the index uniform and the MH draws."""
     target, pseudo, proposal = bundle.target, bundle.pseudo, bundle.proposal
-    rng = np.random.default_rng(seed)
+    n = target.n
+    streams = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 * n + 2)
+    ]
+    aux, exact, index, mh = streams[:n], streams[n : 2 * n], streams[2 * n], streams[-1]
+    labels = range(1, n + 1)
     m, z = state.m, state.z
     ms, zs, n_accepted = [], [], 0
     for _ in range(n_steps):
         if sid in (SamplerId.GIBBS, SamplerId.MWG):
-            m = draw_index(conditional_index_weights(target, z), rng)
+            m = draw_index(conditional_index_weights(target, z), index)
             u = z
         else:
-            aux = [z if j == m else pseudo.sampler(j, rng) for j in range(1, target.n + 1)]
-            m = draw_index(cc_index_weights(target, pseudo, aux), rng)
-            u = aux[m - 1]
+            # The active label's auxiliary is drawn and discarded.
+            u_all = [pseudo.sampler(j, aux[j - 1], 1)[0] for j in labels]
+            u_all[m - 1] = z
+            m = draw_index(cc_index_weights(target, pseudo, u_all), index)
+            u = u_all[m - 1]
         if sid in (SamplerId.GIBBS, SamplerId.CC):
-            z = target.conditional_sampler(m, rng)
+            # Every label's exact point is drawn, the selected one kept.
+            drawn = [target.conditional_sampler(j, exact[j - 1], 1)[0] for j in labels]
+            z = drawn[m - 1]
         elif sid in (SamplerId.MWG, SamplerId.MCC):
-            z_prop = proposal.sampler(m, u, rng)
+            z_prop = proposal.sampler(m, u, mh)
             log_alpha = mh_log_acceptance(target, proposal, m, u, z_prop)
-            accepted = rng.random() < math.exp(log_alpha)
+            accepted = mh.random() < math.exp(log_alpha)
             n_accepted += accepted
             z = z_prop if accepted else u
         else:
@@ -501,56 +519,86 @@ def _reference_chain(sid, bundle, state, n_steps, seed):
     return np.array(ms), np.asarray(zs, dtype=float), rate
 
 
+def _chain(sid, bundle, state, n_steps, seed):
+    config = SamplerConfig(
+        sid, n_iterations=n_steps, burn_in=0, seed=seed, initial_state=state
+    )
+    return run_chain(config, bundle)
+
+
+@contextlib.contextmanager
+def _block_size(size):
+    """run_chain with ``size`` sweeps a block."""
+    saved = samplers._BLOCK_SIZE
+    samplers._BLOCK_SIZE = size
+    try:
+        yield
+    finally:
+        samplers._BLOCK_SIZE = saved
+
+
 def _assert_matches_reference(bundle, state, n_steps, seed):
     for sid in _supported(bundle):
-        config = SamplerConfig(
-            sid, n_iterations=n_steps, burn_in=0, seed=seed, initial_state=state
-        )
-        trace = run_chain(config, bundle)
+        trace = _chain(sid, bundle, state, n_steps, seed)
         m, z, rate = _reference_chain(sid, bundle, state, n_steps, seed)
         assert np.array_equal(trace.m, m), sid
         assert np.array_equal(trace.z, z), sid
         assert trace.acceptance_rate == rate, sid
 
 
-class TestCarriedDensities:
-    """run_chain hands the densities it computed from the selection to the
-    refresh and on to the next sweep; the chains must stay bit-identical
-    to recomputing every density, and the model calls per sweep must be
-    the paper's cost."""
+def _assert_block_size_invariant(bundle, state, n_steps, seed):
+    for sid in _supported(bundle):
+        want = _chain(sid, bundle, state, n_steps, seed)
+        for block_size in (1, 7):
+            with _block_size(block_size):
+                got = _chain(sid, bundle, state, n_steps, seed)
+            assert np.array_equal(got.m, want.m), (sid, block_size)
+            assert np.array_equal(got.z, want.z), (sid, block_size)
+            assert got.acceptance_rate == want.acceptance_rate, (sid, block_size)
 
-    @pytest.mark.parametrize(
-        "model, state",
-        [
-            (toy_model, State(1, -1.0)),
-            (posterior_model, State(2, 0.6)),
-            (_three_component_bundle, State(3, 0.4)),
-            (_two_d_bundle, State(2, np.array([0.3, -0.2]))),
-        ],
-    )
+
+_MODELS = [
+    (toy_model, State(1, -1.0)),
+    (posterior_model, State(2, 0.6)),
+    (_three_component_bundle, State(3, 0.4)),
+    (_two_d_bundle, State(2, np.array([0.3, -0.2]))),
+]
+
+
+def _sparse_start(spec):
+    m, g = np.argwhere(spec.prob > 0)[0]
+    return State(int(m) + 1, float(spec.grid[g]))
+
+
+class TestCarriedDensities:
+    """run_chain draws and weighs a block of sweeps at a time and hands
+    the densities it computed from the selection to the refresh and on to
+    the next sweep; the chains must stay bit-identical to recomputing
+    every density sweep by sweep, and the points evaluated and drawn per
+    sweep must be the README's."""
+
+    @pytest.mark.parametrize("model, state", _MODELS)
     def test_chain_matches_reference(self, model, state):
         _assert_matches_reference(model(), state, n_steps=3000, seed=11)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(sparse_specs())
     def test_chain_matches_reference_on_sparse_specs(self, spec):
-        m, g = np.argwhere(spec.prob > 0)[0]
-        state = State(int(m) + 1, float(spec.grid[g]))
         with warnings.catch_warnings():
             # Cells where target and pseudo-prior both vanish warn.
             warnings.simplefilter("ignore", RuntimeWarning)
-            _assert_matches_reference(finite_bundle(spec), state, n_steps=80, seed=5)
+            _assert_matches_reference(
+                finite_bundle(spec), _sparse_start(spec), n_steps=80, seed=5
+            )
 
     @staticmethod
-    def _per_step_calls(sid, bundle, state, n_steps):
-        """The model calls of steps 2..n_steps of one chain, a Counter each."""
+    def _per_step_points(sid, bundle, state, n_steps):
+        """The points evaluated and drawn by sweeps 2..n_steps of one chain,
+        a Counter each."""
         totals = []
         for k in range(1, n_steps + 1):
             counts = Counter()
-            config = SamplerConfig(
-                sid, n_iterations=k, burn_in=0, seed=3, initial_state=state
-            )
-            run_chain(config, _counted(bundle, counts))
+            _chain(sid, _counted(bundle, counts), state, k, seed=3)
             totals.append(counts)
         return [b - a for a, b in zip(totals, totals[1:])]
 
@@ -561,22 +609,173 @@ class TestCarriedDensities:
     def test_callbacks_per_sweep(self, model, state):
         bundle = model()
         n = bundle.target.n
+        # Every label's auxiliary and exact draw is drawn and weighed, the
+        # active label's too; Gibbs weighs each exact draw at all labels.
+        pseudo_selection = {"target": n, "pseudo": n, "pseudo_draw": n}
         want = {
-            SamplerId.GIBBS: {"target": n, "conditional": 1},
-            # The label draw needs pi*(j, z) for all j, one of them known.
-            SamplerId.MWG: {"target": n, "proposal": 2, "proposal_draw": 1},
+            SamplerId.GIBBS: {"target": n * n, "conditional": n},
             SamplerId.CC: {
-                "target": n, "pseudo": n, "pseudo_draw": n - 1, "conditional": 1
+                "target": 2 * n, "pseudo": 2 * n, "pseudo_draw": n, "conditional": n
             },
-            SamplerId.FCC: {"target": n - 1, "pseudo": n - 1, "pseudo_draw": n - 1},
+            SamplerId.FCC: pseudo_selection,
         }
-        for sid, calls in want.items():
-            for got in self._per_step_calls(sid, bundle, state, 40):
-                assert dict(got) == calls, sid
-        # MCC evaluates rho at the active point only after an accepted move.
-        for got in self._per_step_calls(SamplerId.MCC, bundle, state, 40):
-            assert got["pseudo"] in (n - 1, n)
-            del got["pseudo"]
-            assert dict(got) == {
-                "target": n, "proposal": 2, "proposal_draw": 1, "pseudo_draw": n - 1
-            }
+        for sid, points in want.items():
+            for got in self._per_step_points(sid, bundle, state, 40):
+                assert dict(got) == points, sid
+        # The MH refresh weighs its proposal, and after an accepted move
+        # the rest of the carry at the new point: the other labels' target
+        # densities for MwG, the pseudo-prior density for MCC.
+        mh = {"proposal": 2, "proposal_draw": 1}
+        accepted = {SamplerId.MWG: ("target", n - 1), SamplerId.MCC: ("pseudo", 1)}
+        base = {
+            SamplerId.MWG: {"target": 1, **mh},
+            SamplerId.MCC: {**pseudo_selection, "target": n + 1, **mh},
+        }
+        for sid, (kind, extra) in accepted.items():
+            moves = 0
+            for got in self._per_step_points(sid, bundle, state, 40):
+                want_rejected = Counter(base[sid])
+                want_accepted = want_rejected + Counter({kind: extra})
+                assert got in (want_rejected, want_accepted), sid
+                moves += got == want_accepted
+            assert 0 < moves < 39, sid
+
+
+class TestBlocks:
+    """A chain is the same at every block size, and the callbacks of the
+    model are checked against the block protocol before anything is drawn."""
+
+    @pytest.mark.parametrize("model, state", _MODELS)
+    def test_block_size_invariance(self, model, state):
+        _assert_block_size_invariant(model(), state, n_steps=2000, seed=13)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(sparse_specs())
+    def test_block_size_invariance_on_sparse_specs(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _assert_block_size_invariant(
+                finite_bundle(spec), _sparse_start(spec), n_steps=60, seed=6
+            )
+
+    @staticmethod
+    def _stuck_at_label_one(pseudo_one_log_density, target_one=lambda z: -0.5 * z * z):
+        """Label 2 has no target mass, so the chain stays at label 1 and
+        its auxiliary, always drawn at 10, is always discarded."""
+        target = MixtureTarget(
+            n=2,
+            z_dim=1,
+            log_density=lambda m, z: (
+                target_one(z) if m == 1 else np.full(len(z), -np.inf)
+            ),
+        )
+        pseudo = PseudoPriorSet(
+            n=2,
+            log_density=lambda j, u: (
+                pseudo_one_log_density(u) if j == 1 else -0.5 * u * u
+            ),
+            sampler=lambda j, rng, size: np.full(size, 10.0)
+            if j == 1
+            else rng.standard_normal(size),
+        )
+        return ModelBundle(target, pseudo)
+
+    def test_discarded_vanishing_pseudo_prior_runs_clean(self):
+        # rho_1 vanishes at 10, where the target of label 1 does not, and
+        # in the second bundle where it vanishes too: neither may raise or
+        # warn, since the sweep never uses label 1's auxiliary.
+        vanishing = lambda u: np.where(u > 5.0, -np.inf, -0.5 * u * u)  # noqa: E731
+        both = lambda z: np.where(z > 5.0, -np.inf, -0.5 * z * z)  # noqa: E731
+        for bundle in (
+            self._stuck_at_label_one(vanishing),
+            self._stuck_at_label_one(vanishing, target_one=both),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for block_size in (1, 64):
+                    with _block_size(block_size):
+                        trace = _chain(SamplerId.FCC, bundle, State(1, 0.3), 200, 4)
+                    assert np.all(trace.m == 1) and np.all(trace.z == 0.3)
+                new, _ = step(
+                    SamplerId.FCC, bundle, State(1, 0.3), np.random.default_rng(0)
+                )
+                assert new == State(1, 0.3)
+
+    def test_used_vanishing_pseudo_prior_raises(self, toy_bundle):
+        # rho_1 vanishes at 10, where pi*(1, .) does not; from label 2 the
+        # first sweep weighs label 1's auxiliary there.
+        pseudo = PseudoPriorSet(
+            n=2,
+            log_density=lambda j, u: np.where(u > 5.0, -np.inf, -0.5 * u * u),
+            sampler=lambda j, rng, size: np.full(size, 10.0)
+            if j == 1
+            else rng.standard_normal(size),
+        )
+        bundle = ModelBundle(toy_bundle.target, pseudo)
+        with pytest.raises(PseudoPriorZero):
+            _chain(SamplerId.FCC, bundle, State(2, 0.5), 200, 4)
+        with pytest.raises(PseudoPriorZero):
+            step(SamplerId.FCC, bundle, State(2, 0.5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_scalar_only_callback_rejected(self, sampler_id, toy_bundle):
+        # math.exp-style code cannot take a block of points.
+        scalar = MixtureTarget(
+            n=2,
+            z_dim=1,
+            log_density=lambda m, z: math.log(0.5) - 0.5 * math.pow(z - 1.0, 2),
+            conditional_sampler=toy_bundle.target.conditional_sampler,
+        )
+        bundle = replace(toy_bundle, target=scalar)
+        with pytest.raises(ConfigError, match="target.log_density"):
+            run_chain(SamplerConfig(sampler_id, 10, State(1, 0.0), burn_in=0), bundle)
+        with pytest.raises(ConfigError, match="target.log_density"):
+            step(sampler_id, bundle, State(1, 0.0), np.random.default_rng(0))
+
+    def test_scalar_returning_callbacks_rejected(self, toy_bundle):
+        pseudo = toy_bundle.pseudo
+        cases = [
+            (
+                SamplerId.FCC,
+                "pseudo.log_density",
+                replace(pseudo, log_density=lambda j, u: 0.0),
+                toy_bundle.target,
+            ),
+            (
+                SamplerId.FCC,
+                "pseudo.sampler",
+                replace(pseudo, sampler=lambda j, rng, size: rng.standard_normal()),
+                toy_bundle.target,
+            ),
+            (
+                SamplerId.GIBBS,
+                "target.conditional_sampler",
+                pseudo,
+                replace(
+                    toy_bundle.target,
+                    conditional_sampler=lambda m, rng, size: rng.standard_normal(
+                        (size, 1)
+                    ),
+                ),
+            ),
+            (
+                SamplerId.GIBBS,
+                "target.log_density",
+                pseudo,
+                replace(toy_bundle.target, log_density=lambda m, z: -1.0),
+            ),
+            # The MH refresh weighs one point at a time and wants a float.
+            (
+                SamplerId.MWG,
+                "target.log_density",
+                pseudo,
+                replace(
+                    toy_bundle.target,
+                    log_density=lambda m, z: np.atleast_1d(-0.5 * z * z),
+                ),
+            ),
+        ]
+        for sid, name, pseudo_set, target in cases:
+            bundle = replace(toy_bundle, target=target, pseudo=pseudo_set)
+            with pytest.raises(ConfigError, match=name):
+                run_chain(SamplerConfig(sid, 10, State(1, 0.0), burn_in=0), bundle)
