@@ -18,7 +18,6 @@ Elementwise numpy code serves blocks and single points alike.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -171,31 +170,38 @@ def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
     return _pick(weights, rng.random())
 
 
-def _target_rows(target: MixtureTarget, x: np.ndarray) -> list[tuple]:
-    """log pi*(., x_b) for each point x_b of the block x, one tuple of n
-    floats per point."""
-    cols = []
-    for j in range(1, target.n + 1):
-        cols.append(np.asarray(target.log_density(j, x), dtype=float).tolist())
-    return list(zip(*cols))
+def _target_rows(target: MixtureTarget, blocks: Sequence) -> list[list]:
+    """log pi*(i, x) for each label i and block x of ``blocks``, a float
+    array each, in row i and column x."""
+    return [
+        [np.asarray(target.log_density(i, x), dtype=float) for x in blocks]
+        for i in range(1, target.n + 1)
+    ]
 
 
-def _ratios(lt: list, lr: list) -> list[float]:
-    """log pi* - log rho entry by entry, +inf wherever rho vanishes;
-    ``_resolve`` turns such an entry into an error or a zero weight only
-    once a sweep uses it."""
-    ratio = list(map(operator.sub, lt, lr))
-    if _NEG_INF in lr:
-        for i, r in enumerate(lr):
-            if r == _NEG_INF:
-                ratio[i] = _INF
+def _pseudo_rows(target, pseudo, labels: Sequence[int], blocks: Sequence) -> tuple:
+    """log pi*(j, x) and log rho_j(x) for each label j and its block x: two
+    rows of float arrays."""
+    lt, lr = [], []
+    for j, x in zip(labels, blocks):
+        lt.append(np.asarray(target.log_density(j, x), dtype=float))
+        lr.append(np.asarray(pseudo.log_density(j, x), dtype=float))
+    return lt, lr
+
+
+def _ratio(lt: float, lr: float) -> float:
+    """log pi* - log rho at one point, +inf where rho vanishes; ``_resolve``
+    turns such an entry into an error or a zero weight only once a sweep
+    uses it."""
+    return _INF if lr == _NEG_INF else lt - lr
+
+
+def _ratios(lt: np.ndarray, lr: np.ndarray) -> np.ndarray:
+    """``_ratio`` entry by entry on arrays."""
+    with np.errstate(invalid="ignore"):
+        ratio = lt - lr
+    ratio[lr == _NEG_INF] = _INF
     return ratio
-
-
-def _log_ratios(target, pseudo, j: int, x: np.ndarray):
-    """log pi*(j, x) and its ``_ratios`` over the block x, as lists."""
-    lt = np.asarray(target.log_density(j, x), dtype=float).tolist()
-    return lt, _ratios(lt, np.asarray(pseudo.log_density(j, x), dtype=float).tolist())
 
 
 def _resolve(logw: Sequence[float], lts: Sequence[float]) -> list[float]:
@@ -226,7 +232,7 @@ def conditional_index_weights(target: MixtureTarget, z) -> np.ndarray:
 
     Raises AllZeroMass if every component has -inf log-density at z.
     """
-    return np.array(_weights(_target_rows(target, _block(z))[0]))
+    return np.array(_weights([r[0].item(0) for r in _target_rows(target, [_block(z)])]))
 
 
 def cc_index_weights(
@@ -240,11 +246,10 @@ def cc_index_weights(
     """
     if len(u) != target.n:
         raise ValueError(f"expected {target.n} auxiliary points, got {len(u)}")
-    lts, logw = [], []
-    for j, uj in enumerate(u, start=1):
-        lt, ratio = _log_ratios(target, pseudo, j, _block(uj))
-        lts.append(lt[0])
-        logw.append(ratio[0])
+    blocks = [_block(uj) for uj in u]
+    lts, lrs = _pseudo_rows(target, pseudo, range(1, target.n + 1), blocks)
+    lts = [a.item(0) for a in lts]
+    logw = [_ratio(lt, a.item(0)) for lt, a in zip(lts, lrs)]
     if _INF in logw:
         logw = _resolve(logw, lts)
     return np.array(_weights(logw))

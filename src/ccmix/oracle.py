@@ -449,6 +449,15 @@ def random_spec(
     return FiniteMixtureSpec(n, np.arange(G, dtype=float), prob, pseudo, proposal)
 
 
+def _scaled_exp(logw: np.ndarray, name: str) -> np.ndarray:
+    """exp(logw) over its largest entry; ValueError naming the density
+    unless that entry is finite."""
+    top = logw.max()
+    if not np.isfinite(top):
+        raise ValueError(f"{name} has no mass on the grid (largest log-density {top})")
+    return np.exp(logw - top)
+
+
 def spec_from_log_densities(
     n: int,
     grid: np.ndarray,
@@ -458,18 +467,25 @@ def spec_from_log_densities(
 ) -> FiniteMixtureSpec:
     """Discretize continuous densities to grid masses (normalized pointwise).
 
-    ``log_target(m, z)`` and ``log_pseudo(j, u)`` are evaluated at the
-    grid points; ``log_proposal(l, u, z)``, when given, fills the
-    proposal slices.
+    ``log_target(m, z)`` and ``log_pseudo(j, u)`` are called once per label
+    on the whole grid, as the samplers call them on a block, and the
+    masses are normalized after subtracting the largest log-density, so
+    a target far below exp(-745) everywhere still discretizes.
+    ``log_proposal(l, u, z)``, when given, fills the proposal slices one
+    point at a time.  ValueError if the target, or a pseudo-prior, has no
+    mass on the grid.
     """
     grid = np.asarray(grid, dtype=float)
-    G = len(grid)
-    prob = np.array(
-        [[np.exp(log_target(m, z)) for z in grid] for m in range(1, n + 1)]
-    )
+    labels = range(1, n + 1)
+
+    def on_grid(log_density, label):
+        out = np.asarray(log_density(label, grid), dtype=float)
+        return np.broadcast_to(out, grid.shape)
+
+    prob = _scaled_exp(np.array([on_grid(log_target, m) for m in labels]), "the target")
     prob /= prob.sum()
     pseudo = np.array(
-        [[np.exp(log_pseudo(j, u)) for u in grid] for j in range(1, n + 1)]
+        [_scaled_exp(on_grid(log_pseudo, j), f"pseudo-prior {j}") for j in labels]
     )
     pseudo /= pseudo.sum(axis=1, keepdims=True)
     proposal = None
@@ -477,7 +493,7 @@ def spec_from_log_densities(
         proposal = np.array(
             [
                 [[np.exp(log_proposal(l, u, z)) for z in grid] for u in grid]
-                for l in range(1, n + 1)
+                for l in labels
             ]
         )
         proposal /= proposal.sum(axis=2, keepdims=True)

@@ -23,19 +23,27 @@ not depend on the chain state, so the sweeps run in blocks of B: for
 every label, one sampler call draws the block's auxiliaries (the active
 label's is drawn and discarded) and one call per density weighs them;
 the exact refresh likewise draws and weighs one point per label and
-sweep.  Only the index draw, the MH refresh and the hand-over of the
-current point run sweep by sweep.  A proposal depends on the current
-point, so the MH refresh weighs one point at a time, calling the
-densities on single points rather than on blocks of one, which cost
-ten times as much in numpy.  ``run_chain`` works in blocks of 1024
-sweeps; ``step`` is the same code with B = 1.
+sweep.  A block of more than one sweep also draws its labels from
+tables built in numpy: with the exact refresh the label of a sweep
+depends only on the label before it, so the block is one scan of an
+n x B table; with the MH or frozen refresh a sweep adds its current
+point's weight to stored prefix sums of the other labels' weights.  The
+per-sweep selection serves the first sweep of an exact-refresh block,
+the entries a table cannot settle (+inf, NaN, no mass), MwG and
+``step``, which runs blocks of one sweep.  The MH refresh weighs one
+point at a time, calling the densities on single points rather than on
+blocks of one, which cost ten times as much in numpy.  ``run_chain``
+works in blocks of 1024 sweeps.
 
 *Streams.*  ``run_chain`` gives each label's auxiliaries, each label's
 exact draws, the index uniforms and the MH draws a child stream of the
-seed of their own, so a chain is bit-identical at every block size, and
-samplers that share a seed share those streams.  ``step`` draws every
-stream from its one generator in a fixed order: the auxiliaries in
-label order, then the index uniform, then the refresh.
+seed of their own, so a chain is the same at every block size, and
+samplers that share a seed share those streams.  (The tables use
+numpy's exp, the per-sweep selection math.exp; a last-bit difference
+changes a label only if a uniform falls within rounding of a cumulative
+weight, and the tests check the equality.)  ``step`` draws every stream
+from its one generator in a fixed order: the auxiliaries in label
+order, then the index uniform, then the refresh.
 
 *Lazy errors.*  PseudoPriorZero, AllZeroMass, the RuntimeWarning for a
 vanishing target and pseudo-prior pair and the ValueError for a
@@ -50,6 +58,7 @@ sampler evaluates and draws per sweep.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -67,9 +76,10 @@ from .model import (  # bench/spans.py looks up the public weight functions here
     State,
     _block,
     _check_finite,
-    _log_ratios,
     _mh_log_acceptance,
     _pick,
+    _pseudo_rows,
+    _ratio,
     _ratios,
     _resolve,
     _target_rows,
@@ -182,33 +192,50 @@ def _points(x: np.ndarray) -> tuple[list, bool]:
     return list(x), math.isfinite(x.sum())
 
 
+def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_pick(_weights(column), v_k)`` for every column of log-weights
+    (labels on axis 0, sweeps on the last axis), or 0 where a column holds
+    +inf or NaN or only -inf, which the per-sweep selection settles."""
+    with np.errstate(invalid="ignore"):
+        top = logw.max(axis=0)
+        acc = np.cumsum(np.exp(logw - top), axis=0)
+    picks = np.minimum((acc <= v * acc[-1]).sum(axis=0), len(logw) - 1) + 1
+    return np.where(np.isfinite(top), picks, 0)
+
+
 # A *carry* sums up the current point z for the selection of the next
 # sweep: the conditional selection carries the row log pi*(., z), the
 # pseudo-prior selection the pair (log pi*(m, z), its ratio to rho_m(z)).
-# A selection has four parts:
-#   block(bundle, streams, size) draws and weighs what ``size`` sweeps
-#     need and returns the per-sweep selection (k, v, m, z, carry) ->
-#     (m', u, carry of u), v the sweep's index uniform, and whether
-#     every point drawn is finite;
-#   carries(bundle, m, x) is the carry of each point of the block x at
-#     label m;
+# A selection has six parts:
+#   block(bundle, streams, size, tables) draws and weighs what ``size``
+#     sweeps need and returns the per-sweep selection (k, v, m, z, carry)
+#     -> (m', u, carry of u), v the sweep's index uniform, the rows of the
+#     auxiliaries (None for the conditional selection) and whether every
+#     point drawn is finite; with ``tables`` it builds prefix sums;
+#   rows(bundle, labels, blocks) weighs each label's block: lists of
+#     arrays indexed [density][label][point];
+#   carry_of(rows, j, k) is the carry of point k of label j + 1's block;
 #   carry_at(bundle, m, z, lt) is the carry of one point z, given
 #     lt = log pi*(m, z), for the MH refresh;
-#   lt(carry, m) reads log pi*(m, z) back.
+#   lt(carry, m) reads log pi*(m, z) back;
+#   exact_logw(rows, aux) is the log-weights [label, j, k] of the index
+#     draw at sweep k + 1 from label j + 1's exact point of sweep k.
 
 
 class _Selection(NamedTuple):
     block: Callable
-    carries: Callable
+    rows: Callable
+    carry_of: Callable
     carry_at: Callable
     lt: Callable
+    exact_logw: Callable
 
 
-def _conditional_block(bundle, streams, size):
+def _conditional_block(bundle, streams, size, tables):
     def select(k, v, m, z, carry):
         return _pick(_weights(carry), v), z, carry
 
-    return select, True
+    return select, None, True
 
 
 def _row_at(bundle, m, z, lt):
@@ -218,30 +245,31 @@ def _row_at(bundle, m, z, lt):
     return row
 
 
-def _ratio_carries(bundle, m, x):
-    return list(zip(*_log_ratios(bundle.target, bundle.pseudo, m, x)))
+def _ratio_of(rows, j, k):
+    lt = rows[0][j].item(k)
+    return lt, _ratio(lt, rows[1][j].item(k))
 
 
 def _ratio_at(bundle, m, z, lt):
-    return lt, _ratios([lt], [float(bundle.pseudo.log_density(m, z))])[0]
+    return lt, _ratio(lt, float(bundle.pseudo.log_density(m, z)))
 
 
-def _pseudo_block(bundle, streams, size):
+def _pseudo_block(bundle, streams, size, tables):
     """Every label's auxiliaries for ``size`` sweeps, with their weights."""
-    target, pseudo = bundle.target, bundle.pseudo
-    points, lts, ratios, finite = [], [], [], True
-    for j in range(1, target.n + 1):
-        u = pseudo.sampler(j, streams.aux[j - 1], size)
-        lt, ratio = _log_ratios(target, pseudo, j, u)
-        pts, ok = _points(u)
+    n, labels = bundle.target.n, range(1, bundle.target.n + 1)
+    u = [bundle.pseudo.sampler(j, streams.aux[j - 1], size) for j in labels]
+    aux = _pseudo_rows(bundle.target, bundle.pseudo, labels, u)
+    lts, lrs, points, finite = [], [], [], True
+    for lt, lr, x in zip(*aux, u):
+        lts.append(lt.tolist())
+        lrs.append(lr.tolist())
+        pts, ok = _points(x)
         points.append(pts)
-        lts.append(lt)
-        ratios.append(ratio)
         finite = finite and ok
-    rows = list(zip(*ratios))
 
     def select(k, v, m, z, carry):
-        logw = list(rows[k])
+        # ``_ratio`` inline: this runs every sweep of ``step``.
+        logw = [_INF if b[k] == -_INF else a[k] - b[k] for a, b in zip(lts, lrs)]
         logw[m - 1] = carry[1]  # the active label's auxiliary is z itself
         if _INF in logw:
             lt_k = [lt[k] for lt in lts]
@@ -250,51 +278,122 @@ def _pseudo_block(bundle, streams, size):
         i = _pick(_weights(logw), v) - 1
         if i == m - 1:
             return m, z, carry
-        return i + 1, points[i][k], (lts[i][k], ratios[i][k])
+        lt = lts[i][k]
+        return i + 1, points[i][k], (lt, _ratio(lt, lrs[i][k]))
 
-    return select, finite
+    if not tables:
+        return select, aux, finite
+
+    # For each active label m and sweep k: the shift, the largest of the
+    # other labels' ratios, and the prefix sums of their weights
+    # exp(ratio - shift) in label order, zero at m, flat in k * n + label.
+    # Where one of those ratios is +inf or NaN, or all are -inf, the shift
+    # is -inf and the sweep falls back on ``select``.
+    others = np.repeat(_ratios(*np.array(aux))[:, None], n, axis=1)
+    others[np.arange(n), np.arange(n)] = -_INF
+    with np.errstate(invalid="ignore"):
+        shift = others.max(axis=0)
+        prefix = np.cumsum(np.exp(others - shift), axis=0)
+    shift[~np.isfinite(shift)] = -_INF
+    shifts = shift.tolist()
+    prefixes = prefix.transpose(1, 2, 0).reshape(n, -1).tolist()
+
+    def select_by_prefix(k, v, m, z, carry):
+        d = carry[1] - shifts[m - 1][k]
+        if not d < 700.0:  # +inf, NaN, or too large for exp
+            return select(k, v, m, z, carry)
+        w = math.exp(d)  # the current point's weight
+        c, lo = prefixes[m - 1], k * n
+        u = v * (c[lo + n - 1] + w)
+        i = bisect.bisect_right(c, u, lo, lo + m - 1) - lo
+        if i == m - 1 and not u < c[lo + i] + w:
+            i = min(bisect.bisect_right(c, u - w, lo + m, lo + n) - lo, n - 1)
+        if i == m - 1:
+            return m, z, carry
+        lt = lts[i][k]
+        return i + 1, points[i][k], (lt, _ratio(lt, lrs[i][k]))
+
+    return select_by_prefix, aux, finite
+
+
+def _pseudo_exact_logw(rows, aux):
+    """The auxiliaries' ratios of sweep k + 1, label j's replaced by that
+    of its exact point of sweep k."""
+    n = aux.shape[1]
+    logw = np.repeat(_ratios(*aux)[:, None, 1:], n, axis=1)
+    logw[np.arange(n), np.arange(n)] = _ratios(*rows)[:, :-1]
+    return logw
 
 
 _CONDITIONAL = _Selection(
     _conditional_block,
-    lambda bundle, m, x: _target_rows(bundle.target, x),
+    lambda bundle, labels, blocks: _target_rows(bundle.target, blocks),
+    lambda rows, j, k: [row[j].item(k) for row in rows],
     _row_at,
     lambda carry, m: carry[m - 1],
+    lambda rows, aux: rows[:, :, :-1],
 )
 _PSEUDO = _Selection(
-    _pseudo_block, _ratio_carries, _ratio_at, lambda carry, m: carry[0]
+    _pseudo_block,
+    lambda bundle, labels, blocks: _pseudo_rows(
+        bundle.target, bundle.pseudo, labels, blocks
+    ),
+    _ratio_of,
+    _ratio_at,
+    lambda carry, m: carry[0],
+    _pseudo_exact_logw,
 )
 
 
-# A refresh block (bundle, streams, size, selection) returns the
-# per-sweep refresh (k, m, u, carry) -> (z', carry of z', accepted),
-# accepted None unless the refresh has an accept/reject, and whether
-# every point it drew up front is finite.
+def _exact_block(bundle, streams, sel, select, aux, v, m, z, carry):
+    """Sweeps with the exact refresh.  It keeps label m's exact draw and
+    drops the selected point, so the label drawn at sweep k > 0 depends
+    only on the label of sweep k - 1: a table lookup, with the per-sweep
+    selection for sweep 0, the table's zeros and non-finite draws."""
+    labels, size = range(1, bundle.target.n + 1), len(v)
+    draw = bundle.target.conditional_sampler
+    x = [draw(j, streams.exact[j - 1], size) for j in labels]
+    rows = sel.rows(bundle, labels, x)
+    if size == 1:  # ``step``: one sweep by the per-sweep selection
+        m = select(0, v.tolist()[0], m, z, carry)[0]
+        (z,), finite = _points(x[m - 1])
+        if not finite:
+            _check_finite(z)
+        return [m], [z], m, z, sel.carry_of(rows, m - 1, 0), 0
+    x = np.array(x, dtype=float)
+    finite = math.isfinite(x.sum())
+    table = None
+    if finite:
+        logw = sel.exact_logw(np.array(rows), np.array(aux))
+        table = _pick_table(logw, v[1:]).tolist()
+    uniforms = v.tolist()
+    ms = []
+    for k in range(size):
+        j = table[m - 1][k - 1] if table and k else 0
+        if not j:
+            if k:
+                z, carry = x[m - 1, k - 1], sel.carry_of(rows, m - 1, k - 1)
+            j = select(k, uniforms[k], m, z, carry)[0]
+            if not finite:
+                _check_finite(x[j - 1, k])
+        m = j
+        ms.append(m)
+    zs = x[np.subtract(ms, 1), np.arange(size)]
+    z = zs[-1].tolist() if zs.ndim == 1 else zs[-1]
+    return ms, zs, m, z, sel.carry_of(rows, m - 1, size - 1), 0
 
 
-def _exact_block(bundle, streams, size, sel):
-    """One exact draw per label and sweep, with its carry."""
-    target = bundle.target
-    points, carries, finite = [], [], True
-    for j in range(1, target.n + 1):
-        x = target.conditional_sampler(j, streams.exact[j - 1], size)
-        pts, ok = _points(x)
-        points.append(pts)
-        carries.append(sel.carries(bundle, j, x))
-        finite = finite and ok
-
-    def refresh(k, m, u, carry):
-        return points[m - 1][k], carries[m - 1][k], None
-
-    return refresh, finite
+# A stepwise refresh block (bundle, streams, sel) returns the per-sweep
+# refresh (m, u, carry) -> (z', carry of z', accepted), accepted None
+# unless the refresh has an accept/reject.
 
 
-def _mh_block(bundle, streams, size, sel):
+def _mh_block(bundle, streams, sel):
     """Propose, weigh and accept or reject one point at a time."""
     target, proposal, rng = bundle.target, bundle.proposal, streams.mh
     carry_at, lt_of = sel.carry_at, sel.lt
 
-    def refresh(k, m, u, carry):
+    def refresh(m, u, carry):
         z = proposal.sampler(m, u, rng)
         lt_z = float(target.log_density(m, z))
         log_alpha = _mh_log_acceptance(proposal, m, u, z, lt_of(carry, m), lt_z)
@@ -303,11 +402,11 @@ def _mh_block(bundle, streams, size, sel):
             return z, carry_at(bundle, m, z, lt_z), True
         return u, carry, False
 
-    return refresh, True
+    return refresh
 
 
-def _frozen_block(bundle, streams, size, sel):
-    return (lambda k, m, u, carry: (u, carry, None)), True
+def _frozen_block(bundle, streams, sel):
+    return lambda m, u, carry: (u, carry, None)
 
 
 _KERNELS = {
@@ -358,6 +457,11 @@ def _probes(kernel, bundle: ModelBundle, m: int, z):
             yield "pseudo.log_density", pseudo.log_density, (m, z), ()
 
 
+def _shape(x) -> tuple:
+    """np.shape(x), which takes a slow path for a float."""
+    return () if isinstance(x, float) else np.shape(x)
+
+
 def _probe(name: str, fn, args: tuple, shape: tuple):
     """Call a callback on a probe; ConfigError unless it takes the probe
     and returns ``shape``."""
@@ -366,9 +470,9 @@ def _probe(name: str, fn, args: tuple, shape: tuple):
         out = fn(*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} does not take {what}: {exc}") from exc
-    if np.shape(out) != shape:
+    if _shape(out) != shape:
         raise ConfigError(
-            f"{name} returned shape {np.shape(out)} for {what}, expected {shape}"
+            f"{name} returned shape {_shape(out)} for {what}, expected {shape}"
         )
     return out
 
@@ -392,41 +496,45 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
             )
     # A float label would pass the range test and never equal j in 1..n.
     m = state.m
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+    integral = type(m) is int or isinstance(m, numbers.Integral)  # int first: cheap
+    if isinstance(m, bool) or not integral:
         raise ConfigError(f"label must be an integer, got {m!r}")
     if not 1 <= m <= target.n:
         raise ConfigError(f"label {m} outside 1..{target.n}")
     # A one-dimensional z is a scalar, not an array of length 1.
     shape = () if target.z_dim == 1 else (target.z_dim,)
-    if np.shape(state.z) != shape:
-        raise ConfigError(f"z must have shape {shape}, got {np.shape(state.z)}")
+    if _shape(state.z) != shape:
+        raise ConfigError(f"z must have shape {shape}, got {_shape(state.z)}")
     for probe in _probes(kernel, bundle, m, state.z):
         _probe(*probe)
-    carry = kernel[0].carries(bundle, m, _block(state.z))[0]
+    sel = kernel[0]
+    carry = sel.carry_of(sel.rows(bundle, [m], [_block(state.z)]), 0, 0)
     if kernel[0].lt(carry, m) == -math.inf:
         raise ConfigError(f"the target has zero mass at the initial state {state}")
     return kernel, carry
 
 
-def _sweeps(kernel, bundle, streams, size, m, z, carry, ms, zs):
-    """Run ``size`` sweeps from (m, z), appending each state to ``ms`` and
-    ``zs``; return the last (m, z, carry) and the count of accepted moves."""
+def _sweeps(kernel, bundle, streams, size, m, z, carry):
+    """Run ``size`` sweeps from (m, z); return their labels and points, the
+    last (m, z, carry) and the count of accepted moves."""
     sel, refresh_block = kernel
-    select, finite = sel.block(bundle, streams, size)
-    uniforms = streams.index.random(size).tolist()
-    refresh, finite_refresh = refresh_block(bundle, streams, size, sel)
-    check = not (finite and finite_refresh)
-    n_accepted = 0
-    for k in range(size):
-        m, u, carry = select(k, uniforms[k], m, z, carry)
-        z, carry, accepted = refresh(k, m, u, carry)
-        if check:
+    exact = refresh_block is _exact_block
+    select, aux, finite = sel.block(bundle, streams, size, size > 1 and not exact)
+    v = streams.index.random(size)
+    if exact:
+        return _exact_block(bundle, streams, sel, select, aux, v, m, z, carry)
+    refresh = refresh_block(bundle, streams, sel)
+    ms, zs, n_accepted = [], [], 0
+    for k, vk in enumerate(v.tolist()):
+        m, u, carry = select(k, vk, m, z, carry)
+        z, carry, accepted = refresh(m, u, carry)
+        if not finite:
             _check_finite(z)
         ms.append(m)
         zs.append(z)
         if accepted:
             n_accepted += 1
-    return m, z, carry, n_accepted
+    return ms, zs, m, z, carry, n_accepted
 
 
 def step(
@@ -443,10 +551,11 @@ def step(
     kernel, carry = _check(sampler_id, bundle, state)
     per_label = [rng] * bundle.target.n
     streams = _Streams(per_label, per_label, rng, rng)
-    ms, zs = [], []
-    n_accepted = _sweeps(kernel, bundle, streams, 1, state.m, state.z, carry, ms, zs)[3]
+    _, _, m, z, _, n_accepted = _sweeps(
+        kernel, bundle, streams, 1, state.m, state.z, carry
+    )
     accepted = n_accepted == 1 if kernel[1] is _mh_block else None
-    return State(ms[0], zs[0]), accepted
+    return State(m, z), accepted
 
 
 def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
@@ -463,22 +572,24 @@ def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     n_accepted = 0
 
     t0 = time.perf_counter()
-    # A block never straddles the burn-in, so the accepted moves of the
-    # kept sweeps are counted by whole blocks.
+    # A block never straddles the burn-in, so the kept sweeps and their
+    # accepted moves are taken by whole blocks.
     for lo, hi in ((0, burn_in), (burn_in, config.n_iterations)):
         for start in range(lo, hi, size):
-            m, z, carry, accepted = _sweeps(
-                kernel, bundle, streams, min(size, hi - start), m, z, carry, ms, zs
+            block_m, block_z, m, z, carry, accepted = _sweeps(
+                kernel, bundle, streams, min(size, hi - start), m, z, carry
             )
             if lo == burn_in:
+                ms.append(block_m)
+                zs.append(block_z)
                 n_accepted += accepted
     wall = time.perf_counter() - t0
 
     n_keep = config.n_iterations - burn_in
     acc = n_accepted / n_keep if kernel[1] is _mh_block else None
     return ChainTrace(
-        m=np.array(ms[burn_in:], dtype=np.int64),
-        z=np.asarray(zs[burn_in:], dtype=float),
+        m=np.concatenate(ms, dtype=np.int64),
+        z=np.concatenate(zs, dtype=float),
         sampler_id=sid,
         seed=config.seed,
         burn_in=config.burn_in,

@@ -584,6 +584,57 @@ class TestHelpers:
         np.testing.assert_allclose(spec.pseudo.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(spec.proposal.sum(axis=2), 1.0, atol=1e-12)
 
+    def test_spec_from_log_densities_matches_pointwise_masses(self):
+        # The masses the grid points give one at a time, normalized.
+        from ccmix.experiments import toy_model
+
+        bundle = toy_model()
+        grid = np.linspace(-4.0, 4.0, 401)
+        spec = spec_from_log_densities(
+            2, grid, bundle.target.log_density, bundle.pseudo.log_density
+        )
+        labels = (1, 2)
+        target, rho = bundle.target.log_density, bundle.pseudo.log_density
+        prob = np.array([[np.exp(target(m, z)) for z in grid] for m in labels])
+        pseudo = np.array([[np.exp(rho(j, u)) for u in grid] for j in labels])
+        np.testing.assert_allclose(spec.prob, prob / prob.sum(), rtol=1e-14)
+        np.testing.assert_allclose(
+            spec.pseudo, pseudo / pseudo.sum(axis=1, keepdims=True), rtol=1e-14
+        )
+
+    def test_spec_from_log_densities_takes_block_callbacks(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        spec = spec_from_log_densities(
+            2, grid, lambda m, z: np.full(len(z), -1.0), lambda j, u: np.zeros(len(u))
+        )
+        np.testing.assert_allclose(spec.prob, 0.1, rtol=1e-15)
+        np.testing.assert_allclose(spec.pseudo, 0.2, rtol=1e-15)
+
+    def test_spec_from_log_densities_far_below_underflow(self):
+        # exp(-800) is 0.0 in double precision; the shape is not lost.
+        grid = np.linspace(-3.0, 3.0, 61)
+        spec = spec_from_log_densities(
+            2, grid, lambda m, z: -800.0 - z * z, lambda j, u: -u * u
+        )
+        want = spec_from_log_densities(
+            2, grid, lambda m, z: -z * z, lambda j, u: -u * u
+        )
+        assert np.all(np.isfinite(spec.prob))
+        np.testing.assert_allclose(spec.prob, want.prob, rtol=1e-13)
+
+    def test_spec_from_log_densities_without_mass_raises(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        nowhere = lambda m, z: np.full(len(z), -np.inf)  # noqa: E731
+        with pytest.raises(ValueError, match="the target has no mass"):
+            spec_from_log_densities(2, grid, nowhere, lambda j, u: -u * u)
+        with pytest.raises(ValueError, match="pseudo-prior 2 has no mass"):
+            spec_from_log_densities(
+                2,
+                grid,
+                lambda m, z: -z * z,
+                lambda j, u: -u * u if j == 1 else nowhere(j, u),
+            )
+
 
 class TestMonteCarloBridge:
     """Empirical one-step transition frequencies of the samplers must

@@ -549,7 +549,8 @@ def _assert_matches_reference(bundle, state, n_steps, seed):
 def _assert_block_size_invariant(bundle, state, n_steps, seed):
     for sid in _supported(bundle):
         want = _chain(sid, bundle, state, n_steps, seed)
-        for block_size in (1, 7):
+        # 2 is the smallest block that builds the index tables.
+        for block_size in (1, 2, 7):
             with _block_size(block_size):
                 got = _chain(sid, bundle, state, n_steps, seed)
             assert np.array_equal(got.m, want.m), (sid, block_size)
@@ -779,3 +780,111 @@ class TestBlocks:
             bundle = replace(toy_bundle, target=target, pseudo=pseudo_set)
             with pytest.raises(ConfigError, match=name):
                 run_chain(SamplerConfig(sid, 10, State(1, 0.0), burn_in=0), bundle)
+
+
+def _dominant_discarded_bundle():
+    """Three labels, each with the target N(0, 1).  Label 1's auxiliaries
+    are drawn near 10, where rho_1 claims e^-50 of the target's density,
+    so their ratio is about e^+50; every other point and auxiliary has
+    ratio e^-60.  At label 1 the discarded auxiliary outweighs all the
+    others by about e^110."""
+
+    def log_pseudo(j, u):
+        return -0.5 * u * u + np.where((j == 1) & (np.abs(u) > 5.0), -50.0, 60.0)
+
+    target = MixtureTarget(
+        n=3,
+        z_dim=1,
+        log_density=lambda m, z: -0.5 * z * z,
+        conditional_sampler=lambda m, rng, size: rng.normal(0.0, 1.0, size),
+    )
+    pseudo = PseudoPriorSet(
+        n=3,
+        log_density=log_pseudo,
+        sampler=lambda j, rng, size: rng.normal(10.0 if j == 1 else 0.0, 1.0, size),
+    )
+    proposal = ProposalFamily(
+        n=3,
+        log_density=lambda l, u, z: -0.5 * (z - u) * (z - u),
+        sampler=lambda l, u, rng: u + rng.standard_normal(),
+    )
+    return ModelBundle(target, pseudo, proposal)
+
+
+def _stays_at_label_two(nan_label=None, trap=False):
+    """Label 1 has target mass only above 5, where both pseudo-priors
+    vanish, and its auxiliaries are drawn at 0, so every sampler stays at
+    label 2 and keeps label 2's exact draws.  In a block of more than 110
+    sweeps, the exact draw of ``nan_label`` at sweep 100 is NaN and, with
+    ``trap``, label 1's auxiliary at sweep 110 is 10, where rho_1 vanishes
+    and pi*(1, .) does not."""
+
+    def conditional_sampler(m, rng, size):
+        x = rng.standard_normal(size)
+        if m == nan_label and size > 100:
+            x[100] = np.nan
+        return x
+
+    def pseudo_sampler(j, rng, size):
+        if j == 2:
+            return rng.standard_normal(size)
+        u = np.zeros(size)
+        if trap and size > 110:
+            u[110] = 10.0
+        return u
+
+    target = MixtureTarget(
+        n=2,
+        z_dim=1,
+        log_density=lambda m, z: (
+            np.where(z > 5.0, -0.5 * z * z, -np.inf) if m == 1 else -0.5 * z * z
+        ),
+        conditional_sampler=conditional_sampler,
+    )
+    pseudo = PseudoPriorSet(
+        n=2,
+        log_density=lambda j, u: np.where(u > 5.0, -np.inf, -0.5 * u * u),
+        sampler=pseudo_sampler,
+    )
+    return ModelBundle(target, pseudo)
+
+
+class TestIndexTables:
+    """Blocks of more than one sweep draw the index from tables built for
+    the block: a label table for the exact refresh, prefix sums of the
+    other labels' weights for the pseudo-prior selection.  Entries the
+    tables cannot settle, and their errors, fall to the per-sweep
+    selection at the sweep that uses them."""
+
+    def test_dominant_discarded_auxiliary_matches_reference(self):
+        bundle = _dominant_discarded_bundle()
+        _assert_matches_reference(bundle, State(1, 0.2), n_steps=3000, seed=17)
+        # The chain moves between labels and sits at label 1 with the
+        # e^+50 auxiliary discarded.
+        for sid in (SamplerId.CC, SamplerId.MCC):
+            m = _chain(sid, bundle, State(1, 0.2), 3000, 17).m
+            assert set(m.tolist()) == {1, 2, 3}, sid
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.GIBBS, SamplerId.CC])
+    def test_kept_non_finite_exact_draw_raises_at_its_sweep(self, sampler_id):
+        # The NaN at sweep 100 is kept before the trap at sweep 110 is used.
+        bundle = _stays_at_label_two(nan_label=2, trap=True)
+        with pytest.raises(ValueError, match="finite") as info:
+            _chain(sampler_id, bundle, State(2, 0.3), 200, 4)
+        assert not isinstance(info.value, PseudoPriorZero)
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.GIBBS, SamplerId.CC])
+    def test_discarded_non_finite_exact_draw_runs_clean(self, sampler_id):
+        bundle = _stays_at_label_two(nan_label=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = _chain(sampler_id, bundle, State(2, 0.3), 200, 4)
+        assert np.all(trace.m == 2) and np.all(np.isfinite(trace.z))
+
+    def test_used_vanishing_pseudo_prior_raises_mid_block(self):
+        bundle = _stays_at_label_two(trap=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _chain(SamplerId.CC, bundle, State(2, 0.3), 110, 4)
+        with pytest.raises(PseudoPriorZero):
+            _chain(SamplerId.CC, bundle, State(2, 0.3), 200, 4)
