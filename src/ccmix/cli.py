@@ -154,7 +154,11 @@ def _oracle_specs(config: RunConfig):
 
 
 def _run_oracle(config: RunConfig) -> int:
-    specs = _oracle_specs(config)
+    try:
+        specs = _oracle_specs(config)
+    except (OSError, ValueError) as exc:  # only a --spec file can fail to load
+        print(f"error: {config.spec_file}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(config.seed + 1)
     checks = []  # (name, worst value, passed)
     rev_p3 = rev_q3 = inv = 0.0

@@ -17,7 +17,6 @@ __all__ = [
     "acf",
     "asymptotic_variance_batch_means",
     "kde",
-    "silverman_bandwidth",
     "DEFAULT_MAX_LAG",
 ]
 
@@ -98,17 +97,11 @@ def asymptotic_variance_batch_means(
     return AsymptoticVarianceEstimate(value, "batch_means", batch_count)
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    """Silverman's rule of thumb, 1.06 * sigma-hat * N^(-1/5)."""
-    return 1.06 * float(np.std(samples)) * len(samples) ** (-0.2)
-
-
-def kde(samples, grid, bandwidth: float | None = None) -> np.ndarray:
+def kde(samples, grid, bandwidth: float) -> np.ndarray:
     """Gaussian kernel density estimate on the given grid.
 
-    ``bandwidth=None`` selects Silverman's rule.  The grid must be
-    sorted; the returned values integrate to roughly one when the grid
-    spans the sample range plus a few bandwidths.
+    The grid must be sorted; the returned values integrate to roughly
+    one when the grid spans the sample range plus a few bandwidths.
     """
     x = np.asarray(samples, dtype=float)
     g = np.asarray(grid, dtype=float)
@@ -116,7 +109,7 @@ def kde(samples, grid, bandwidth: float | None = None) -> np.ndarray:
         raise EmptySample("cannot estimate a density from zero samples")
     if np.any(np.diff(g) < 0):
         raise ValueError("grid must be sorted ascending")
-    h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
+    h = float(bandwidth)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     norm = len(x) * h * np.sqrt(2.0 * np.pi)

@@ -159,18 +159,10 @@ def posterior_model(x_obs: float = POSTERIOR_X_OBS) -> ModelBundle:
     return ModelBundle(posterior_target(x_obs), pseudo, _independence_proposal(pseudo))
 
 
-def _posterior_marginal_unnorm(
-    z: np.ndarray, x_obs: float, weights=POSTERIOR_WEIGHTS
-) -> np.ndarray:
-    """Unnormalized z-marginal of the posterior, vectorized over z."""
-    mix = sum(
-        a * np.exp(-((z - mu) ** 2) / (2.0 * TOY_VAR))
-        for a, mu in zip(weights, TOY_MEANS)
-    ) / math.sqrt(2.0 * math.pi * TOY_VAR)
-    lik = np.exp(-((x_obs - z * z) ** 2) / (2.0 * POSTERIOR_NOISE_VAR)) / math.sqrt(
-        2.0 * math.pi * POSTERIOR_NOISE_VAR
-    )
-    return mix * lik
+def _posterior_marginal_unnorm(z: np.ndarray, x_obs: float) -> np.ndarray:
+    """Unnormalized z-marginal of the posterior, sum_m pi*(m, z), vectorized over z."""
+    target = posterior_target(x_obs)
+    return sum(np.exp(target.log_density(m, z)) for m in range(1, target.n + 1))
 
 
 def _simpson(values: np.ndarray, step: float) -> float:
@@ -191,7 +183,6 @@ def true_posterior(
     x_obs: float = POSTERIOR_X_OBS,
     grid: Optional[np.ndarray] = None,
     quad_tol: float = 1e-8,
-    weights=POSTERIOR_WEIGHTS,
 ) -> tuple[float, np.ndarray]:
     """Quadrature ground truth: posterior mean of z and density on ``grid``.
 
@@ -206,7 +197,7 @@ def true_posterior(
     results = []
     for n_intervals in (2400, 4800):
         z = np.linspace(-3.0, 3.0, n_intervals + 1)
-        p = _posterior_marginal_unnorm(z, x_obs, weights)
+        p = _posterior_marginal_unnorm(z, x_obs)
         step = z[1] - z[0]
         norm = _simpson(p, step)
         first = _simpson(z * p, step)
@@ -218,9 +209,7 @@ def true_posterior(
             f"exceed {quad_tol:g}"
         )
     mu_z = f2 / n2
-    density = (
-        _posterior_marginal_unnorm(np.asarray(grid, dtype=float), x_obs, weights) / n2
-    )
+    density = _posterior_marginal_unnorm(np.asarray(grid, dtype=float), x_obs) / n2
     return mu_z, density
 
 

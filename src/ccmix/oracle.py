@@ -6,18 +6,14 @@ and asymptotic variances can all be checked by plain linear algebra at
 machine precision.  States are enumerated as (m, g) -> (m - 1) * G + g
 with component labels m in 1..n and grid indices g in 0..G-1.
 
-Kernels built here:
-
-* ``build_P3``: the index-selection sweep shared by the CC, MCC and FCC
-  samplers (auxiliary refresh + index draw), marginalized exactly over
-  the refreshed points.  Its flow between two labels is one symmetric
-  G x G core per unordered label pair, an expectation over the G^(n-2)
-  values of the other labels' refreshed weights: n(n-1)/2 x G^n terms.
-* ``build_Q3``: the within-component Metropolis-Hastings refresh, block
-  diagonal over the labels, one array expression per block.
-* ``build_Q4``: the frozen (identity) refresh.
-* ``build_gibbs_index_kernel``: the induced label chain of the plain
-  Gibbs sampler.
+Kernels built here, one exact twin per selection and refresh of the
+sampler table ``samplers._KERNELS``: the conditional selection and
+``build_P3``, the pseudo-prior selection marginalized exactly over the
+refreshed points; the exact refresh, ``build_Q3``, the within-component
+Metropolis-Hastings refresh, and ``build_Q4``, the frozen (identity)
+one.  ``sweep_kernel`` multiplies a sampler's selection and refresh;
+``build_gibbs_index_kernel`` reads the Gibbs label chain off the exact
+refresh followed by the conditional selection.
 """
 
 from __future__ import annotations
@@ -27,6 +23,9 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
+
+from .samplers import _CONDITIONAL, _KERNELS, _PSEUDO, SamplerId
+from .samplers import _exact_block, _frozen_block, _mh_block
 
 __all__ = [
     "FiniteMixtureSpec",
@@ -40,6 +39,7 @@ __all__ = [
     "build_Q3",
     "build_Q4",
     "build_gibbs_index_kernel",
+    "sweep_kernel",
     "target_distribution",
     "index_marginal",
     "index_function_vector",
@@ -99,8 +99,9 @@ class FiniteMixtureSpec:
         G = len(self.grid)
         if self.prob.shape != (self.n, G) or self.pseudo.shape != (self.n, G):
             raise DimensionMismatch("prob and pseudo must have shape (n, G)")
-        if np.any(self.prob < 0) or np.any(self.pseudo < 0):
-            raise ValueError("masses must be nonnegative")
+        masses = [self.prob, self.pseudo, self.proposal]
+        if not all(np.all((x >= 0) & (x < np.inf)) for x in masses if x is not None):
+            raise ValueError("masses must be finite and nonnegative")
         if abs(self.prob.sum() - 1.0) > 1e-9:
             raise ValueError("prob must sum to 1")
         if np.max(np.abs(self.pseudo.sum(axis=1) - 1.0)) > 1e-9:
@@ -108,8 +109,6 @@ class FiniteMixtureSpec:
         if self.proposal is not None:
             if self.proposal.shape != (self.n, G, G):
                 raise DimensionMismatch("proposal must have shape (n, G, G)")
-            if np.any(self.proposal < 0):
-                raise ValueError("proposal masses must be nonnegative")
             if np.max(np.abs(self.proposal.sum(axis=2) - 1.0)) > 1e-9:
                 raise ValueError("proposal slices must be row-stochastic")
 
@@ -139,8 +138,8 @@ class FiniteKernel:
             raise DimensionMismatch(
                 f"kernel matrix must be {size}x{size}, got {self.matrix.shape}"
             )
-        if np.any(self.matrix < -1e-15):
-            raise ValueError("kernel entries must be nonnegative")
+        if not self.matrix.min() >= -1e-15:  # NaN fails too, +inf the row sums
+            raise ValueError("kernel entries must be finite and nonnegative")
         if np.max(np.abs(self.matrix.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("kernel rows must sum to 1")
 
@@ -266,15 +265,45 @@ def build_Q4(spec: FiniteMixtureSpec) -> FiniteKernel:
     return FiniteKernel(np.eye(spec.n_states), spec.n, spec.grid_size)
 
 
+def _conditional_selection(spec: FiniteMixtureSpec) -> FiniteKernel:
+    """(m, g) -> (k, g) with probability pi*(k | z_g); a massless z_g stays put."""
+    n, G = spec.n, spec.grid_size
+    col = spec.prob.sum(axis=0)
+    w = np.divide(spec.prob, col, out=np.zeros((n, G)), where=col > 0)
+    S = np.tile(np.eye(G), (n, n)) * w.ravel()
+    S[np.diag_indices(n * G)] += np.tile(col == 0, n)
+    return FiniteKernel(S, n, G)
+
+
+def _exact_refresh(spec: FiniteMixtureSpec) -> FiniteKernel:
+    """Exact refresh: block diagonal, every row of block m is pi*(. | m)."""
+    n, G = spec.n, spec.grid_size
+    R = np.eye(n).repeat(G, axis=0).repeat(G, axis=1) * _cond_z_given_m(spec).ravel()
+    return FiniteKernel(R, n, G)
+
+
+_TWINS = {  # selection or refresh of samplers._KERNELS -> its exact kernel
+    _CONDITIONAL: _conditional_selection,
+    _PSEUDO: build_P3,
+    _exact_block: _exact_refresh,
+    _mh_block: build_Q3,
+    _frozen_block: build_Q4,
+}
+
+
+def sweep_kernel(sampler_id: SamplerId, spec: FiniteMixtureSpec) -> FiniteKernel:
+    """Exact kernel of one sweep of the sampler: selection @ refresh."""
+    selection, refresh = _KERNELS[SamplerId(sampler_id)]
+    K = _TWINS[selection](spec).matrix @ _TWINS[refresh](spec).matrix
+    return FiniteKernel(K, spec.n, spec.grid_size)
+
+
 def build_gibbs_index_kernel(spec: FiniteMixtureSpec) -> FiniteKernel:
-    """Induced label chain of the Gibbs sampler: G(m, m') = sum_z pi*(z|m) pi*(m'|z)."""
-    cond_z = _cond_z_given_m(spec)
-    col_sums = spec.prob.sum(axis=0, keepdims=True)
-    if np.any(col_sums == 0):
-        # Grid points with zero mass under every component contribute nothing.
-        col_sums = np.where(col_sums == 0, 1.0, col_sums)
-    cond_m = spec.prob / col_sums
-    return FiniteKernel(cond_z @ cond_m.T, spec.n, 1)
+    """Induced label chain of the Gibbs sampler, G(m, m') = sum_z pi*(z|m) pi*(m'|z):
+    the exact refresh then the conditional selection, summed over the grid."""
+    n, G = spec.n, spec.grid_size
+    K = _exact_refresh(spec).matrix[::G] @ _conditional_selection(spec).matrix
+    return FiniteKernel(K.reshape(n, n, G).sum(axis=2), n, 1)
 
 
 def check_reversibility(kernel: FiniteKernel, pi: np.ndarray) -> float:
@@ -519,7 +548,7 @@ def save_spec(spec: FiniteMixtureSpec, path) -> None:
 
 
 def load_spec(path) -> FiniteMixtureSpec:
-    """Read a spec written by :func:`save_spec`."""
+    """Read a spec written by :func:`save_spec`; ValueError on a malformed file."""
     sections: dict[str, list[list[float]]] = {}
     current = None
     with open(path, encoding="utf-8") as fh:
@@ -532,12 +561,12 @@ def load_spec(path) -> FiniteMixtureSpec:
                 sections[current] = []
                 continue
             if current is None:
-                raise ValueError(f"{path}: data before the first section header")
+                raise ValueError("data before the first section header")
             sections[current].append([float(v) for v in line.split("\t")])
     for name in ("grid", "pi", "pseudo"):
         if name not in sections:
-            raise ValueError(f"{path}: missing #{name} section")
-    grid = np.array(sections["grid"][0])
+            raise ValueError(f"missing #{name} section")
+    grid = np.array(sections["grid"]).ravel()
     prob = np.array(sections["pi"])
     pseudo = np.array(sections["pseudo"])
     n, G = prob.shape

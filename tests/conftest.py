@@ -46,8 +46,9 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def chi2_pvalue(counts, probs):
-    """Goodness-of-fit p-value; bins with expectation < 5 are pooled."""
+def chi2_statistic(counts, probs):
+    """Pearson's statistic and its degrees of freedom; bins with
+    expectation < 5 are pooled."""
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     expected = counts.sum() * probs
@@ -60,7 +61,13 @@ def chi2_pvalue(counts, probs):
         order = np.argsort(expected)
         counts, expected = counts[order], expected[order]
     stat = float(((counts - expected) ** 2 / expected).sum())
-    return float(stats.chi2.sf(stat, df=len(expected) - 1))
+    return stat, len(expected) - 1
+
+
+def chi2_pvalue(counts, probs):
+    """Goodness-of-fit p-value; bins with expectation < 5 are pooled."""
+    stat, df = chi2_statistic(counts, probs)
+    return float(stats.chi2.sf(stat, df=df))
 
 
 def toy_z_cdf(z):

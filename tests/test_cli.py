@@ -191,6 +191,26 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7 and "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # no such file
+            "#grid\n0.0\t1.0\n#pi\nabc\t0.5\n",
+            "#grid\n0.0\t1.0\n",
+            "#grid\n#pi\n0.5\t0.5\n#pseudo\n0.5\t0.5\n",
+            "#grid\n0.0\t1.0\n#pi\nnan\t0.5\n0.25\t0.25\n#pseudo\n0.5\t0.5\n0.5\t0.5\n",
+        ],
+        ids=["missing", "non-numeric", "no-pi-section", "empty-grid", "nan-mass"],
+    )
+    def test_oracle_bad_spec_file_is_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "spec.tsv"
+        if content is not None:
+            path.write_text(content)
+        assert main(["oracle", "--spec", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_oracle_default_sweep(self, capsys):
         assert main(["oracle", "--seed", "1"]) == EXIT_OK
         out = capsys.readouterr().out

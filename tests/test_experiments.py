@@ -97,10 +97,6 @@ class TestTruePosterior:
         assert a == b
         np.testing.assert_array_equal(da, db)
 
-    def test_symmetric_weights_give_zero_mean(self):
-        mu, _ = true_posterior(weights=(0.5, 0.5))
-        assert abs(mu) < 1e-9
-
     def test_custom_grid(self):
         grid = np.linspace(-1, 1, 11)
         _, density = true_posterior(grid=grid)

@@ -1,16 +1,18 @@
 """Tests for the exact finite-state kernels and orderings."""
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
-from conftest import chi2_pvalue, finite_bundle
+from conftest import CHI2_LEVEL, chi2_statistic, finite_bundle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
-from ccmix import SamplerId, State, step
+from ccmix import SamplerConfig, SamplerId, State, run_chain
 from ccmix.oracle import (
     DimensionMismatch,
     FiniteKernel,
@@ -36,6 +38,7 @@ from ccmix.oracle import (
     random_spec,
     save_spec,
     spec_from_log_densities,
+    sweep_kernel,
     target_distribution,
 )
 
@@ -84,6 +87,20 @@ class TestSpecValidation:
     def test_kernel_row_sums_checked(self):
         with pytest.raises(ValueError):
             FiniteKernel(np.array([[0.5, 0.4], [0.0, 1.0]]), 2, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["prob", "pseudo", "proposal"])
+    def test_nonfinite_entry_rejected(self, field, bad):
+        spec = random_spec(np.random.default_rng(5), 2, 3)
+        values = getattr(spec, field).copy()
+        values.flat[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(spec, **{field: values})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_kernel_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite|sum"):
+            FiniteKernel(np.full((2, 2), bad), 2, 1)
 
 
 class TestKernelStructure:
@@ -165,6 +182,30 @@ class TestKernelStructure:
             np.testing.assert_allclose(G.matrix.sum(axis=1), 1.0, atol=1e-13)
             assert check_reversibility(G, pim) <= 1e-14
 
+    def test_sweep_kernels_compose_the_sampler_table(self, specs):
+        for spec in specs:
+            n, G = spec.n, spec.grid_size
+            P3, Q3 = build_P3(spec).matrix, build_Q3(spec).matrix
+            cond_z = spec.prob / spec.prob.sum(axis=1, keepdims=True)
+            cond_m = spec.prob / spec.prob.sum(axis=0)
+            # Conditional selection m' ~ pi*(. | z_g), then the refresh of
+            # label m' from g; neither depends on the start label.
+            gibbs = np.einsum("kg,kh->gkh", cond_m, cond_z).reshape(G, n * G)
+            mwg = np.einsum("kg,kgs->gs", cond_m, Q3.reshape(n, G, n * G))
+            # The pseudo-prior selection's label, then z' ~ pi*(. | m').
+            to_label = P3.reshape(n * G, n, G).sum(axis=2)
+            cc = (to_label[:, :, None] * cond_z).reshape(n * G, n * G)
+            want = {
+                "gibbs": np.tile(gibbs, (n, 1)),
+                "mwg": np.tile(mwg, (n, 1)),
+                "cc": cc,
+                "mcc": P3 @ Q3,
+                "fcc": P3,
+            }
+            for sampler_id, K in want.items():
+                got = sweep_kernel(sampler_id, spec).matrix
+                np.testing.assert_allclose(got, K, rtol=1e-12, atol=1e-16)
+
     def test_gibbs_kernel_well_separated_strata(self):
         # Almost-disjoint components: the label chain barely moves.
         grid = np.linspace(-2, 2, 81)
@@ -242,6 +283,15 @@ def _reference_Q3(spec):
     return Q
 
 
+def _reference_gibbs_index_kernel(spec):
+    """The Gibbs label chain sum_z pi*(z | m) pi*(m' | z) by its own
+    formula; a grid point with no mass under any label adds nothing."""
+    cond_z = spec.prob / spec.prob.sum(axis=1, keepdims=True)
+    col_sums = spec.prob.sum(axis=0, keepdims=True)
+    cond_m = spec.prob / np.where(col_sums == 0, 1.0, col_sums)
+    return cond_z @ cond_m.T
+
+
 def _masses(shape):
     """Nonnegative arrays with many exact zeros."""
     return arrays(
@@ -299,6 +349,21 @@ class TestReferenceBuilders:
     @given(sparse_specs())
     def test_q3_matches_double_loop(self, spec):
         np.testing.assert_array_equal(build_Q3(spec).matrix, _reference_Q3(spec))
+
+    @_PROPERTY
+    @given(sparse_specs())
+    def test_sweep_kernels_stochastic_and_invariant(self, spec):
+        pi = target_distribution(spec)
+        for sampler_id in SamplerId:
+            K = sweep_kernel(sampler_id, spec).matrix
+            assert np.max(np.abs(K.sum(axis=1) - 1.0)) <= 1e-12
+            assert np.max(np.abs(pi @ K - pi)) <= 1e-12
+
+    @_PROPERTY
+    @given(sparse_specs())
+    def test_gibbs_index_kernel_matches_formula(self, spec):
+        got = build_gibbs_index_kernel(spec).matrix
+        assert np.max(np.abs(got - _reference_gibbs_index_kernel(spec))) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_p3_matches_enumeration_on_random_specs(self, n):
@@ -637,50 +702,26 @@ class TestHelpers:
 
 
 class TestMonteCarloBridge:
-    """Empirical one-step transition frequencies of the samplers must
-    match the exact kernel rows (chi-square at level 0.999)."""
+    """The transition counts of a long chain must match the exact sweep
+    kernel on every visited row: Pearson's statistics of the rows,
+    summed, against chi-square with the summed degrees of freedom
+    (Billingsley 1961), at level 0.999."""
 
-    STEPS = 200_000
+    SWEEPS = 200_000
 
-    def _empirical_row(self, spec, bundle, sampler_id, m0, g0):
-        rng = np.random.default_rng(31415)
-        counts = np.zeros(spec.n_states)
-        state0 = State(m0, float(spec.grid[g0]))
-        for _ in range(self.STEPS):
-            new, _ = step(sampler_id, bundle, state0, rng)
-            g = int(np.searchsorted(spec.grid, new.z))
-            counts[spec.state_index(new.m, g)] += 1
-        return counts
-
-    def test_fcc_matches_p3_row(self):
-        spec = random_spec(np.random.default_rng(11), 2, 5)
-        bundle = finite_bundle(spec)
-        P3 = build_P3(spec)
-        m0, g0 = 1, 2
-        counts = self._empirical_row(spec, bundle, SamplerId.FCC, m0, g0)
-        row = P3.matrix[spec.state_index(m0, g0)]
-        assert chi2_pvalue(counts, row) > 0.001
-
-    def test_mcc_matches_p3_q3_row(self):
-        spec = random_spec(np.random.default_rng(12), 2, 5)
-        bundle = finite_bundle(spec)
-        K = build_P3(spec).matrix @ build_Q3(spec).matrix
-        m0, g0 = 2, 0
-        counts = self._empirical_row(spec, bundle, SamplerId.MCC, m0, g0)
-        row = K[spec.state_index(m0, g0)]
-        assert chi2_pvalue(counts, row) > 0.001
-
-    def test_gibbs_label_chain_matches_kernel(self):
-        spec = random_spec(np.random.default_rng(14), 3, 5)
-        bundle = finite_bundle(spec)
-        G = build_gibbs_index_kernel(spec).matrix
-        rng = np.random.default_rng(27182)
-        # Start from the conditional pi*(z | m = 2) so the label draw
-        # follows row 2 of the induced kernel exactly.
-        cond = spec.prob[1] / spec.prob[1].sum()
-        counts = np.zeros(spec.n)
-        for _ in range(50_000):
-            g = rng.choice(spec.grid_size, p=cond)
-            new, _ = step(SamplerId.GIBBS, bundle, State(2, float(spec.grid[g])), rng)
-            counts[new.m - 1] += 1
-        assert chi2_pvalue(counts, G[1]) > 0.001
+    @pytest.mark.parametrize("seed, n", [(11, 2), (14, 3)])
+    @pytest.mark.parametrize("sampler_id", [s.value for s in SamplerId])
+    def test_chain_matches_sweep_kernel(self, sampler_id, seed, n):
+        spec = random_spec(np.random.default_rng(seed), n, 5)
+        K = sweep_kernel(sampler_id, spec).matrix
+        start = State(1, float(spec.grid[0]))
+        config = SamplerConfig(SamplerId(sampler_id), self.SWEEPS, start, 0, seed)
+        trace = run_chain(config, finite_bundle(spec))
+        states = (trace.m - 1) * spec.grid_size + spec.grid.searchsorted(trace.z)
+        N = spec.n_states
+        pairs = states[:-1] * N + states[1:]
+        counts = np.bincount(pairs, minlength=N * N).reshape(N, N)
+        assert not counts[K == 0].any(), "a transition the kernel forbids"
+        rows = [chi2_statistic(c, k) for c, k in zip(counts, K) if c.any()]
+        stat, df = np.sum(rows, axis=0)
+        assert stats.chi2.sf(stat, df) > CHI2_LEVEL
