@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import DEFAULT_MAX_LAG, AcfEstimate, acf, kde
+from .diagnostics import AcfEstimate, acf, kde
 from .model import MixtureTarget, ProposalFamily, PseudoPriorSet, State
 from .samplers import ChainTrace, ModelBundle, SamplerConfig, SamplerId, run_chain
 
@@ -257,7 +257,6 @@ def _run_sampler_replicates(
     n_iterations: int,
     burn_in: int,
     replicates: int,
-    max_lag: int = DEFAULT_MAX_LAG,
 ) -> tuple[SamplerResult, list[ChainTrace]]:
     wall_clocks = []
     lag1 = []
@@ -278,8 +277,8 @@ def _run_sampler_replicates(
     first_trace = traces[0]
     result = SamplerResult(
         sampler_id=sampler_id.value,
-        acf_m=acf(first_trace.m, max_lag),
-        acf_z=acf(first_trace.z, max_lag),
+        acf_m=acf(first_trace.m),
+        acf_z=acf(first_trace.z),
         mean_z=float(np.mean(first_trace.z)),
         acceptance_rate=first_trace.acceptance_rate,
         wall_clock_seconds=statistics.median(wall_clocks),
@@ -317,7 +316,6 @@ def run_posterior_experiment(
     n_iter: int = 101_000,
     burn_in: int = 1000,
     replicates: int = 5,
-    kde_bandwidth: float = POSTERIOR_KDE_BANDWIDTH,
 ) -> ExperimentReport:
     """Partially observed mixture: MwG, MCC, FCC vs quadrature ground truth."""
     bundle = posterior_model()
@@ -336,7 +334,7 @@ def run_posterior_experiment(
             # Pool the replicates: one trace leaves the sup-deviation of
             # the estimate right at the agreement budget.
             fcc_samples = np.concatenate([t.z for t in traces])
-    density_kde = kde(fcc_samples, grid, bandwidth=kde_bandwidth)
+    density_kde = kde(fcc_samples, grid, bandwidth=POSTERIOR_KDE_BANDWIDTH)
     return ExperimentReport(
         experiment="posterior",
         seed=seed,

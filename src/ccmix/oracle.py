@@ -13,7 +13,8 @@ refreshed points; the exact refresh, ``build_Q3``, the within-component
 Metropolis-Hastings refresh, and ``build_Q4``, the frozen (identity)
 one.  ``sweep_kernel`` multiplies a sampler's selection and refresh;
 ``build_gibbs_index_kernel`` reads the Gibbs label chain off the exact
-refresh followed by the conditional selection.
+refresh followed by the conditional selection.  ``verify`` builds every
+twin of one spec once and returns the values of the ``CHECKS`` table.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ __all__ = [
     "lag_covariances",
     "index_lag1_autocorrelation",
     "check_gibbs_iid_bound",
+    "CHECKS",
+    "verify",
     "random_spec",
     "spec_from_log_densities",
     "save_spec",
@@ -120,9 +123,6 @@ class FiniteMixtureSpec:
     def n_states(self) -> int:
         return self.n * len(self.grid)
 
-    def state_index(self, m: int, g: int) -> int:
-        return (m - 1) * len(self.grid) + g
-
 
 @dataclass(frozen=True)
 class FiniteKernel:
@@ -142,9 +142,6 @@ class FiniteKernel:
             raise ValueError("kernel entries must be finite and nonnegative")
         if np.max(np.abs(self.matrix.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("kernel rows must sum to 1")
-
-    def state_index(self, m: int, g: int) -> int:
-        return (m - 1) * self.grid_size + g
 
 
 def target_distribution(spec: FiniteMixtureSpec) -> np.ndarray:
@@ -282,12 +279,14 @@ def _exact_refresh(spec: FiniteMixtureSpec) -> FiniteKernel:
     return FiniteKernel(R, n, G)
 
 
-_TWINS = {  # selection or refresh of samplers._KERNELS -> its exact kernel
-    _CONDITIONAL: _conditional_selection,
-    _PSEUDO: build_P3,
-    _exact_block: _exact_refresh,
-    _mh_block: build_Q3,
-    _frozen_block: build_Q4,
+# Selection or refresh of samplers._KERNELS -> its exact kernel.  The
+# builders are looked up when called, so a patched module attribute is used.
+_TWINS = {
+    _CONDITIONAL: lambda spec: _conditional_selection(spec),
+    _PSEUDO: lambda spec: build_P3(spec),
+    _exact_block: lambda spec: _exact_refresh(spec),
+    _mh_block: lambda spec: build_Q3(spec),
+    _frozen_block: lambda spec: build_Q4(spec),
 }
 
 
@@ -298,12 +297,17 @@ def sweep_kernel(sampler_id: SamplerId, spec: FiniteMixtureSpec) -> FiniteKernel
     return FiniteKernel(K, spec.n, spec.grid_size)
 
 
-def build_gibbs_index_kernel(spec: FiniteMixtureSpec) -> FiniteKernel:
-    """Induced label chain of the Gibbs sampler, G(m, m') = sum_z pi*(z|m) pi*(m'|z):
-    the exact refresh then the conditional selection, summed over the grid."""
-    n, G = spec.n, spec.grid_size
-    K = _exact_refresh(spec).matrix[::G] @ _conditional_selection(spec).matrix
+def _label_chain(exact: FiniteKernel, conditional: FiniteKernel) -> FiniteKernel:
+    """G(m, m') = sum_z pi*(z|m) pi*(m'|z): the exact refresh then the
+    conditional selection, summed over the grid."""
+    n, G = exact.n, exact.grid_size
+    K = exact.matrix[::G] @ conditional.matrix
     return FiniteKernel(K.reshape(n, n, G).sum(axis=2), n, 1)
+
+
+def build_gibbs_index_kernel(spec: FiniteMixtureSpec) -> FiniteKernel:
+    """Induced label chain of the Gibbs sampler."""
+    return _label_chain(_exact_refresh(spec), _conditional_selection(spec))
 
 
 def check_reversibility(kernel: FiniteKernel, pi: np.ndarray) -> float:
@@ -315,15 +319,13 @@ def check_reversibility(kernel: FiniteKernel, pi: np.ndarray) -> float:
     return float(np.max(np.abs(flow - flow.T)))
 
 
-def check_offdiagonal_dominance(
-    P1: FiniteKernel, P0: FiniteKernel, tol: float = 1e-14
-) -> bool:
-    """True iff P1 puts at least as much mass as P0 on every off-diagonal entry."""
+def check_offdiagonal_dominance(P1: FiniteKernel, P0: FiniteKernel) -> bool:
+    """True iff P1 puts at least as much mass as P0, less 1e-14, off the diagonal."""
     if P1.matrix.shape != P0.matrix.shape:
         raise DimensionMismatch("kernels have different sizes")
     diff = P1.matrix - P0.matrix
     np.fill_diagonal(diff, 0.0)
-    return bool(np.min(diff) >= -tol)
+    return bool(np.min(diff) >= -1e-14)
 
 
 def check_covariance_ordering(
@@ -439,25 +441,67 @@ def index_lag1_autocorrelation(spec: FiniteMixtureSpec) -> float:
     return float(cov[1] / cov[0])
 
 
-def check_gibbs_iid_bound(
-    spec: FiniteMixtureSpec, h, tol: float = 1e-10
-) -> tuple[float, float]:
+def check_gibbs_iid_bound(spec: FiniteMixtureSpec, h) -> tuple[float, float]:
     """Exact Gibbs-chain asymptotic variance of h(m) vs its i.i.d. variance.
 
     Returns (sigma2_gibbs, var_iid) and raises OrderingViolation if the
-    Gibbs variance falls below the i.i.d. one, which exact theory
-    forbids.
+    Gibbs variance falls more than 1e-10 below the i.i.d. one, which
+    exact theory forbids.
     """
     G = build_gibbs_index_kernel(spec)
     pim = index_marginal(spec)
     hv = np.array([float(h(m)) for m in range(1, spec.n + 1)])
     var_iid = float(pim @ (hv - pim @ hv) ** 2)
     sigma2 = exact_asymptotic_variance_alternating(G, G, pim, hv)
-    if sigma2 < var_iid - tol:
+    if sigma2 < var_iid - 1e-10:
         raise OrderingViolation(
             f"Gibbs asymptotic variance {sigma2:g} below i.i.d. variance {var_iid:g}"
         )
     return sigma2, var_iid
+
+
+# key -> (label, worst over specs, bound) of each value of ``verify``: a
+# value whose worst is the max passes at or below its bound, else at or above.
+CHECKS = {
+    "reversibility_P3": ("reversibility P3 (<= 1e-12)", max, 1e-12),
+    "reversibility_Q3": ("reversibility Q3 (<= 1e-14)", max, 1e-14),
+    "invariance": ("invariance of pi* (<= 1e-12)", max, 1e-12),
+    "offdiagonal": ("off-diagonal Q3 >= Q4", min, True),
+    "lambda_min": ("covariance ordering lambda_min (>= -1e-10)", min, -1e-10),
+    "variance_gap": ("variance ordering MCC <= FCC (gap <= 1e-10)", max, 1e-10),
+    "gibbs_gap": ("Gibbs >= iid variance (gap >= -1e-10)", min, -1e-10),
+}
+
+
+def verify(spec: FiniteMixtureSpec, hs: np.ndarray) -> dict[str, float]:
+    """The values of ``CHECKS`` for one spec, building each twin once.
+
+    Invariance is the largest |(pi S) R - pi| over the five sweep kernels
+    S @ R.  The variance and Gibbs gaps are the worst over the label
+    functions h(m), one per row of ``hs``, each in one stacked solve.
+    """
+    pi = target_distribution(spec)
+    K = {part: build(spec) for part, build in _TWINS.items()}
+    P3, Q3, Q4 = K[_PSEUDO], K[_mh_block], K[_frozen_block]
+    F = np.repeat(hs, spec.grid_size, axis=1)
+    s_mcc = exact_asymptotic_variance_alternating(P3, Q3, pi, F)
+    s_fcc = exact_asymptotic_variance_alternating(P3, Q4, pi, F)
+    pim = index_marginal(spec)
+    gibbs = _label_chain(K[_exact_block], K[_CONDITIONAL])
+    s_gibbs = exact_asymptotic_variance_alternating(gibbs, gibbs, pim, hs)
+    var_iid = (hs - (hs @ pim)[:, None]) ** 2 @ pim
+    return {
+        "reversibility_P3": check_reversibility(P3, pi),
+        "reversibility_Q3": check_reversibility(Q3, pi),
+        "invariance": max(
+            float(np.max(np.abs(pi @ K[sel].matrix @ K[ref].matrix - pi)))
+            for sel, ref in _KERNELS.values()
+        ),
+        "offdiagonal": check_offdiagonal_dominance(Q3, Q4),
+        "lambda_min": check_covariance_ordering(Q3, Q4, pi),
+        "variance_gap": float(np.max(s_mcc - s_fcc)),
+        "gibbs_gap": float(np.min(s_gibbs - var_iid)),
+    }
 
 
 def random_spec(
@@ -531,20 +575,14 @@ def spec_from_log_densities(
 
 def save_spec(spec: FiniteMixtureSpec, path) -> None:
     """Write a spec as tab-separated blocks with #grid/#pi/#pseudo/#proposal headers."""
+    blocks = {"grid": [spec.grid], "pi": spec.prob, "pseudo": spec.pseudo}
+    if spec.proposal is not None:
+        blocks["proposal"] = spec.proposal.reshape(-1, spec.grid_size)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#grid\n")
-        fh.write("\t".join(repr(float(v)) for v in spec.grid) + "\n")
-        fh.write("#pi\n")
-        for row in spec.prob:
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-        fh.write("#pseudo\n")
-        for row in spec.pseudo:
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-        if spec.proposal is not None:
-            fh.write("#proposal\n")
-            for block in spec.proposal:
-                for row in block:
-                    fh.write("\t".join(repr(float(v)) for v in row) + "\n")
+        for name, rows in blocks.items():
+            fh.write(f"#{name}\n")
+            for row in rows:
+                fh.write("\t".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_spec(path) -> FiniteMixtureSpec:

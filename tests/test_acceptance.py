@@ -43,21 +43,13 @@ from ccmix.experiments import (
 )
 from ccmix.oracle import (
     build_gibbs_index_kernel,
-    build_P3,
-    build_Q3,
-    build_Q4,
-    check_covariance_ordering,
     check_gibbs_iid_bound,
-    check_offdiagonal_dominance,
-    check_reversibility,
-    exact_asymptotic_variance_alternating,
     index_lag1_autocorrelation,
     index_marginal,
     lag_covariances,
     random_spec,
     spec_from_log_densities,
-    sweep_kernel,
-    target_distribution,
+    verify,
 )
 
 N_SPECS = 20
@@ -65,24 +57,19 @@ SPEC_SEED = 20240817
 
 
 @pytest.fixture(scope="module")
-def kernels():
-    """The 20 random specs with their exact kernels, plus the build time."""
+def verified():
+    """The 20 random specs, each with its ``verify`` values on criterion 4's
+    label functions (the basis plus 100 random h), and the time it took."""
     rng = np.random.default_rng(SPEC_SEED)
+    h_rng = np.random.default_rng(SPEC_SEED + 1)
     t0 = time.perf_counter()
     out = []
     for _ in range(N_SPECS):
         n = int(rng.choice([2, 3]))
         G = int(rng.choice([5, 10, 25]))
         spec = random_spec(rng, n, G)
-        out.append(
-            {
-                "spec": spec,
-                "pi": target_distribution(spec),
-                "P3": build_P3(spec),
-                "Q3": build_Q3(spec),
-                "Q4": build_Q4(spec),
-            }
-        )
+        hs = np.vstack([np.eye(n), h_rng.standard_normal((100, n))])
+        out.append({"spec": spec, **verify(spec, hs)})
     elapsed = time.perf_counter() - t0
     return out, elapsed
 
@@ -101,15 +88,11 @@ def posterior_report():
     )
 
 
-def test_criterion_1_reversibility(kernels):
+def test_criterion_1_reversibility(verified):
     """Detailed balance of the selection sweep and the MH refresh."""
-    items, build_elapsed = kernels
-    t0 = time.perf_counter()
-    worst_p3 = worst_q3 = 0.0
-    for item in items:
-        worst_p3 = max(worst_p3, check_reversibility(item["P3"], item["pi"]))
-        worst_q3 = max(worst_q3, check_reversibility(item["Q3"], item["pi"]))
-    elapsed = build_elapsed + time.perf_counter() - t0
+    items, elapsed = verified
+    worst_p3 = max(item["reversibility_P3"] for item in items)
+    worst_q3 = max(item["reversibility_Q3"] for item in items)
     assert worst_p3 <= 1e-12
     assert worst_q3 <= 1e-14
     assert elapsed < 30.0
@@ -120,29 +103,20 @@ def test_criterion_1_reversibility(kernels):
     )
 
 
-def test_criterion_2_invariance(kernels):
+def test_criterion_2_invariance(verified):
     """The extended target is stationary for every sampler kernel."""
-    items, _ = kernels
-    worst = 0.0
-    for item in items:
-        pi = item["pi"]
-        for sampler_id in SamplerId:
-            K = sweep_kernel(sampler_id, item["spec"]).matrix
-            worst = max(worst, float(np.max(np.abs(pi @ K - pi))))
+    items, _ = verified
+    worst = max(item["invariance"] for item in items)
     assert worst <= 1e-12
     print(f"PASS criterion 2: invariance on {N_SPECS} specs (dev {worst:.2e} <= 1e-12)")
 
 
-def test_criterion_3_kernel_orderings(kernels):
+def test_criterion_3_kernel_orderings(verified):
     """MH refresh dominates the frozen refresh off the diagonal and in
     the covariance ordering."""
-    items, _ = kernels
-    lam_min = 0.0
-    for item in items:
-        assert check_offdiagonal_dominance(item["Q3"], item["Q4"])
-        lam_min = min(
-            lam_min, check_covariance_ordering(item["Q3"], item["Q4"], item["pi"])
-        )
+    items, _ = verified
+    assert all(item["offdiagonal"] for item in items)
+    lam_min = min(item["lambda_min"] for item in items)
     assert lam_min >= -1e-10
     print(
         f"PASS criterion 3: off-diagonal and covariance orderings on {N_SPECS} "
@@ -155,31 +129,19 @@ def test_exact_checks_at_four_and_five_components(n, G):
     """Criteria 1-3 with their bounds on specs with more components."""
     rng = np.random.default_rng([SPEC_SEED, n, G])
     for _ in range(3):
-        spec = random_spec(rng, n, G)
-        pi = target_distribution(spec)
-        P3, Q3, Q4 = build_P3(spec), build_Q3(spec), build_Q4(spec)
-        assert check_reversibility(P3, pi) <= 1e-12
-        assert check_reversibility(Q3, pi) <= 1e-14
-        for sampler_id in SamplerId:
-            K = sweep_kernel(sampler_id, spec).matrix
-            assert np.max(np.abs(pi @ K - pi)) <= 1e-12
-        assert check_offdiagonal_dominance(Q3, Q4)
-        assert check_covariance_ordering(Q3, Q4, pi) >= -1e-10
+        values = verify(random_spec(rng, n, G), np.eye(n))
+        assert values["reversibility_P3"] <= 1e-12
+        assert values["reversibility_Q3"] <= 1e-14
+        assert values["invariance"] <= 1e-12
+        assert values["offdiagonal"]
+        assert values["lambda_min"] >= -1e-10
 
 
-def test_criterion_4_variance_ordering(kernels):
+def test_criterion_4_variance_ordering(verified):
     """sigma^2 of the metropolised chain never exceeds the frozen one,
     for the label indicator basis plus 100 random label functions."""
-    items, _ = kernels
-    rng = np.random.default_rng(SPEC_SEED + 1)
-    worst_gap = -np.inf
-    for item in items:
-        spec, pi = item["spec"], item["pi"]
-        hs = list(np.eye(spec.n)) + list(rng.standard_normal((100, spec.n)))
-        F = np.repeat(np.array(hs), spec.grid_size, axis=1)
-        s_mcc = exact_asymptotic_variance_alternating(item["P3"], item["Q3"], pi, F)
-        s_fcc = exact_asymptotic_variance_alternating(item["P3"], item["Q4"], pi, F)
-        worst_gap = max(worst_gap, float(np.max(s_mcc - s_fcc)))
+    items, _ = verified
+    worst_gap = max(item["variance_gap"] for item in items)
     assert worst_gap <= 1e-10
     print(
         f"PASS criterion 4: variance ordering MCC <= FCC on {N_SPECS} specs x "
@@ -187,10 +149,10 @@ def test_criterion_4_variance_ordering(kernels):
     )
 
 
-def test_criterion_5_gibbs_vs_iid(kernels):
+def test_criterion_5_gibbs_vs_iid(verified):
     """The Gibbs label chain is no better than i.i.d. sampling, and its
     lag covariances are nonnegative."""
-    items, _ = kernels
+    items, _ = verified
     rng = np.random.default_rng(SPEC_SEED + 2)
     worst_gap = np.inf
     worst_cov = np.inf

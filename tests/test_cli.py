@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccmix import oracle
 from ccmix.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -199,8 +200,13 @@ class TestEndToEnd:
             "#grid\n0.0\t1.0\n",
             "#grid\n#pi\n0.5\t0.5\n#pseudo\n0.5\t0.5\n",
             "#grid\n0.0\t1.0\n#pi\nnan\t0.5\n0.25\t0.25\n#pseudo\n0.5\t0.5\n0.5\t0.5\n",
+            # Valid specs that a kernel builder rejects.
+            "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n0.5\t0.5\n0.5\t0.5\n",
+            "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n1.0\t0.0\n0.5\t0.5\n"
+            "#proposal\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n",
         ],
-        ids=["missing", "non-numeric", "no-pi-section", "empty-grid", "nan-mass"],
+        ids=["missing", "non-numeric", "no-pi-section", "empty-grid", "nan-mass",
+             "no-proposal", "vanishing-pseudo"],
     )
     def test_oracle_bad_spec_file_is_exit_2(self, tmp_path, capsys, content):
         path = tmp_path / "spec.tsv"
@@ -215,3 +221,13 @@ class TestEndToEnd:
         assert main(["oracle", "--seed", "1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("PASS") == 7 and "FAIL" not in out
+
+    @pytest.mark.parametrize("key, value", [("invariance", 1.0), ("gibbs_gap", -1.0)])
+    def test_oracle_failed_check_is_exit_1(self, monkeypatch, capsys, key, value):
+        verify = oracle.verify
+        monkeypatch.setattr(oracle, "verify", lambda s, hs: {**verify(s, hs), key: value})
+        assert main(["oracle", "--seed", "1"]) == EXIT_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        fail = f"FAIL {oracle.CHECKS[key][0]}: {value}"
+        assert [ln for ln in lines if not ln.startswith("PASS ")] == [fail]
+        assert len(lines) == 7
