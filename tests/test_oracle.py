@@ -105,6 +105,13 @@ class TestSpecValidation:
 
 
 class TestKernelStructure:
+    def test_p3_rows_stochastic_and_reversible(self, specs):
+        for spec in specs:
+            pi = target_distribution(spec)
+            P3 = build_P3(spec)
+            np.testing.assert_allclose(P3.matrix.sum(axis=1), 1.0, atol=1e-12)
+            assert check_reversibility(P3, pi) <= 1e-12
+
     def test_q3_block_diagonal_and_reversible(self, specs):
         for spec in specs:
             pi = target_distribution(spec)
@@ -155,6 +162,12 @@ class TestKernelStructure:
                 want[(m - 1) * G : m * G] = 0.0
                 want[(m - 1) * G + g] = pim[m - 1]
                 np.testing.assert_allclose(P3.matrix[(m - 1) * G + g], want, atol=1e-13)
+
+    def test_p3_invariance(self, specs):
+        for spec in specs:
+            pi = target_distribution(spec)
+            for K in (build_P3(spec), build_Q3(spec)):
+                assert np.max(np.abs(pi @ K.matrix - pi)) <= 1e-12
 
     def test_too_large_enumeration(self):
         spec = random_spec(np.random.default_rng(3), 3, 200, with_proposal=False)
@@ -388,6 +401,10 @@ class TestChecks:
         pi = np.full(3, 1 / 3)
         assert check_reversibility(K, pi) == pytest.approx(1 / 3)
 
+    def test_offdiagonal_dominance(self, specs):
+        for spec in specs:
+            assert check_offdiagonal_dominance(build_Q3(spec), build_Q4(spec))
+
     def test_offdiagonal_dominance_false_case(self):
         lazy = FiniteKernel(np.array([[0.9, 0.1], [0.1, 0.9]]), 2, 1)
         busy = FiniteKernel(np.array([[0.5, 0.5], [0.5, 0.5]]), 2, 1)
@@ -399,6 +416,12 @@ class TestChecks:
         pi = target_distribution(spec)
         Q3 = build_Q3(spec)
         assert check_covariance_ordering(Q3, Q3, pi) == pytest.approx(0.0, abs=1e-15)
+
+    def test_covariance_ordering_q3_dominates_identity(self, specs):
+        for spec in specs:
+            pi = target_distribution(spec)
+            lam = check_covariance_ordering(build_Q3(spec), build_Q4(spec), pi)
+            assert lam >= -1e-10
 
     def test_covariance_ordering_requires_reversibility(self):
         K = FiniteKernel(np.roll(np.eye(3), 1, axis=1), 3, 1)
@@ -522,6 +545,11 @@ class TestAsymptoticVariance:
 
 
 class TestGibbsBound:
+    def test_bound_holds_on_random_specs(self, specs):
+        for spec in specs:
+            s2, viid = check_gibbs_iid_bound(spec, lambda m: float(m == 1))
+            assert s2 >= viid - 1e-10
+
     def test_single_component_degenerate(self):
         spec = random_spec(np.random.default_rng(7), 1, 5)
         s2, viid = check_gibbs_iid_bound(spec, lambda m: float(m == 1))
