@@ -17,6 +17,7 @@ estimated-vs-exact density).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,9 @@ class RunConfig:
     replicates: int = 10
 
 
-def parse_args(argv) -> RunConfig:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ccmix", description="Mixture-model MCMC samplers and their oracle checks"
     )
@@ -64,7 +67,11 @@ def parse_args(argv) -> RunConfig:
         p.add_argument("--burn-in", type=int, default=1000)
         p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--replicates", type=int, default=10)
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv) -> RunConfig:
+    ns = _parser().parse_args(argv)
     if ns.command == "oracle":
         return RunConfig(command="oracle", seed=ns.seed, spec_file=ns.spec)
     if ns.iters <= ns.burn_in:

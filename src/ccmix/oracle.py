@@ -349,13 +349,36 @@ def check_covariance_ordering(
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def _complement_radius(T: np.ndarray, pi: np.ndarray) -> float:
-    """Spectral radius of T on the pi-orthogonal complement of the constants.
+def _require_ergodic(T: np.ndarray, origin: int) -> None:
+    """Raise NonErgodic unless the chain T is irreducible and aperiodic.
 
-    T - 1 pi^T has the spectrum of T with the eigenvalue 1 of the
-    constants replaced by 0, because T 1 = 1 and pi T = pi.
+    T is stochastic on the support of a stationary pi, so every state is
+    recurrent and the chain is irreducible when a breadth-first search
+    over the entries T > 0 from state 0 reaches every state.  The period
+    is then the gcd of level[i] + 1 - level[j] over the edges i -> j.
+    By Perron-Frobenius both hold exactly when T has spectral radius
+    below 1 off the constants.  ``origin`` is state 0 in the caller's
+    numbering, for the message.
     """
-    return float(np.max(np.abs(np.linalg.eigvals(T - np.outer(np.ones(len(pi)), pi)))))
+    edges = T > 0
+    level = np.full(len(T), -1)
+    level[0] = 0
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = edges[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    missing = int(np.count_nonzero(level < 0))
+    if missing:
+        raise NonErgodic(
+            f"product kernel is reducible: {missing} of {len(T)} support "
+            f"states are not reached from state {origin}"
+        )
+    i, j = np.nonzero(edges)
+    period = int(np.gcd.reduce(level[i] + 1 - level[j]))
+    if period != 1:
+        raise NonErgodic(f"product kernel is periodic with period {period}")
 
 
 def exact_asymptotic_variance_alternating(
@@ -372,11 +395,12 @@ def exact_asymptotic_variance_alternating(
         sigma^2 = ||fbar||^2_pi + l Z_AB A (I + B) fbar + l Z_BA B (I + A) fbar,
 
     computed with one linear solve per kernel order.  With P == Q this
-    is the ordinary homogeneous-chain asymptotic variance.  The spectral
-    radius of AB off the constants is checked before solving, so a
-    periodic or reducible product raises NonErgodic instead of meeting
-    a singular matrix.  States of zero pi-mass are never entered from
-    the support of pi and are left out.
+    is the ordinary homogeneous-chain asymptotic variance.  Before
+    solving, a search of the graph of the entries AB > 0 (no
+    eigendecomposition) raises NonErgodic, naming its cause, for a
+    reducible product, whose fundamental matrix does not exist, and for
+    a periodic one.  States of zero pi-mass are never entered from the
+    support of pi and are left out.
 
     ``f`` may be a single state vector or a (k, n_states) stack, in
     which case an array of k variances is returned.
@@ -397,12 +421,7 @@ def exact_asymptotic_variance_alternating(
         block = np.ix_(support, support)
         A, B, pi, Fbar = A[block], B[block], pi[support], Fbar[:, support]
     AB, BA = A @ B, B @ A
-    radius = _complement_radius(AB, pi)
-    if radius >= 1.0 - 1e-12:
-        raise NonErgodic(
-            f"product kernel has spectral radius {radius:.15f} on the "
-            "complement of the constants"
-        )
+    _require_ergodic(AB, int(np.argmax(support)))
     eye_plus_1pi = np.eye(len(pi)) + np.outer(np.ones(len(pi)), pi)
     L = (Fbar * pi).T  # columns l = pi * fbar, one per function
     Fcols = Fbar.T
@@ -573,6 +592,10 @@ def spec_from_log_densities(
     return FiniteMixtureSpec(n, grid, prob, pseudo, proposal)
 
 
+# The section headers of a spec file, in the order save_spec writes them.
+_SECTIONS = ("grid", "pi", "pseudo", "proposal")
+
+
 def save_spec(spec: FiniteMixtureSpec, path) -> None:
     """Write a spec as tab-separated blocks with #grid/#pi/#pseudo/#proposal headers."""
     blocks = {"grid": [spec.grid], "pi": spec.prob, "pseudo": spec.pseudo}
@@ -596,6 +619,10 @@ def load_spec(path) -> FiniteMixtureSpec:
                 continue
             if line.startswith("#"):
                 current = line[1:]
+                if current not in _SECTIONS:
+                    raise ValueError(f"unknown section #{current}")
+                if current in sections:
+                    raise ValueError(f"repeated section #{current}")
                 sections[current] = []
                 continue
             if current is None:

@@ -1,5 +1,8 @@
 """Tests for argument parsing, CSV emission and the CLI entry point."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,34 @@ class TestParseArgs:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             parse_args([])
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        spec = tmp_path / "s.tsv"
+        assert parse_args(["oracle", "--seed", "3", "--spec", str(spec)]) == RunConfig(
+            command="oracle", seed=3, spec_file=spec
+        )
+        assert parse_args(["oracle"]) == RunConfig(command="oracle")
+        assert parse_args(["toy", "--iters", "500", "--burn-in", "50"]).iterations == 500
+        assert parse_args(["toy"]) == RunConfig(command="toy")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["oracle", "--iters", "5"])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+        assert parse_args(["oracle", "--seed", "5"]) == RunConfig(command="oracle", seed=5)
+
+    def test_import_loads_no_scipy(self):
+        # Every benchmark workload pays this import in its setup time and
+        # its peak RSS, so the oracle's graph search stays in numpy.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, ccmix.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestMainExitCodes:
@@ -161,6 +192,12 @@ class TestEmitReports:
         assert b"\r" not in raw
 
 
+_GOOD_SPEC = (
+    "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n0.5\t0.5\n0.5\t0.5\n"
+    "#proposal\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n"
+)
+
+
 class TestEndToEnd:
     ARGS = ["--iters", "2000", "--burn-in", "200", "--replicates", "2", "--seed", "9"]
 
@@ -191,6 +228,9 @@ class TestEndToEnd:
         assert main(["oracle", "--spec", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("PASS") == 7 and "FAIL" not in out
+        # A second run in the same process prints the same lines.
+        assert main(["oracle", "--spec", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize(
         "content",
@@ -204,9 +244,13 @@ class TestEndToEnd:
             "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n0.5\t0.5\n0.5\t0.5\n",
             "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n1.0\t0.0\n0.5\t0.5\n"
             "#proposal\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n",
+            # A spec that passes every check, with a second #pi section
+            # or an unknown section added.
+            _GOOD_SPEC + "#pi\n0.1\t0.4\n0.1\t0.4\n",
+            _GOOD_SPEC + "#weights\n1.0\t0.0\n",
         ],
         ids=["missing", "non-numeric", "no-pi-section", "empty-grid", "nan-mass",
-             "no-proposal", "vanishing-pseudo"],
+             "no-proposal", "vanishing-pseudo", "duplicate-section", "unknown-section"],
     )
     def test_oracle_bad_spec_file_is_exit_2(self, tmp_path, capsys, content):
         path = tmp_path / "spec.tsv"

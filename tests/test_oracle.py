@@ -332,6 +332,55 @@ _PROPERTY = settings(
 )
 
 
+def _reference_radius(T, pi):
+    """Spectral radius of T off the constants on the support of pi: the
+    eigenvalues of T - 1 pi^T, which the variance solve once computed to
+    decide ergodicity (radius >= 1 - 1e-12 meant NonErgodic)."""
+    s = pi > 0
+    T, pi = T[np.ix_(s, s)], pi[s]
+    return float(np.max(np.abs(np.linalg.eigvals(T - np.outer(np.ones(len(pi)), pi)))))
+
+
+def _raises_nonergodic(P, Q, pi, F):
+    try:
+        exact_asymptotic_variance_alternating(P, Q, pi, F)
+    except NonErgodic:
+        return True
+    return False
+
+
+@st.composite
+def sparse_chains(draw):
+    """Row-stochastic chains on 1 to 8 states with their stationary pi.
+
+    A permutation's cycles under sparse extra entries give structural
+    zeros, periodic classes, several closed classes and transient
+    states; pi weighs each closed class's own stationary law, some of
+    them by zero.
+    """
+    N = draw(st.integers(1, 8))
+    W = draw(_masses((N, N))) * draw(arrays(np.bool_, (N, N)))
+    W[np.arange(N), draw(st.permutations(range(N)))] += draw(st.floats(0.01, 1.0))
+    T = W / W.sum(axis=1, keepdims=True)
+    reach = np.eye(N, dtype=bool) | (T > 0)
+    for _ in range(N):
+        reach = reach @ reach
+    # A state is recurrent iff every state it reaches reaches it back;
+    # its closed class is then the set of states it reaches.
+    recurrent = np.all(~reach | reach.T, axis=1)
+    classes = sorted({tuple(np.flatnonzero(reach[i])) for i in np.flatnonzero(recurrent)})
+    weights = draw(st.lists(st.sampled_from([1.0, 0.2, 0.0]), min_size=len(classes),
+                            max_size=len(classes)))
+    weights[0] = weights[0] or 1.0
+    pi = np.zeros(N)
+    for w, c in zip(weights, classes):
+        c = list(c)
+        M = T[np.ix_(c, c)].T - np.eye(len(c))
+        M[-1] = 1.0
+        pi[c] = w * np.linalg.solve(M, np.eye(len(c))[-1])
+    return T, pi / pi.sum()
+
+
 class TestReferenceBuilders:
     """The builders against brute-force references on sparse specs."""
 
@@ -363,6 +412,26 @@ class TestReferenceBuilders:
     def test_gibbs_index_kernel_matches_formula(self, spec):
         got = build_gibbs_index_kernel(spec).matrix
         assert np.max(np.abs(got - _reference_gibbs_index_kernel(spec))) <= 1e-15
+
+    @_PROPERTY
+    @given(sparse_specs())
+    def test_graph_decision_matches_spectrum_on_spec_products(self, spec):
+        # The MCC and FCC alternations: products P3 Q3 and P3 Q4 = P3.
+        pi = target_distribution(spec)
+        P3 = build_P3(spec)
+        F = np.arange(float(spec.n_states))
+        for Q in (build_Q3(spec), build_Q4(spec)):
+            want = _reference_radius(P3.matrix @ Q.matrix, pi) >= 1 - 1e-12
+            assert _raises_nonergodic(P3, Q, pi, F) == want
+
+    @settings(_PROPERTY, max_examples=500)
+    @given(sparse_chains())
+    def test_graph_decision_matches_spectrum(self, chain):
+        T, pi = chain
+        N = len(pi)
+        K, eye = FiniteKernel(T, N, 1), FiniteKernel(np.eye(N), N, 1)
+        want = _reference_radius(T, pi) >= 1 - 1e-12
+        assert _raises_nonergodic(K, eye, pi, np.arange(float(N))) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_p3_matches_enumeration_on_random_specs(self, n):
@@ -483,17 +552,30 @@ class TestAsymptoticVariance:
 
     def test_periodic_kernel_raises(self):
         swap = FiniteKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), 2, 1)
-        pi = np.array([0.5, 0.5])
-        with pytest.raises(NonErgodic):
+        eye = FiniteKernel(np.eye(2), 2, 1)
+        pi, f = np.array([0.5, 0.5]), np.array([0.0, 1.0])
+        with pytest.raises(NonErgodic, match="periodic with period 2$"):
+            exact_asymptotic_variance_alternating(swap, eye, pi, f)
+        # Alternated with itself the swap composes to the identity.
+        with pytest.raises(NonErgodic, match="reducible"):
+            exact_asymptotic_variance_alternating(swap, swap, pi, f)
+
+    def test_three_cycle_raises(self):
+        cycle = FiniteKernel(np.roll(np.eye(3), 1, axis=1), 3, 1)
+        eye = FiniteKernel(np.eye(3), 3, 1)
+        with pytest.raises(NonErgodic, match="periodic with period 3$"):
             exact_asymptotic_variance_alternating(
-                swap, swap, pi, np.array([0.0, 1.0])
+                cycle, eye, np.full(3, 1 / 3), np.arange(3.0)
             )
 
     def test_reducible_kernel_raises(self):
-        eye = FiniteKernel(np.eye(2), 2, 1)
-        with pytest.raises(NonErgodic):
+        # State 0 has no mass, so the search starts from state 1.
+        eye = FiniteKernel(np.eye(3), 3, 1)
+        with pytest.raises(
+            NonErgodic, match="1 of 2 support states are not reached from state 1$"
+        ):
             exact_asymptotic_variance_alternating(
-                eye, eye, np.array([0.5, 0.5]), np.array([0.0, 1.0])
+                eye, eye, np.array([0.0, 0.5, 0.5]), np.arange(3.0)
             )
 
     def test_zero_mass_absorbing_state_is_ignored(self):
@@ -653,6 +735,18 @@ class TestHelpers:
         path = tmp_path / "bad.tsv"
         path.write_text("#grid\n0.0\t1.0\n")
         with pytest.raises(ValueError):
+            load_spec(path)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("#grid\n0.0\n#pi\n1.0\n#pi\n1.0\n", "repeated section #pi"),
+         ("#grid\n0.0\n#weights\n1.0\n", "unknown section #weights")],
+        ids=["repeated", "unknown"],
+    )
+    def test_load_names_a_repeated_or_unknown_section(self, tmp_path, text, reason):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
             load_spec(path)
 
     def test_spec_from_log_densities_normalizes(self):
