@@ -333,9 +333,10 @@ _PROPERTY = settings(
 
 
 def _reference_radius(T, pi):
-    """Spectral radius of T off the constants on the support of pi: the
-    eigenvalues of T - 1 pi^T, which the variance solve once computed to
-    decide ergodicity (radius >= 1 - 1e-12 meant NonErgodic)."""
+    """Spectral radius of T off the constants on the support of pi, from
+    the eigenvalues of T - 1 pi^T.  By Perron-Frobenius the chain is
+    ergodic iff it is below 1; the graph search must raise NonErgodic
+    exactly when it is at least 1 - 1e-12."""
     s = pi > 0
     T, pi = T[np.ix_(s, s)], pi[s]
     return float(np.max(np.abs(np.linalg.eigvals(T - np.outer(np.ones(len(pi)), pi)))))
