@@ -11,10 +11,12 @@ sampler table ``samplers._KERNELS``: the conditional selection and
 ``build_P3``, the pseudo-prior selection marginalized exactly over the
 refreshed points; the exact refresh, ``build_Q3``, the within-component
 Metropolis-Hastings refresh, and ``build_Q4``, the frozen (identity)
-one.  ``sweep_kernel`` multiplies a sampler's selection and refresh;
-``build_gibbs_index_kernel`` reads the Gibbs label chain off the exact
-refresh followed by the conditional selection.  ``verify`` builds every
-twin of one spec once and returns the values of the ``CHECKS`` table.
+one.  ``sweep_kernel`` multiplies a sampler's selection and refresh.
+``build_gibbs_index_kernel`` is the Gibbs label chain in closed form,
+pi*(z | m) against pi*(m' | z) summed over the grid, and
+``check_gibbs_iid_bound`` compares its asymptotic variances with the
+i.i.d. ones.  ``verify`` builds every twin of one spec once, calls
+``check_gibbs_iid_bound`` and returns the values of the ``CHECKS`` table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "NotReversible",
     "NonErgodic",
     "DimensionMismatch",
-    "OrderingViolation",
     "build_P3",
     "build_Q3",
     "build_Q4",
@@ -43,13 +44,11 @@ __all__ = [
     "sweep_kernel",
     "target_distribution",
     "index_marginal",
-    "index_function_vector",
     "check_reversibility",
     "check_covariance_ordering",
     "check_offdiagonal_dominance",
     "exact_asymptotic_variance_alternating",
     "lag_covariances",
-    "index_lag1_autocorrelation",
     "check_gibbs_iid_bound",
     "CHECKS",
     "verify",
@@ -60,6 +59,8 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_TERMS = 10_000_000
+# Largest detailed-balance deviation that check_covariance_ordering accepts.
+_REVERSIBILITY_TOL = 1e-8
 
 
 class TooLarge(ValueError):
@@ -76,10 +77,6 @@ class NonErgodic(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
-
-
-class OrderingViolation(AssertionError):
-    """A machine-checked kernel or variance ordering failed."""
 
 
 @dataclass(frozen=True)
@@ -153,17 +150,17 @@ def index_marginal(spec: FiniteMixtureSpec) -> np.ndarray:
     return spec.prob.sum(axis=1)
 
 
-def index_function_vector(spec: FiniteMixtureSpec, h) -> np.ndarray:
-    """Lift a function of the label, h(m), to a vector over the (m, g) states."""
-    vals = np.array([float(h(m)) for m in range(1, spec.n + 1)])
-    return np.repeat(vals, spec.grid_size)
-
-
 def _cond_z_given_m(spec: FiniteMixtureSpec) -> np.ndarray:
     row_sums = spec.prob.sum(axis=1, keepdims=True)
     if np.any(row_sums == 0):
         raise ValueError("a component has zero total mass")
     return spec.prob / row_sums
+
+
+def _cond_m_given_z(spec: FiniteMixtureSpec) -> np.ndarray:
+    """pi*(m | z_g) as an n x G array; zero on a grid point without mass."""
+    col = spec.prob.sum(axis=0)
+    return np.divide(spec.prob, col, out=np.zeros_like(spec.prob), where=col > 0)
 
 
 def _refresh_sum_support(ratio, pseudo, labels):
@@ -237,24 +234,24 @@ def build_Q3(spec: FiniteMixtureSpec) -> FiniteKernel:
     if spec.proposal is None:
         raise ValueError("spec has no proposal table")
     n, G = spec.n, spec.grid_size
-    cond = _cond_z_given_m(spec)
-    diag = np.diag_indices(G)
-    Q = np.zeros((n * G, n * G))
-    for m in range(n):
-        R, pm = spec.proposal[m], cond[m]
-        flow = pm[:, None] * R
-        # Moves out of a zero-mass point keep alpha = 0, so its row parks;
-        # an impossible reverse move has flow.T = 0 and alpha = 0.
-        accept = np.zeros((G, G))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(flow.T, flow, out=accept, where=(pm[:, None] > 0) & (R > 0))
-        # fmin ignores a NaN ratio (both flows underflowed to zero), so
-        # such a move is accepted.
-        K = R * np.fmin(1.0, accept)
-        K[diag] = 0.0
-        K[diag] = 1.0 - K.sum(axis=1)
-        Q[m * G : (m + 1) * G, m * G : (m + 1) * G] = K
-    return FiniteKernel(Q, n, G)
+    R, p = spec.proposal, _cond_z_given_m(spec)[:, :, None]
+    flow = p * R
+    # Moves out of a zero-mass point keep alpha = 0, so its row parks;
+    # an impossible reverse move has flow.T = 0 and alpha = 0.
+    accept = np.zeros_like(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(flow.transpose(0, 2, 1), flow, out=accept, where=(p > 0) & (R > 0))
+    # fmin ignores a NaN ratio (both flows underflowed to zero), so such
+    # a move is accepted.
+    K = R * np.fmin(1.0, accept)
+    g = np.arange(G)
+    K[:, g, g] = 0.0
+    # A point that rejects no proposed mass stays with probability
+    # exactly 0, not the round-off of 1 - its off-diagonal sum.
+    K[:, g, g] = np.where((R > K).any(axis=2), 1.0 - K.sum(axis=2), 0.0)
+    Q = np.zeros((n, G, n, G))
+    Q[np.arange(n), :, np.arange(n)] = K
+    return FiniteKernel(Q.reshape(n * G, n * G), n, G)
 
 
 def build_Q4(spec: FiniteMixtureSpec) -> FiniteKernel:
@@ -265,10 +262,8 @@ def build_Q4(spec: FiniteMixtureSpec) -> FiniteKernel:
 def _conditional_selection(spec: FiniteMixtureSpec) -> FiniteKernel:
     """(m, g) -> (k, g) with probability pi*(k | z_g); a massless z_g stays put."""
     n, G = spec.n, spec.grid_size
-    col = spec.prob.sum(axis=0)
-    w = np.divide(spec.prob, col, out=np.zeros((n, G)), where=col > 0)
-    S = np.tile(np.eye(G), (n, n)) * w.ravel()
-    S[np.diag_indices(n * G)] += np.tile(col == 0, n)
+    S = np.tile(np.eye(G), (n, n)) * _cond_m_given_z(spec).ravel()
+    S[np.diag_indices(n * G)] += np.tile(spec.prob.sum(axis=0) == 0, n)
     return FiniteKernel(S, n, G)
 
 
@@ -297,17 +292,11 @@ def sweep_kernel(sampler_id: SamplerId, spec: FiniteMixtureSpec) -> FiniteKernel
     return FiniteKernel(K, spec.n, spec.grid_size)
 
 
-def _label_chain(exact: FiniteKernel, conditional: FiniteKernel) -> FiniteKernel:
-    """G(m, m') = sum_z pi*(z|m) pi*(m'|z): the exact refresh then the
-    conditional selection, summed over the grid."""
-    n, G = exact.n, exact.grid_size
-    K = exact.matrix[::G] @ conditional.matrix
-    return FiniteKernel(K.reshape(n, n, G).sum(axis=2), n, 1)
-
-
 def build_gibbs_index_kernel(spec: FiniteMixtureSpec) -> FiniteKernel:
-    """Induced label chain of the Gibbs sampler."""
-    return _label_chain(_exact_refresh(spec), _conditional_selection(spec))
+    """Induced label chain of the Gibbs sampler, in closed form:
+    G(m, m') = sum_g pi*(z_g | m) pi*(m' | z_g), one (n x G)(G x n) product."""
+    G = _cond_z_given_m(spec) @ _cond_m_given_z(spec).T
+    return FiniteKernel(G, spec.n, 1)
 
 
 def check_reversibility(kernel: FiniteKernel, pi: np.ndarray) -> float:
@@ -329,7 +318,7 @@ def check_offdiagonal_dominance(P1: FiniteKernel, P0: FiniteKernel) -> bool:
 
 
 def check_covariance_ordering(
-    P1: FiniteKernel, P0: FiniteKernel, pi: np.ndarray, rev_tol: float = 1e-8
+    P1: FiniteKernel, P0: FiniteKernel, pi: np.ndarray
 ) -> float:
     """Smallest eigenvalue of sym(D (P0 - P1)), D = diag(pi).
 
@@ -341,7 +330,7 @@ def check_covariance_ordering(
         raise DimensionMismatch("kernels have different sizes")
     for K in (P1, P0):
         dev = check_reversibility(K, pi)
-        if dev > rev_tol:
+        if dev > _REVERSIBILITY_TOL:
             raise NotReversible(f"kernel deviates from detailed balance by {dev:g}")
     D = np.diag(np.asarray(pi, dtype=float))
     A = D @ (P0.matrix - P1.matrix)
@@ -451,31 +440,19 @@ def lag_covariances(
     return out
 
 
-def index_lag1_autocorrelation(spec: FiniteMixtureSpec) -> float:
-    """Exact lag-1 autocorrelation of the label series under the Gibbs sampler."""
-    G = build_gibbs_index_kernel(spec)
-    pim = index_marginal(spec)
-    h = np.arange(1, spec.n + 1, dtype=float)
-    cov = lag_covariances(G, pim, h, 1)
-    return float(cov[1] / cov[0])
+def check_gibbs_iid_bound(
+    spec: FiniteMixtureSpec, hs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma2_gibbs, var_iid) of the label functions h(m), one per row of ``hs``.
 
-
-def check_gibbs_iid_bound(spec: FiniteMixtureSpec, h) -> tuple[float, float]:
-    """Exact Gibbs-chain asymptotic variance of h(m) vs its i.i.d. variance.
-
-    Returns (sigma2_gibbs, var_iid) and raises OrderingViolation if the
-    Gibbs variance falls more than 1e-10 below the i.i.d. one, which
-    exact theory forbids.
+    sigma2_gibbs is the exact asymptotic variance along the Gibbs label
+    chain, in one stacked solve; exact theory puts it at or above the
+    i.i.d. variance var_iid.
     """
     G = build_gibbs_index_kernel(spec)
     pim = index_marginal(spec)
-    hv = np.array([float(h(m)) for m in range(1, spec.n + 1)])
-    var_iid = float(pim @ (hv - pim @ hv) ** 2)
-    sigma2 = exact_asymptotic_variance_alternating(G, G, pim, hv)
-    if sigma2 < var_iid - 1e-10:
-        raise OrderingViolation(
-            f"Gibbs asymptotic variance {sigma2:g} below i.i.d. variance {var_iid:g}"
-        )
+    sigma2 = exact_asymptotic_variance_alternating(G, G, pim, hs)
+    var_iid = (hs - (hs @ pim)[:, None]) ** 2 @ pim
     return sigma2, var_iid
 
 
@@ -497,7 +474,8 @@ def verify(spec: FiniteMixtureSpec, hs: np.ndarray) -> dict[str, float]:
 
     Invariance is the largest |(pi S) R - pi| over the five sweep kernels
     S @ R.  The variance and Gibbs gaps are the worst over the label
-    functions h(m), one per row of ``hs``, each in one stacked solve.
+    functions h(m), one per row of ``hs``, each in one stacked solve; the
+    Gibbs gap comes from ``check_gibbs_iid_bound``.
     """
     pi = target_distribution(spec)
     K = {part: build(spec) for part, build in _TWINS.items()}
@@ -505,10 +483,7 @@ def verify(spec: FiniteMixtureSpec, hs: np.ndarray) -> dict[str, float]:
     F = np.repeat(hs, spec.grid_size, axis=1)
     s_mcc = exact_asymptotic_variance_alternating(P3, Q3, pi, F)
     s_fcc = exact_asymptotic_variance_alternating(P3, Q4, pi, F)
-    pim = index_marginal(spec)
-    gibbs = _label_chain(K[_exact_block], K[_CONDITIONAL])
-    s_gibbs = exact_asymptotic_variance_alternating(gibbs, gibbs, pim, hs)
-    var_iid = (hs - (hs @ pim)[:, None]) ** 2 @ pim
+    s_gibbs, var_iid = check_gibbs_iid_bound(spec, hs)
     return {
         "reversibility_P3": check_reversibility(P3, pi),
         "reversibility_Q3": check_reversibility(Q3, pi),
@@ -523,21 +498,14 @@ def verify(spec: FiniteMixtureSpec, hs: np.ndarray) -> dict[str, float]:
     }
 
 
-def random_spec(
-    rng: np.random.Generator, n: int, grid_size: int, with_proposal: bool = True
-) -> FiniteMixtureSpec:
+def random_spec(rng: np.random.Generator, n: int, grid_size: int) -> FiniteMixtureSpec:
     """Random strictly positive spec: flat-Dirichlet masses throughout."""
     G = grid_size
     prob = rng.dirichlet(np.ones(n * G)).reshape(n, G)
     pseudo = np.stack([rng.dirichlet(np.ones(G)) for _ in range(n)])
-    proposal = None
-    if with_proposal:
-        proposal = np.stack(
-            [
-                np.stack([rng.dirichlet(np.ones(G)) for _ in range(G)])
-                for _ in range(n)
-            ]
-        )
+    proposal = np.stack(
+        [np.stack([rng.dirichlet(np.ones(G)) for _ in range(G)]) for _ in range(n)]
+    )
     return FiniteMixtureSpec(n, np.arange(G, dtype=float), prob, pseudo, proposal)
 
 

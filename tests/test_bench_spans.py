@@ -19,3 +19,4 @@ def test_tracer_wraps_the_ccmix_names(monkeypatch):
     calls = Counter(tracer.names[i] for i in tracer.arrays()[0])
     assert [calls[f"oracle.build_{k}"] for k in ("P3", "Q3", "Q4")] == [1, 1, 1]
     assert calls["oracle.variance"] == 3
+    assert calls["oracle.check_gibbs_iid_bound"] == 1

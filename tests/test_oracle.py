@@ -20,7 +20,6 @@ from ccmix.oracle import (
     FiniteMixtureSpec,
     NonErgodic,
     NotReversible,
-    OrderingViolation,
     TooLarge,
     build_gibbs_index_kernel,
     build_P3,
@@ -31,8 +30,6 @@ from ccmix.oracle import (
     check_offdiagonal_dominance,
     check_reversibility,
     exact_asymptotic_variance_alternating,
-    index_function_vector,
-    index_lag1_autocorrelation,
     index_marginal,
     lag_covariances,
     load_spec,
@@ -170,7 +167,7 @@ class TestKernelStructure:
                 assert np.max(np.abs(pi @ K.matrix - pi)) <= 1e-12
 
     def test_too_large_enumeration(self):
-        spec = random_spec(np.random.default_rng(3), 3, 200, with_proposal=False)
+        spec = replace(random_spec(np.random.default_rng(3), 3, 200), proposal=None)
         with pytest.raises(TooLarge):
             build_P3(spec)
 
@@ -277,7 +274,8 @@ def _reference_Q3(spec):
                 else:
                     alpha = min(1.0, pm[g2] * R[g2, g] / (pm[g] * R[g, g2]))
                 K[g, g2] = R[g, g2] * alpha
-            K[g, g] = 1.0 - K[g].sum()
+            # A point that rejects no proposed mass never stays.
+            K[g, g] = 1.0 - K[g].sum() if np.any(R[g] > K[g]) else 0.0
         Q[(m - 1) * G : m * G, (m - 1) * G : m * G] = K
     return Q
 
@@ -289,6 +287,26 @@ def _reference_gibbs_index_kernel(spec):
     col_sums = spec.prob.sum(axis=0, keepdims=True)
     cond_m = spec.prob / np.where(col_sums == 0, 1.0, col_sums)
     return cond_z @ cond_m.T
+
+
+def _reference_label_chain(spec):
+    """The Gibbs label chain from the dense (nG)^2 twins: each label's row
+    of the exact refresh, then the conditional selection, summed over
+    the grid."""
+    n, G = spec.n, spec.grid_size
+    K = _TWINS[_exact_block](spec).matrix[::G] @ _TWINS[_CONDITIONAL](spec).matrix
+    return K.reshape(n, n, G).sum(axis=2)
+
+
+def _gibbs_sweep_reference(spec, hs, max_lag):
+    """sigma^2 and lag covariances of label functions, one per row of
+    ``hs``, lifted to the (m, g) states of the Gibbs sweep kernel."""
+    pi = target_distribution(spec)
+    K = sweep_kernel(SamplerId.GIBBS, spec)
+    F = np.repeat(hs, spec.grid_size, axis=1)
+    sigma2 = exact_asymptotic_variance_alternating(K, K, pi, F)
+    covs = np.array([lag_covariances(K, pi, f, max_lag) for f in F])
+    return sigma2, covs
 
 
 def _masses(shape):
@@ -412,7 +430,47 @@ class TestReferenceBuilders:
     @given(sparse_specs())
     def test_gibbs_index_kernel_matches_formula(self, spec):
         got = build_gibbs_index_kernel(spec).matrix
-        assert np.max(np.abs(got - _reference_gibbs_index_kernel(spec))) <= 1e-15
+        for want in (_reference_gibbs_index_kernel(spec), _reference_label_chain(spec)):
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_label_chain_matches_the_gibbs_sweep_kernel(self, n):
+        # A label function of the Gibbs chain on (m, z) follows the label
+        # chain alone, so sigma^2 and every lag covariance agree.
+        rng = np.random.default_rng(60 + n)
+        for G in (3, 5, 10):
+            spec = random_spec(rng, n, G)
+            hs = np.vstack([np.eye(n), rng.standard_normal((4, n))])
+            want_s2, want_cov = _gibbs_sweep_reference(spec, hs, 20)
+            L, pim = build_gibbs_index_kernel(spec), index_marginal(spec)
+            s2 = exact_asymptotic_variance_alternating(L, L, pim, hs)
+            np.testing.assert_allclose(s2, want_s2, rtol=1e-12, atol=1e-15)
+            cov = np.array([lag_covariances(L, pim, h, 20) for h in hs])
+            np.testing.assert_allclose(cov, want_cov, rtol=0, atol=1e-14)
+
+    def test_q3_without_rejection_keeps_a_bipartite_chain_periodic(self):
+        # n = 1, uniform pi* and a symmetric proposal that only moves
+        # between even and odd points: every move is accepted and no
+        # point can stay, so Q3 (= P3 Q3 here) has period 2.
+        G = 6
+        matchings = np.zeros((3, G, G))
+        for k in range(3):
+            for i in range(0, G, 2):
+                j = (i + 2 * k + 1) % G
+                matchings[k, i, j] = matchings[k, j, i] = 1.0
+        rng = np.random.default_rng(0)
+        flat = np.full((1, G), 1 / G)
+        for _ in range(40):
+            # Not renormalized, so the proposal stays exactly symmetric.
+            R = np.tensordot(rng.dirichlet(np.ones(3)), matchings, axes=1)
+            spec = FiniteMixtureSpec(1, np.arange(float(G)), flat, flat, R[None])
+            pi, Q3 = target_distribution(spec), build_Q3(spec)
+            assert not np.diag(Q3.matrix).any()
+            assert _reference_radius(Q3.matrix, pi) >= 1 - 1e-12
+            with pytest.raises(NonErgodic, match="period 2$"):
+                exact_asymptotic_variance_alternating(
+                    build_P3(spec), Q3, pi, np.arange(float(G))
+                )
 
     @_PROPERTY
     @given(sparse_specs())
@@ -630,13 +688,13 @@ class TestAsymptoticVariance:
 class TestGibbsBound:
     def test_bound_holds_on_random_specs(self, specs):
         for spec in specs:
-            s2, viid = check_gibbs_iid_bound(spec, lambda m: float(m == 1))
-            assert s2 >= viid - 1e-10
+            s2, viid = check_gibbs_iid_bound(spec, np.eye(spec.n)[:1])
+            assert s2[0] >= viid[0] - 1e-10
 
     def test_single_component_degenerate(self):
         spec = random_spec(np.random.default_rng(7), 1, 5)
-        s2, viid = check_gibbs_iid_bound(spec, lambda m: float(m == 1))
-        assert s2 == 0.0 and viid == 0.0
+        s2, viid = check_gibbs_iid_bound(spec, np.ones((1, 1)))
+        assert s2[0] == 0.0 and viid[0] == 0.0
 
     def test_equality_for_independence_label_chain(self):
         # Pseudo structure is irrelevant here: a product target makes
@@ -646,21 +704,27 @@ class TestGibbsBound:
         within = np.random.default_rng(8).dirichlet(np.ones(G))
         prob = np.outer(pim, within)
         spec = FiniteMixtureSpec(2, np.arange(float(G)), prob, np.full((2, G), 1 / G))
-        s2, viid = check_gibbs_iid_bound(spec, lambda m: float(m == 2))
-        assert s2 == pytest.approx(viid, abs=1e-10)
-        assert viid == pytest.approx(0.21, abs=1e-12)
+        s2, viid = check_gibbs_iid_bound(spec, np.array([[0.0, 1.0]]))
+        assert s2[0] == pytest.approx(viid[0], abs=1e-10)
+        assert viid[0] == pytest.approx(0.21, abs=1e-12)
 
-    def test_violation_raised_for_rigged_variance(self, monkeypatch):
+    def test_rigged_gibbs_variance_fails_the_cli(self, monkeypatch, capsys):
         import ccmix.oracle as oracle_mod
+        from ccmix.cli import EXIT_FAILURE, main
 
-        spec = random_spec(np.random.default_rng(9), 2, 5)
-        monkeypatch.setattr(
-            oracle_mod,
-            "exact_asymptotic_variance_alternating",
-            lambda *a, **k: 0.0,
-        )
-        with pytest.raises(OrderingViolation):
-            oracle_mod.check_gibbs_iid_bound(spec, lambda m: float(m == 1))
+        check = oracle_mod.check_gibbs_iid_bound
+
+        def rigged(spec, hs):
+            _, var_iid = check(spec, hs)
+            return var_iid - 1e-6, var_iid
+
+        monkeypatch.setattr(oracle_mod, "check_gibbs_iid_bound", rigged)
+        assert main(["oracle", "--seed", "1"]) == EXIT_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        [fail] = [ln for ln in lines if not ln.startswith("PASS ")]
+        label, value = fail.rsplit(": ", 1)
+        assert label == "FAIL Gibbs >= iid variance (gap >= -1e-10)"
+        assert float(value) == pytest.approx(-1e-6, rel=1e-6)
 
     def test_lag_covariances_nonnegative_for_gibbs(self, specs):
         # Reversible plus positive semidefinite sweep: every lag
@@ -680,7 +744,9 @@ class TestGibbsBound:
         spec = spec_from_log_densities(
             2, grid, bundle.target.log_density, bundle.pseudo.log_density
         )
-        rho = index_lag1_autocorrelation(spec)
+        L = build_gibbs_index_kernel(spec)
+        cov = lag_covariances(L, index_marginal(spec), np.arange(1.0, 3.0), 1)
+        rho = cov[1] / cov[0]
         # Well-separated strata: the label chain is extremely sticky.
         assert rho == pytest.approx(0.9615, abs=0.0005)
 
@@ -693,8 +759,11 @@ class TestVerify:
             values = verify(spec, hs)
             for key, (_, worst, bound) in CHECKS.items():
                 assert values[key] <= bound if worst is max else values[key] >= bound
-            gaps = [np.subtract(*check_gibbs_iid_bound(spec, lambda m: h[m - 1])) for h in hs]
-            assert values["gibbs_gap"] == pytest.approx(min(gaps), rel=1e-9, abs=1e-15)
+            # verify reads the label chain; the reference, the sweep kernel,
+            # whose lag-0 covariance is the i.i.d. variance.
+            s2, covs = _gibbs_sweep_reference(spec, hs, 0)
+            gap = np.min(s2 - covs[:, 0])
+            assert values["gibbs_gap"] == pytest.approx(gap, rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("part", [_CONDITIONAL, _PSEUDO, _exact_block])
     def test_invariance_reads_every_selection_and_refresh(self, monkeypatch, specs, part):
@@ -706,12 +775,6 @@ class TestVerify:
 
 
 class TestHelpers:
-    def test_index_function_vector(self, specs):
-        spec = specs[0]
-        v = index_function_vector(spec, lambda m: 10.0 * m)
-        assert v.shape == (spec.n_states,)
-        assert v[0] == 10.0 and v[-1] == 10.0 * spec.n
-
     def test_index_marginal_sums_to_one(self, specs):
         for spec in specs:
             assert index_marginal(spec).sum() == pytest.approx(1.0, abs=1e-12)
@@ -727,7 +790,7 @@ class TestHelpers:
             np.testing.assert_array_equal(back.proposal, spec.proposal)
 
     def test_save_load_without_proposal(self, tmp_path):
-        spec = random_spec(np.random.default_rng(10), 2, 4, with_proposal=False)
+        spec = replace(random_spec(np.random.default_rng(10), 2, 4), proposal=None)
         path = tmp_path / "spec.tsv"
         save_spec(spec, path)
         assert load_spec(path).proposal is None
