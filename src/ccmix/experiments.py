@@ -134,8 +134,9 @@ def toy_model(
     return ModelBundle(target, pseudo, _independence_proposal(pseudo))
 
 
-def posterior_target(x_obs: float = POSTERIOR_X_OBS) -> MixtureTarget:
-    """Unnormalized posterior of (M, Z) given X = x_obs under X = Z^2 + noise.
+def posterior_target() -> MixtureTarget:
+    """Unnormalized posterior of (M, Z) given X = x under X = Z^2 + noise,
+    with x = POSTERIOR_X_OBS.
 
     log pi*(m, z) = log alpha_m + log N(z; mu_m, 0.2) + log N(x; z^2, 0.1).
     No exact conditional sampler exists (the observation equation is
@@ -145,23 +146,24 @@ def posterior_target(x_obs: float = POSTERIOR_X_OBS) -> MixtureTarget:
     (const, lik_const), (two_var, lik_two_var) = consts
     # log alpha_m plus both normalizing constants, folded into one term.
     label_const = tuple(math.log(a) + const + lik_const for a in POSTERIOR_WEIGHTS)
+    x = POSTERIOR_X_OBS
 
     def log_density(m, z):
-        d, e = z - TOY_MEANS[m - 1], x_obs - z * z
+        d, e = z - TOY_MEANS[m - 1], x - z * z
         return label_const[m - 1] - d * d / two_var - e * e / lik_two_var
 
     return MixtureTarget(n=2, z_dim=1, log_density=log_density)
 
 
-def posterior_model(x_obs: float = POSTERIOR_X_OBS) -> ModelBundle:
+def posterior_model() -> ModelBundle:
     """Posterior target with prior-conditional pseudo-priors and proposals."""
     pseudo = _gaussian_pseudo(TOY_MEANS, (TOY_VAR, TOY_VAR))
-    return ModelBundle(posterior_target(x_obs), pseudo, _independence_proposal(pseudo))
+    return ModelBundle(posterior_target(), pseudo, _independence_proposal(pseudo))
 
 
-def _posterior_marginal_unnorm(z: np.ndarray, x_obs: float) -> np.ndarray:
+def _posterior_marginal_unnorm(z: np.ndarray) -> np.ndarray:
     """Unnormalized z-marginal of the posterior, sum_m pi*(m, z), vectorized over z."""
-    target = posterior_target(x_obs)
+    target = posterior_target()
     return sum(np.exp(target.log_density(m, z)) for m in range(1, target.n + 1))
 
 
@@ -180,9 +182,7 @@ def _simpson(values: np.ndarray, step: float) -> float:
 
 
 def true_posterior(
-    x_obs: float = POSTERIOR_X_OBS,
-    grid: Optional[np.ndarray] = None,
-    quad_tol: float = 1e-8,
+    grid: Optional[np.ndarray] = None, quad_tol: float = 1e-8
 ) -> tuple[float, np.ndarray]:
     """Quadrature ground truth: posterior mean of z and density on ``grid``.
 
@@ -197,7 +197,7 @@ def true_posterior(
     results = []
     for n_intervals in (2400, 4800):
         z = np.linspace(-3.0, 3.0, n_intervals + 1)
-        p = _posterior_marginal_unnorm(z, x_obs)
+        p = _posterior_marginal_unnorm(z)
         step = z[1] - z[0]
         norm = _simpson(p, step)
         first = _simpson(z * p, step)
@@ -209,7 +209,7 @@ def true_posterior(
             f"exceed {quad_tol:g}"
         )
     mu_z = f2 / n2
-    density = _posterior_marginal_unnorm(np.asarray(grid, dtype=float), x_obs) / n2
+    density = _posterior_marginal_unnorm(np.asarray(grid, dtype=float)) / n2
     return mu_z, density
 
 
@@ -289,10 +289,7 @@ def _run_sampler_replicates(
 
 
 def run_toy_experiment(
-    seed: int = 42,
-    n_iter: int = 101_000,
-    burn_in: int = 1000,
-    replicates: int = 10,
+    *, seed: int, n_iter: int, burn_in: int, replicates: int
 ) -> ExperimentReport:
     """Gaussian strata: Gibbs, CC, MCC and FCC with the study's pseudo-priors."""
     bundle = toy_model()
@@ -312,10 +309,7 @@ def run_toy_experiment(
 
 
 def run_posterior_experiment(
-    seed: int = 42,
-    n_iter: int = 101_000,
-    burn_in: int = 1000,
-    replicates: int = 5,
+    *, seed: int, n_iter: int, burn_in: int, replicates: int
 ) -> ExperimentReport:
     """Partially observed mixture: MwG, MCC, FCC vs quadrature ground truth."""
     bundle = posterior_model()

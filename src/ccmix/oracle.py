@@ -36,6 +36,7 @@ __all__ = [
     "TooLarge",
     "NotReversible",
     "NonErgodic",
+    "IllConditioned",
     "DimensionMismatch",
     "build_P3",
     "build_Q3",
@@ -61,6 +62,11 @@ __all__ = [
 MAX_ENUMERATION_TERMS = 10_000_000
 # Largest detailed-balance deviation that check_covariance_ordering accepts.
 _REVERSIBILITY_TOL = 1e-8
+# Largest 1 / (1 - stay probability) of a product kernel's state that
+# exact_asymptotic_variance_alternating accepts.  The condition number of
+# its linear system tracks this estimate; times the machine epsilon it
+# is about 2e-4.
+MAX_STAY_CONDITION = 1e12
 
 
 class TooLarge(ValueError):
@@ -73,6 +79,10 @@ class NotReversible(ValueError):
 
 class NonErgodic(ValueError):
     pass
+
+
+class IllConditioned(ValueError):
+    """A chain stays put so surely that its variance solve is round-off."""
 
 
 class DimensionMismatch(ValueError):
@@ -332,8 +342,7 @@ def check_covariance_ordering(
         dev = check_reversibility(K, pi)
         if dev > _REVERSIBILITY_TOL:
             raise NotReversible(f"kernel deviates from detailed balance by {dev:g}")
-    D = np.diag(np.asarray(pi, dtype=float))
-    A = D @ (P0.matrix - P1.matrix)
+    A = np.asarray(pi, dtype=float)[:, None] * (P0.matrix - P1.matrix)
     A = 0.5 * (A + A.T)
     return float(np.linalg.eigvalsh(A)[0])
 
@@ -370,6 +379,27 @@ def _require_ergodic(T: np.ndarray, origin: int) -> None:
         raise NonErgodic(f"product kernel is periodic with period {period}")
 
 
+def _require_well_conditioned(T: np.ndarray, states: np.ndarray) -> None:
+    """Raise IllConditioned if a state of T leaves with probability below
+    1 / MAX_STAY_CONDITION.
+
+    A stay probability s puts the condition number of I - T + 1 pi^T at
+    about 1 / (1 - s) or more, and past that bound the solve returns
+    round-off, negative variances included.  A one-state chain stays put
+    by definition, and its system I - T + 1 pi^T is about 1.  Reading the
+    diagonal costs O(N).  ``states`` numbers T's states as the caller
+    does, for the message.
+    """
+    stay = np.diagonal(T)
+    worst = int(np.argmax(stay))
+    if len(T) > 1 and (1.0 - stay[worst]) * MAX_STAY_CONDITION < 1.0:
+        raise IllConditioned(
+            f"state {states[worst]} of the product kernel stays put with "
+            f"probability {float(stay[worst])!r}, so 1 / (1 - stay) exceeds "
+            f"{MAX_STAY_CONDITION:g}"
+        )
+
+
 def exact_asymptotic_variance_alternating(
     P: FiniteKernel, Q: FiniteKernel, pi: np.ndarray, f: np.ndarray
 ):
@@ -377,19 +407,21 @@ def exact_asymptotic_variance_alternating(
 
     The chain starts at pi and applies P on even steps and Q on odd
     steps; both kernels must preserve pi.  With A = P, B = Q,
-    fbar = f - pi.f, l = pi * fbar and the fundamental matrices
-    Z_XY = (I - XY + 1 pi^T)^-1 (Kemeny & Snell 1960), the lag
-    covariances sum in closed form to
+    fbar = f - pi.f, l = pi * fbar and the fundamental matrix
+    Z = (I - AB + 1 pi^T)^-1 (Kemeny & Snell 1960), the lag covariances
+    sum in closed form to
 
-        sigma^2 = ||fbar||^2_pi + l Z_AB A (I + B) fbar + l Z_BA B (I + A) fbar,
+        sigma^2 = ||fbar||^2_pi + l Z A (I + B) fbar + (l B) Z (I + A) fbar,
 
-    computed with one linear solve per kernel order.  With P == Q this
-    is the ordinary homogeneous-chain asymptotic variance.  Before
-    solving, a search of the graph of the entries AB > 0 (no
-    eigendecomposition) raises NonErgodic, naming its cause, for a
-    reducible product, whose fundamental matrix does not exist, and for
-    a periodic one.  States of zero pi-mass are never entered from the
-    support of pi and are left out.
+    whose last term is l Z_BA B (I + A) fbar: B 1 = 1 and pi B = pi give
+    (I - BA + 1 pi^T) B = B (I - AB + 1 pi^T), so Z_BA B = B Z without
+    reversibility.  One linear solve gives l Z and (l B) Z.  With P == Q
+    this is the homogeneous-chain asymptotic variance.  Before solving,
+    a search of the graph of the entries AB > 0 raises NonErgodic,
+    naming its cause, for a reducible or periodic product, and
+    IllConditioned is raised where a state of AB stays put so surely
+    that the solve cannot be trusted.  States of zero pi-mass are never
+    entered from the support of pi and are left out.
 
     ``f`` may be a single state vector or a (k, n_states) stack, in
     which case an array of k variances is returned.
@@ -405,23 +437,20 @@ def exact_asymptotic_variance_alternating(
     if np.all(norm2 == 0.0):
         return 0.0 if single else np.zeros(F.shape[0])
     A, B = P.matrix, Q.matrix
-    support = pi > 0
-    if not support.all():
-        block = np.ix_(support, support)
-        A, B, pi, Fbar = A[block], B[block], pi[support], Fbar[:, support]
-    AB, BA = A @ B, B @ A
-    _require_ergodic(AB, int(np.argmax(support)))
-    eye_plus_1pi = np.eye(len(pi)) + np.outer(np.ones(len(pi)), pi)
+    states = np.flatnonzero(pi > 0)
+    if len(states) < len(pi):
+        block = np.ix_(states, states)
+        A, B, pi, Fbar = A[block], B[block], pi[states], Fbar[:, states]
+    AB = A @ B
+    _require_ergodic(AB, int(states[0]))
+    _require_well_conditioned(AB, states)
     L = (Fbar * pi).T  # columns l = pi * fbar, one per function
     Fcols = Fbar.T
-    # Solving against the transposes gives the columns (l Z_XY)^T.
-    lz_ab = np.linalg.solve((eye_plus_1pi - AB).T, L)
-    lz_ba = np.linalg.solve((eye_plus_1pi - BA).T, L)
-    sigma2 = (
-        norm2
-        + (lz_ab * (A @ (Fcols + B @ Fcols))).sum(axis=0)
-        + (lz_ba * (B @ (Fcols + A @ Fcols))).sum(axis=0)
-    )
+    M = (np.eye(len(pi)) + pi - AB).T  # (I - AB + 1 pi^T)^T
+    # Solving against M gives the columns (l Z)^T and (l B Z)^T.
+    lz, lbz = np.hsplit(np.linalg.solve(M, np.hstack([L, B.T @ L])), 2)
+    sigma2 = norm2 + (lz * (A @ (Fcols + B @ Fcols))).sum(axis=0)
+    sigma2 += (lbz * (Fcols + A @ Fcols)).sum(axis=0)
     return float(sigma2[0]) if single else sigma2
 
 

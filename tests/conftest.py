@@ -116,7 +116,7 @@ def posterior_z_cdf_factory():
     from ccmix.experiments import _posterior_marginal_unnorm
 
     grid = np.linspace(-3.0, 3.0, 24001)
-    p = _posterior_marginal_unnorm(grid, POSTERIOR_X_OBS)
+    p = _posterior_marginal_unnorm(grid)
     c = np.concatenate(([0.0], np.cumsum((p[1:] + p[:-1]) / 2.0 * np.diff(grid))))
     c /= c[-1]
 

@@ -18,6 +18,8 @@ from ccmix.oracle import (
     DimensionMismatch,
     FiniteKernel,
     FiniteMixtureSpec,
+    IllConditioned,
+    MAX_STAY_CONDITION,
     NonErgodic,
     NotReversible,
     TooLarge,
@@ -665,16 +667,50 @@ class TestAsymptoticVariance:
                 left = left @ X @ Y
         return total
 
-    @pytest.mark.parametrize("refresh", [build_Q3, build_Q4])
-    def test_closed_form_matches_lag_sum(self, refresh, specs):
+    @pytest.mark.parametrize(
+        "kernels",
+        [
+            pytest.param(lambda s: (build_P3(s), build_Q3(s)), id="build_Q3"),
+            pytest.param(lambda s: (build_P3(s), build_Q4(s)), id="build_Q4"),
+            # pi*-invariant and not reversible: the closed form's
+            # Z_BA B = B Z_AB must hold without reversibility.
+            pytest.param(
+                lambda s: (sweep_kernel("mcc", s), sweep_kernel("cc", s)),
+                id="mcc_sweep_cc_sweep",
+            ),
+        ],
+    )
+    def test_closed_form_matches_lag_sum(self, kernels, specs):
         rng = np.random.default_rng(10)
         for spec in specs[:3]:
             pi = target_distribution(spec)
-            P3, Q = build_P3(spec), refresh(spec)
+            P, Q = kernels(spec)
             F = rng.standard_normal((4, spec.n_states))
-            got = exact_asymptotic_variance_alternating(P3, Q, pi, F)
-            want = [self._lag_sum(P3.matrix, Q.matrix, pi, f) for f in F]
+            got = exact_asymptotic_variance_alternating(P, Q, pi, F)
+            want = [self._lag_sum(P.matrix, Q.matrix, pi, f) for f in F]
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize(
+        "kernels",
+        [
+            pytest.param(lambda s: (build_P3(s), build_Q3(s)), id="alternating"),
+            pytest.param(lambda s: (build_P3(s), build_Q4(s)), id="frozen"),
+            pytest.param(lambda s: (sweep_kernel("mcc", s),) * 2, id="homogeneous"),
+        ],
+    )
+    def test_one_solve_per_call(self, monkeypatch, kernels, specs):
+        spec = specs[2]
+        P, Q = kernels(spec)
+        solve, calls = np.linalg.solve, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        F = np.random.default_rng(11).standard_normal((3, spec.n_states))
+        exact_asymptotic_variance_alternating(P, Q, target_distribution(spec), F)
+        assert len(calls) == 1
 
     def test_dimension_mismatch(self, specs):
         spec = specs[0]
@@ -683,6 +719,101 @@ class TestAsymptoticVariance:
             exact_asymptotic_variance_alternating(
                 P3, P3, target_distribution(spec), np.ones(3)
             )
+
+
+def _toy_spec(half_width, with_proposal=False):
+    """The toy study discretized to linspace(-w, w, 100 w + 1)."""
+    from ccmix.experiments import toy_model
+
+    bundle = toy_model()
+    grid = np.linspace(-half_width, half_width, 100 * half_width + 1)
+    proposal = bundle.proposal.log_density if with_proposal else None
+    return spec_from_log_densities(
+        2, grid, bundle.target.log_density, bundle.pseudo.log_density, proposal
+    )
+
+
+def _fcc_toy_variances(half_width):
+    """sigma^2 of 1{m = 1} and of z along the toy's FCC sweep kernel."""
+    spec = _toy_spec(half_width)
+    K = sweep_kernel("fcc", spec)
+    F = np.vstack([np.repeat([1.0, 0.0], spec.grid_size), np.tile(spec.grid, 2)])
+    return exact_asymptotic_variance_alternating(K, K, target_distribution(spec), F)
+
+
+def _guard_and_condition(P, Q, pi):
+    """1 / (1 - the largest stay probability of PQ) and the condition
+    number of I - PQ + 1 pi^T, both on the support of pi."""
+    s = pi > 0
+    AB = P.matrix[np.ix_(s, s)] @ Q.matrix[np.ix_(s, s)]
+    with np.errstate(divide="ignore"):
+        guard = 1.0 / (1.0 - np.max(np.diagonal(AB)))
+    return guard, np.linalg.cond(np.eye(AB.shape[0]) + pi[s] - AB)
+
+
+class TestIllConditioned:
+    """Near-absorbing states make the solve round-off: the toy's FCC
+    kernel on a grid wide enough that pi*/rho_1 reaches exp(30)."""
+
+    @pytest.mark.parametrize("half_width", [6, 7])
+    def test_wide_toy_grid_raises(self, half_width):
+        with pytest.raises(
+            IllConditioned,
+            match=r"^state 0 of the product kernel stays put with probability 1\.0,",
+        ):
+            _fcc_toy_variances(half_width)
+
+    def test_narrow_toy_grids_agree(self):
+        narrow, wider = _fcc_toy_variances(4), _fcc_toy_variances(5)
+        np.testing.assert_allclose(narrow, [3.56708561, 59.4139783], rtol=1e-8)
+        np.testing.assert_allclose(wider, narrow, rtol=1e-3)
+
+    def test_spec_file_is_a_usage_error(self, tmp_path, capsys):
+        from ccmix.cli import EXIT_USAGE, main
+
+        path = tmp_path / "toy6.tsv"
+        save_spec(_toy_spec(6, with_proposal=True), path)
+        assert main(["oracle", "--spec", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: state ")
+        assert "stays put with probability" in err
+
+    def test_guard_tracks_condition_number(self):
+        # Criterion 1's specs and the toy grids: within a factor 3 both ways.
+        from test_acceptance import N_SPECS, SPEC_SEED
+
+        rng = np.random.default_rng(SPEC_SEED)
+        pairs = []
+        for _ in range(N_SPECS):
+            n = int(rng.choice([2, 3]))
+            G = int(rng.choice([5, 10, 25]))
+            spec = random_spec(rng, n, G)
+            pi, P3 = target_distribution(spec), build_P3(spec)
+            pairs += [(P3, build_Q3(spec), pi), (P3, build_Q4(spec), pi)]
+        for half_width in (4, 5, 6, 7):
+            spec = _toy_spec(half_width)
+            K = sweep_kernel("fcc", spec)
+            pairs.append((K, K, target_distribution(spec)))
+        for P, Q, pi in pairs:
+            guard, cond = _guard_and_condition(P, Q, pi)
+            if np.isfinite(guard):
+                assert cond / 3.0 <= guard <= 3.0 * cond
+            else:
+                assert cond > MAX_STAY_CONDITION
+
+    @_PROPERTY
+    @given(sparse_specs())
+    def test_guard_sees_ill_conditioning_on_sparse_specs(self, spec):
+        # The guard never understates the condition number by more than
+        # a factor 3.  It may overstate it: a nearly i.i.d. product with
+        # one heavy state has condition number 1 and a guard of up to 6.
+        pi = target_distribution(spec)
+        P3 = build_P3(spec)
+        f = np.arange(float(spec.n_states))
+        for Q in (build_Q3(spec), build_Q4(spec)):
+            if np.count_nonzero(pi) > 1 and not _raises_nonergodic(P3, Q, pi, f):
+                guard, cond = _guard_and_condition(P3, Q, pi)
+                assert guard >= cond / 3.0
 
 
 class TestGibbsBound:
