@@ -90,18 +90,6 @@ def _gaussian_pseudo(means, variances) -> PseudoPriorSet:
     return PseudoPriorSet(n=len(means), log_density=log_density, sampler=sampler)
 
 
-def _independence_proposal(pseudo: PseudoPriorSet) -> ProposalFamily:
-    """R_l(u, dz) = rho_l(dz): the proposal ignores the current point.
-
-    It calls the Gaussian pseudo-prior callbacks with one float at a time.
-    """
-    return ProposalFamily(
-        n=pseudo.n,
-        log_density=lambda l, u, z: pseudo.log_density(l, z),
-        sampler=lambda l, u, rng: pseudo.sampler(l, rng),
-    )
-
-
 def toy_model(
     optimal_pseudo: bool = False, pseudo_var_scale: float = 1.0
 ) -> ModelBundle:
@@ -131,7 +119,7 @@ def toy_model(
     else:
         variances = tuple(pseudo_var_scale * v for v in TOY_PSEUDO_VARS)
         pseudo = _gaussian_pseudo(TOY_PSEUDO_MEANS, variances)
-    return ModelBundle(target, pseudo, _independence_proposal(pseudo))
+    return ModelBundle(target, pseudo, ProposalFamily.independent(pseudo))
 
 
 def posterior_target() -> MixtureTarget:
@@ -158,7 +146,7 @@ def posterior_target() -> MixtureTarget:
 def posterior_model() -> ModelBundle:
     """Posterior target with prior-conditional pseudo-priors and proposals."""
     pseudo = _gaussian_pseudo(TOY_MEANS, (TOY_VAR, TOY_VAR))
-    return ModelBundle(posterior_target(), pseudo, _independence_proposal(pseudo))
+    return ModelBundle(posterior_target(), pseudo, ProposalFamily.independent(pseudo))
 
 
 def _posterior_marginal_unnorm(z: np.ndarray) -> np.ndarray:

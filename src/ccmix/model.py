@@ -10,9 +10,13 @@ The target and pseudo-prior callbacks work on *blocks* of points: an
 array of shape (B,) for one-dimensional z, (B, z_dim) otherwise.  The
 samplers call them positionally.  The proposal callbacks take one point
 at a time, since a general proposal depends on the current point, and
-so the MH refresh also evaluates the target (and the pseudo-prior, for
-MCC) at one point at a time: a float, or an array of shape (z_dim,).
-Elementwise numpy code serves blocks and single points alike.
+so the MH refresh of a general proposal also evaluates the target (and
+the pseudo-prior, for MCC) at one point at a time: a float, or an array
+of shape (z_dim,).  An independence proposal,
+``ProposalFamily.independent(rho)``, ignores the current point, so the
+samplers draw and weigh its proposals in blocks through rho's callbacks
+and make no single-point call.  Elementwise numpy code serves blocks and
+single points alike.
 """
 
 from __future__ import annotations
@@ -101,15 +105,36 @@ class PseudoPriorSet:
 @dataclass(frozen=True)
 class ProposalFamily:
     """Proposal kernels R_l(u, dz) with transition densities r_l(u, z),
-    called with one point u (and z) at a time."""
+    called with one point u (and z) at a time.
+
+    ``rho``, when set, states that R_l(u, .) = rho_l whatever u, and the
+    MH refresh then draws and weighs the proposals in blocks through
+    rho's callbacks instead of calling ``log_density`` and ``sampler``.
+    ``independent`` builds such a family.
+    """
 
     n: int
     log_density: Callable[[int, object, object], float]
     sampler: Callable[[int, object, np.random.Generator], object]
+    rho: Optional[PseudoPriorSet] = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("component count must be positive")
+
+    @classmethod
+    def independent(cls, rho: PseudoPriorSet) -> ProposalFamily:
+        """R_l(u, dz) = rho_l(dz): the proposal ignores the current point.
+
+        The single-point callbacks call rho's on one point, for callers
+        such as ``mh_log_acceptance``; the samplers use rho's on blocks.
+        """
+        return cls(
+            n=rho.n,
+            log_density=lambda l, u, z: rho.log_density(l, z),
+            sampler=lambda l, u, rng: rho.sampler(l, rng),
+            rho=rho,
+        )
 
 
 @dataclass(frozen=True)
@@ -170,23 +195,27 @@ def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
     return _pick(weights, rng.random())
 
 
-def _target_rows(target: MixtureTarget, blocks: Sequence) -> list[list]:
+def _target_rows(target, blocks: Sequence) -> list[list]:
     """log pi*(i, x) for each label i and block x of ``blocks``, a float
-    array each, in row i and column x."""
+    array each, in row i and column x; a PseudoPriorSet in place of the
+    target gives log rho_i(x) likewise."""
     return [
         [np.asarray(target.log_density(i, x), dtype=float) for x in blocks]
         for i in range(1, target.n + 1)
     ]
 
 
-def _pseudo_rows(target, pseudo, labels: Sequence[int], blocks: Sequence) -> tuple:
+def _pseudo_rows(
+    target, pseudo, labels: Sequence[int], blocks: Sequence, q=None
+) -> tuple:
     """log pi*(j, x) and log rho_j(x) for each label j and its block x: two
-    rows of float arrays."""
-    lt, lr = [], []
-    for j, x in zip(labels, blocks):
-        lt.append(np.asarray(target.log_density(j, x), dtype=float))
-        lr.append(np.asarray(pseudo.log_density(j, x), dtype=float))
-    return lt, lr
+    rows of float arrays, and log q_j(x) as a third row when a
+    PseudoPriorSet ``q`` is given."""
+    sets = (target, pseudo) if q is None else (target, pseudo, q)
+    return tuple(
+        [np.asarray(p.log_density(j, x), dtype=float) for j, x in zip(labels, blocks)]
+        for p in sets
+    )
 
 
 def _ratio(lt: float, lr: float) -> float:

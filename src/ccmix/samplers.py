@@ -30,25 +30,38 @@ n x B table; with the MH or frozen refresh a sweep adds its current
 point's weight to stored prefix sums of the other labels' weights.  The
 per-sweep selection serves the first sweep of an exact-refresh block,
 the entries a table cannot settle (+inf, NaN, no mass), MwG and
-``step``, which runs blocks of one sweep.  The MH refresh weighs one
-point at a time, calling the densities on single points rather than on
-blocks of one, which cost ten times as much in numpy.  ``run_chain``
-works in blocks of 1024 sweeps.
+``step``, which runs blocks of one sweep.
+
+The MH refresh of an independence proposal (``ProposalFamily.independent``,
+R_l(u, .) = q_l) is blocked as well, since its proposals and accept
+uniforms do not depend on the chain either: one sampler call of q per
+label draws the block's proposals, one call per label and density weighs
+them (MwG at every label, for the next sweep's conditional weights), and
+a sweep makes one comparison, a_k < exp(min(0, [lt(z') - lq(z')] -
+[lt(u) - lq(u)])) with lt = log pi*(m, .) and lq = log q_m, reading
+log q of the current point u from the carry.  The MH refresh of a
+general proposal weighs one point at a time, calling the densities on
+single points rather than on blocks of one, which cost ten times as much
+in numpy.  ``run_chain`` works in blocks of 1024 sweeps.
 
 *Streams.*  ``run_chain`` gives each label's auxiliaries, each label's
-exact draws, the index uniforms and the MH draws a child stream of the
-seed of their own, so a chain is the same at every block size, and
-samplers that share a seed share those streams.  (The tables use
-numpy's exp, the per-sweep selection math.exp; a last-bit difference
-changes a label only if a uniform falls within rounding of a cumulative
-weight, and the tests check the equality.)  ``step`` draws every stream
-from its one generator in a fixed order: the auxiliaries in label
-order, then the index uniform, then the refresh.
+exact draws, the index uniforms, the MH draws (a general proposal's
+points and uniforms, or an independence proposal's accept uniforms) and
+each label's independence proposals a child stream of the seed of their
+own, the last n spawned after the others, so a chain is the same at
+every block size, and samplers that share a seed share those streams.
+(The tables use numpy's exp, the per-sweep selection math.exp; a
+last-bit difference changes a label only if a uniform falls within
+rounding of a cumulative weight, and the tests check the equality.)
+``step`` draws every stream from its one generator in a fixed order: the
+auxiliaries in label order, then the index uniform, then the refresh
+(an independence proposal's points in label order, then its uniform).
 
 *Lazy errors.*  PseudoPriorZero, AllZeroMass, the RuntimeWarning for a
-vanishing target and pseudo-prior pair and the ValueError for a
-non-finite z fire only for values a sweep uses, at the sweep that uses
-them; a block entry drawn and discarded never raises.
+vanishing target and pseudo-prior pair, the ValueError for a non-finite
+z and the InvalidCurrentState of the MH test fire only for values a
+sweep uses, at the sweep that uses them; a block entry drawn and
+discarded never raises.
 
 The selection hands the densities of the point it selects to the
 refresh, and the refresh those of the point it keeps to the next sweep,
@@ -70,6 +83,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .model import (  # bench/spans.py looks up the public weight functions here
+    InvalidCurrentState,
     MixtureTarget,
     PseudoPriorSet,
     ProposalFamily,
@@ -174,12 +188,15 @@ class _Streams(NamedTuple):
     exact: Sequence[np.random.Generator]  # one per label
     index: np.random.Generator
     mh: np.random.Generator
+    proposal: Sequence[np.random.Generator]  # one per label
 
 
 def _spawn(seed: int, n: int) -> _Streams:
-    children = np.random.SeedSequence(seed).spawn(2 * n + 2)
+    # The proposal streams come last, so the others are those of a spawn
+    # of 2n + 2.
+    children = np.random.SeedSequence(seed).spawn(3 * n + 2)
     g = [np.random.default_rng(s) for s in children]
-    return _Streams(g[:n], g[n : 2 * n], g[2 * n], g[2 * n + 1])
+    return _Streams(g[:n], g[n : 2 * n], g[2 * n], g[2 * n + 1], g[2 * n + 2 :])
 
 
 def _points(x: np.ndarray) -> tuple[list, bool]:
@@ -206,18 +223,23 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 # A *carry* sums up the current point z for the selection of the next
 # sweep: the conditional selection carries the row log pi*(., z), the
 # pseudo-prior selection the pair (log pi*(m, z), its ratio to rho_m(z)).
-# A selection has six parts:
-#   block(bundle, streams, size, tables) draws and weighs what ``size``
+# With an independence proposal q the carry also holds log q at z: the
+# row log q_.(z) after the row of the target, or a third entry
+# log q_m(z) after the pair.
+# A selection has eight parts:
+#   block(bundle, streams, size, tables, q) draws and weighs what ``size``
 #     sweeps need and returns the per-sweep selection (k, v, m, z, carry)
 #     -> (m', u, carry of u), v the sweep's index uniform, the rows of the
 #     auxiliaries (None for the conditional selection) and whether every
 #     point drawn is finite; with ``tables`` it builds prefix sums;
-#   rows(bundle, labels, blocks) weighs each label's block: lists of
-#     arrays indexed [density][label][point];
+#   rows(bundle, labels, blocks, q) weighs each label's block: lists of
+#     arrays indexed [density][label][point], q's last when given;
 #   carry_of(rows, j, k) is the carry of point k of label j + 1's block;
 #   carry_at(bundle, m, z, lt) is the carry of one point z, given
-#     lt = log pi*(m, z), for the MH refresh;
-#   lt(carry, m) reads log pi*(m, z) back;
+#     lt = log pi*(m, z), for the MH refresh of a general proposal;
+#   lt(carry, m) and lq(carry, m) read log pi*(m, z) and log q_m(z) back;
+#   own(rows, j) is the arrays log pi*(j + 1, .) and log q_j+1(.) of label
+#     j + 1's block;
 #   exact_logw(rows, aux) is the log-weights [label, j, k] of the index
 #     draw at sweep k + 1 from label j + 1's exact point of sweep k.
 
@@ -228,12 +250,16 @@ class _Selection(NamedTuple):
     carry_of: Callable
     carry_at: Callable
     lt: Callable
+    lq: Callable
+    own: Callable
     exact_logw: Callable
 
 
-def _conditional_block(bundle, streams, size, tables):
+def _conditional_block(bundle, streams, size, tables, q):
+    n = bundle.target.n
+
     def select(k, v, m, z, carry):
-        return _pick(_weights(carry), v), z, carry
+        return _pick(_weights(carry if q is None else carry[:n]), v), z, carry
 
     return select, None, True
 
@@ -247,18 +273,20 @@ def _row_at(bundle, m, z, lt):
 
 def _ratio_of(rows, j, k):
     lt = rows[0][j].item(k)
-    return lt, _ratio(lt, rows[1][j].item(k))
+    ratio = _ratio(lt, rows[1][j].item(k))
+    return (lt, ratio) if len(rows) == 2 else (lt, ratio, rows[2][j].item(k))
 
 
 def _ratio_at(bundle, m, z, lt):
     return lt, _ratio(lt, float(bundle.pseudo.log_density(m, z)))
 
 
-def _pseudo_block(bundle, streams, size, tables):
+def _pseudo_block(bundle, streams, size, tables, q):
     """Every label's auxiliaries for ``size`` sweeps, with their weights."""
     n, labels = bundle.target.n, range(1, bundle.target.n + 1)
     u = [bundle.pseudo.sampler(j, streams.aux[j - 1], size) for j in labels]
-    aux = _pseudo_rows(bundle.target, bundle.pseudo, labels, u)
+    rows = _pseudo_rows(bundle.target, bundle.pseudo, labels, u, q)
+    aux, lqs = rows[:2], None if q is None else [lq.tolist() for lq in rows[2]]
     lts, lrs, points, finite = [], [], [], True
     for lt, lr, x in zip(*aux, u):
         lts.append(lt.tolist())
@@ -279,7 +307,8 @@ def _pseudo_block(bundle, streams, size, tables):
         if i == m - 1:
             return m, z, carry
         lt = lts[i][k]
-        return i + 1, points[i][k], (lt, _ratio(lt, lrs[i][k]))
+        ratio = _ratio(lt, lrs[i][k])
+        return i + 1, points[i][k], (lt, ratio) if lqs is None else (lt, ratio, lqs[i][k])
 
     if not tables:
         return select, aux, finite
@@ -311,7 +340,8 @@ def _pseudo_block(bundle, streams, size, tables):
         if i == m - 1:
             return m, z, carry
         lt = lts[i][k]
-        return i + 1, points[i][k], (lt, _ratio(lt, lrs[i][k]))
+        ratio = _ratio(lt, lrs[i][k])
+        return i + 1, points[i][k], (lt, ratio) if lqs is None else (lt, ratio, lqs[i][k])
 
     return select_by_prefix, aux, finite
 
@@ -325,22 +355,31 @@ def _pseudo_exact_logw(rows, aux):
     return logw
 
 
+def _conditional_rows(bundle, labels, blocks, q=None):
+    rows = _target_rows(bundle.target, blocks)
+    return rows if q is None else rows + _target_rows(q, blocks)
+
+
 _CONDITIONAL = _Selection(
     _conditional_block,
-    lambda bundle, labels, blocks: _target_rows(bundle.target, blocks),
+    _conditional_rows,
     lambda rows, j, k: [row[j].item(k) for row in rows],
     _row_at,
     lambda carry, m: carry[m - 1],
+    lambda carry, m: carry[len(carry) // 2 + m - 1],
+    lambda rows, j: (rows[j][j], rows[len(rows) // 2 + j][j]),
     lambda rows, aux: rows[:, :, :-1],
 )
 _PSEUDO = _Selection(
     _pseudo_block,
-    lambda bundle, labels, blocks: _pseudo_rows(
-        bundle.target, bundle.pseudo, labels, blocks
+    lambda bundle, labels, blocks, q=None: _pseudo_rows(
+        bundle.target, bundle.pseudo, labels, blocks, q
     ),
     _ratio_of,
     _ratio_at,
     lambda carry, m: carry[0],
+    lambda carry, m: carry[2],
+    lambda rows, j: (rows[0][j], rows[2][j]),
     _pseudo_exact_logw,
 )
 
@@ -383,17 +422,20 @@ def _exact_block(bundle, streams, sel, select, aux, v, m, z, carry):
     return ms, zs, m, z, sel.carry_of(rows, m - 1, size - 1), 0
 
 
-# A stepwise refresh block (bundle, streams, sel) returns the per-sweep
-# refresh (m, u, carry) -> (z', carry of z', accepted), accepted None
-# unless the refresh has an accept/reject.
+# A stepwise refresh block (bundle, streams, sel, size) returns the
+# per-sweep refresh (k, m, u, carry) -> (z', carry of z', accepted) of
+# sweep k, accepted None unless the refresh has an accept/reject.
 
 
-def _mh_block(bundle, streams, sel):
-    """Propose, weigh and accept or reject one point at a time."""
+def _mh_block(bundle, streams, sel, size):
+    """Propose, weigh and accept or reject: in blocks for an independence
+    proposal, else one point at a time."""
     target, proposal, rng = bundle.target, bundle.proposal, streams.mh
+    if proposal.rho is not None:
+        return _independence_block(bundle, streams, sel, size, proposal.rho)
     carry_at, lt_of = sel.carry_at, sel.lt
 
-    def refresh(m, u, carry):
+    def refresh(k, m, u, carry):
         z = proposal.sampler(m, u, rng)
         lt_z = float(target.log_density(m, z))
         log_alpha = _mh_log_acceptance(proposal, m, u, z, lt_of(carry, m), lt_z)
@@ -405,8 +447,46 @@ def _mh_block(bundle, streams, sel):
     return refresh
 
 
-def _frozen_block(bundle, streams, sel):
-    return lambda m, u, carry: (u, carry, None)
+def _independence_block(bundle, streams, sel, size, q):
+    """Each label's proposals for ``size`` sweeps from q, weighed like the
+    auxiliaries, and the accept uniforms; a sweep makes one comparison.
+    The errors are those of ``_mh_log_acceptance``, raised only for the
+    proposal a sweep uses."""
+    labels = range(1, bundle.target.n + 1)
+    x = [q.sampler(j, streams.proposal[j - 1], size) for j in labels]
+    rows = sel.rows(bundle, labels, x, q)
+    lts, lqs, points, finite = [], [], [], True
+    for j in range(len(x)):
+        lt, lq = sel.own(rows, j)
+        lts.append(lt.tolist())
+        lqs.append(lq.tolist())
+        pts, ok = _points(x[j])
+        points.append(pts)
+        finite = finite and ok
+    a = streams.mh.random(size).tolist()
+    lt_of, lq_of, carry_of = sel.lt, sel.lq, sel.carry_of
+
+    def refresh(k, m, u, carry):
+        lt_u, lq_z = lt_of(carry, m), lqs[m - 1][k]
+        if lt_u == -_INF or lq_z == -_INF:
+            raise InvalidCurrentState(
+                f"zero target or proposal density at current point (ell={m})"
+            )
+        lt_z, lq_u = lts[m - 1][k], lq_of(carry, m)
+        if lt_z == -_INF or lq_u == -_INF:
+            return u, carry, False
+        if a[k] < math.exp(min(0.0, (lt_z - lq_z) - (lt_u - lq_u))):
+            z = points[m - 1][k]
+            if not finite:
+                _check_finite(z)
+            return z, carry_of(rows, m - 1, k), True
+        return u, carry, False
+
+    return refresh
+
+
+def _frozen_block(bundle, streams, sel, size):
+    return lambda k, m, u, carry: (u, carry, None)
 
 
 _KERNELS = {
@@ -436,10 +516,17 @@ def _probe_rng() -> np.random.Generator:
     return np.random.default_rng(0)
 
 
+def _independence(kernel, bundle: ModelBundle) -> Optional[PseudoPriorSet]:
+    """The proposal's rho when the sampler refreshes by MH from an
+    independence proposal, else None."""
+    return bundle.proposal.rho if kernel[1] is _mh_block else None
+
+
 def _probes(kernel, bundle: ModelBundle, m: int, z):
     """(name, callback, args, shape it must return) for each callback the
     sampler calls: on a 2-point block built from z, and on z itself for
-    the densities the MH refresh weighs one point at a time."""
+    the densities the MH refresh of a general proposal weighs one point at
+    a time."""
     target, pseudo = bundle.target, bundle.pseudo
     sel, refresh = kernel
     pair = np.array([z, z], dtype=float)
@@ -451,7 +538,11 @@ def _probes(kernel, bundle: ModelBundle, m: int, z):
     if refresh is _exact_block:
         sampler = target.conditional_sampler
         yield "target.conditional_sampler", sampler, (m, rng, 2), pair.shape
-    if refresh is _mh_block:
+    q = _independence(kernel, bundle)
+    if q is not None:
+        yield "proposal.rho.log_density", q.log_density, (m, pair), (2,)
+        yield "proposal.rho.sampler", q.sampler, (m, rng, 2), pair.shape
+    elif refresh is _mh_block:
         yield "target.log_density", target.log_density, (m, z), ()
         if sel is _PSEUDO:
             yield "pseudo.log_density", pseudo.log_density, (m, z), ()
@@ -489,7 +580,12 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
             if get(bundle) is None:
                 raise ConfigError(f"{sampler_id.value} sampling needs {name}")
     target = bundle.target
-    for name, part in (("pseudo-prior", bundle.pseudo), ("proposal", bundle.proposal)):
+    proposal = bundle.proposal
+    for name, part in (
+        ("pseudo-prior", bundle.pseudo),
+        ("proposal", proposal),
+        ("proposal's rho", None if proposal is None else proposal.rho),
+    ):
         if part is not None and part.n != target.n:
             raise ConfigError(
                 f"{name} has {part.n} components, the target has {target.n}"
@@ -508,7 +604,8 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     for probe in _probes(kernel, bundle, m, state.z):
         _probe(*probe)
     sel = kernel[0]
-    carry = sel.carry_of(sel.rows(bundle, [m], [_block(state.z)]), 0, 0)
+    rows = sel.rows(bundle, [m], [_block(state.z)], _independence(kernel, bundle))
+    carry = sel.carry_of(rows, 0, 0)
     if kernel[0].lt(carry, m) == -math.inf:
         raise ConfigError(f"the target has zero mass at the initial state {state}")
     return kernel, carry
@@ -519,15 +616,16 @@ def _sweeps(kernel, bundle, streams, size, m, z, carry):
     last (m, z, carry) and the count of accepted moves."""
     sel, refresh_block = kernel
     exact = refresh_block is _exact_block
-    select, aux, finite = sel.block(bundle, streams, size, size > 1 and not exact)
+    q = _independence(kernel, bundle)
+    select, aux, finite = sel.block(bundle, streams, size, size > 1 and not exact, q)
     v = streams.index.random(size)
     if exact:
         return _exact_block(bundle, streams, sel, select, aux, v, m, z, carry)
-    refresh = refresh_block(bundle, streams, sel)
+    refresh = refresh_block(bundle, streams, sel, size)
     ms, zs, n_accepted = [], [], 0
     for k, vk in enumerate(v.tolist()):
         m, u, carry = select(k, vk, m, z, carry)
-        z, carry, accepted = refresh(m, u, carry)
+        z, carry, accepted = refresh(k, m, u, carry)
         if not finite:
             _check_finite(z)
         ms.append(m)
@@ -550,7 +648,7 @@ def step(
     """
     kernel, carry = _check(sampler_id, bundle, state)
     per_label = [rng] * bundle.target.n
-    streams = _Streams(per_label, per_label, rng, rng)
+    streams = _Streams(per_label, per_label, rng, rng, per_label)
     _, _, m, z, _, n_accepted = _sweeps(
         kernel, bundle, streams, 1, state.m, state.z, carry
     )

@@ -1,6 +1,7 @@
 """Shared statistical helpers for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +198,18 @@ def finite_bundle(spec: FiniteMixtureSpec) -> ModelBundle:
             n=spec.n, log_density=proposal_log_density, sampler=proposal_sampler
         )
     return ModelBundle(target, pseudo, proposal)
+
+
+def independence_bundle(spec: FiniteMixtureSpec, q=None):
+    """``finite_bundle`` with ``ProposalFamily.independent``: R_l(u, .) is
+    the mass function q_l (n x G; the spec's pseudo-prior if None).
+    Returns the bundle and its exact twin, the spec with every proposal
+    row of label l equal to q_l."""
+    q = spec.pseudo if q is None else q
+    rho = finite_bundle(replace(spec, pseudo=q)).pseudo
+    twin = replace(spec, proposal=np.repeat(q[:, None, :], spec.grid_size, axis=1))
+    bundle = replace(finite_bundle(twin), proposal=ProposalFamily.independent(rho))
+    return bundle, twin
 
 
 @pytest.fixture(scope="session")

@@ -44,10 +44,13 @@ from ccmix.experiments import (
 from ccmix.oracle import (
     build_gibbs_index_kernel,
     check_gibbs_iid_bound,
+    exact_asymptotic_variance_alternating,
     index_marginal,
     lag_covariances,
     random_spec,
     spec_from_log_densities,
+    sweep_kernel,
+    target_distribution,
     verify,
 )
 
@@ -174,10 +177,56 @@ def test_criterion_5_gibbs_vs_iid(verified):
     )
 
 
+def _exact_label_references(bundle, half_width, sampler_ids):
+    """Per sampler, the exact lag-1 autocorrelation and asymptotic variance
+    of 1{m = 1} from its sweep kernel, with the study's target, pseudo-prior
+    and proposal discretised on 401 points of [-half_width, half_width]."""
+    G = 401
+    spec = spec_from_log_densities(
+        2,
+        np.linspace(-half_width, half_width, G),
+        bundle.target.log_density,
+        bundle.pseudo.log_density,
+        bundle.proposal.log_density,
+    )
+    pi, f = target_distribution(spec), np.repeat([1.0, 0.0], G)
+    out = {}
+    for sid in sampler_ids:
+        K = sweep_kernel(SamplerId(sid), spec)
+        cov = lag_covariances(K, pi, f, 1)
+        out[sid] = float(cov[1] / cov[0]), exact_asymptotic_variance_alternating(K, K, pi, f)
+    return out
+
+
+def _lag1_deviations(lag1, exact):
+    """|replicate mean - exact lag-1| in standard errors of the mean, per
+    sampler; each must be within 3."""
+    devs = {}
+    for sid, (rho_exact, _) in exact.items():
+        reps = len(lag1[sid])
+        se = float(np.std(lag1[sid], ddof=1)) / math.sqrt(reps)
+        dev = abs(float(np.mean(lag1[sid])) - rho_exact)
+        assert dev <= 3.0 * se, (sid, dev, se, rho_exact)
+        devs[sid] = dev / se
+    return devs
+
+
+def _exact_summary(exact, devs, ordered):
+    """The PASS-line text of the exact lag-1 checks and of the sigma^2
+    ordering of the samplers ``ordered``, which the caller asserted."""
+    lag1 = ", ".join(
+        f"{sid.upper()} {exact[sid][0]:.5f} within {devs[sid]:.2f}" for sid in exact
+    )
+    s2 = " <= ".join(f"{sid.upper()} {exact[sid][1]:.3f}" for sid in ordered)
+    return f"exact lag-1 {lag1} s.e. <= 3; exact sigma^2 of 1{{m = 1}} {s2}"
+
+
 def test_criterion_6_toy_study(toy_report):
     """Gaussian strata at full size: lag-1 label autocorrelations are
     ordered Gibbs >= CC >= MCC >= FCC up to replicate noise, and the
-    Gibbs value matches the exact grid computation."""
+    Gibbs value matches the exact grid computation.  CC, MCC and FCC
+    match their exact lag-1 values, which are equal, and their exact
+    asymptotic variances of 1{m = 1} are ordered CC <= MCC <= FCC."""
     report, elapsed = toy_report
     reps = len(report.results["gibbs"].lag1_m)
     lag1 = {s: np.asarray(report.results[s].lag1_m) for s in report.results}
@@ -203,18 +252,24 @@ def test_criterion_6_toy_study(toy_report):
     dev = abs(float(lag1["gibbs"].mean()) - rho_exact)
     assert dev <= 3.0 * se_g
     assert elapsed < 300.0
+
+    exact = _exact_label_references(bundle, 4.0, ("cc", "mcc", "fcc"))
+    devs = _lag1_deviations(lag1, exact)
+    assert exact["cc"][1] <= exact["mcc"][1] <= exact["fcc"][1]
     print(
         f"PASS criterion 6: toy study ({reps} x 101k iterations, {elapsed:.0f}s "
         f"< 300s); lag-1 ordering gaps {['%.2f' % g for g in gaps]} s.e. >= -2; "
         f"Gibbs lag-1 within {dev / se_g if se_g else 0:.2f} s.e. of exact "
-        f"{rho_exact:.5f}"
+        f"{rho_exact:.5f}; {_exact_summary(exact, devs, ('cc', 'mcc', 'fcc'))}"
     )
 
 
 def test_criterion_7_posterior_study(posterior_report):
     """Partially observed mixture at full size: correct posterior mean,
     a clear mixing gain of FCC over MwG, lower cost than MCC, and a
-    density estimate within the agreement budget."""
+    density estimate within the agreement budget.  MwG, MCC and FCC match
+    their exact lag-1 values, and the exact asymptotic variances of
+    1{m = 1} are ordered MCC <= FCC."""
     report = posterior_report
     for name in ("mwg", "mcc", "fcc"):
         assert abs(report.results[name].mean_z - 0.315) <= 0.02, name
@@ -228,19 +283,25 @@ def test_criterion_7_posterior_study(posterior_report):
     )
     sup = float(np.max(np.abs(report.density_kde - report.density_exact)))
     assert sup < 0.05
+
+    exact = _exact_label_references(posterior_model(), 3.0, ("mwg", "mcc", "fcc"))
+    lag1 = {s: report.results[s].lag1_m for s in exact}
+    devs = _lag1_deviations(lag1, exact)
+    assert exact["mcc"][1] <= exact["fcc"][1]
     print(
         f"PASS criterion 7: posterior study (means within 0.315 +/- 0.02; "
         f"MwG-FCC lag-1 gap {lag_gap:.3f} >= 0.1; median wallclock FCC "
         f"{report.results['fcc'].wall_clock_seconds:.2f}s < MCC "
         f"{report.results['mcc'].wall_clock_seconds:.2f}s; density sup-dev "
-        f"{sup:.3f} < 0.05)"
+        f"{sup:.3f} < 0.05; {_exact_summary(exact, devs, ('mcc', 'fcc'))})"
     )
 
 
 def _counted(bundle, counts):
     """The bundle with every model callback counting in ``counts`` the
     points it evaluates or draws: a density its block's length (one for a
-    single point), a block sampler its size, a proposal callback one."""
+    single point), a block sampler its size, a proposal callback one.  An
+    independence proposal's rho counts its points as proposal points."""
 
     def wrap(name, fn, points):
         def counted(*args):
@@ -266,6 +327,13 @@ def _counted(bundle, counts):
             target,
             conditional_sampler=wrap("conditional", target.conditional_sampler, drawn),
         )
+    rho = proposal.rho
+    if rho is not None:
+        rho = replace(
+            rho,
+            log_density=wrap("proposal", rho.log_density, evaluated),
+            sampler=wrap("proposal_draw", rho.sampler, drawn),
+        )
     return ModelBundle(
         replace(target, log_density=wrap("target", target.log_density, evaluated)),
         replace(
@@ -277,6 +345,7 @@ def _counted(bundle, counts):
             proposal,
             log_density=wrap("proposal", proposal.log_density, one),
             sampler=wrap("proposal_draw", proposal.sampler, one),
+            rho=rho,
         ),
     )
 

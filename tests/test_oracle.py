@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import CHI2_LEVEL, chi2_statistic, finite_bundle
+from conftest import CHI2_LEVEL, chi2_statistic, finite_bundle, independence_bundle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -1021,10 +1021,27 @@ class TestMonteCarloBridge:
     @pytest.mark.parametrize("sampler_id", [s.value for s in SamplerId])
     def test_chain_matches_sweep_kernel(self, sampler_id, seed, n):
         spec = random_spec(np.random.default_rng(seed), n, 5)
+        self._assert_bridge(sampler_id, spec, finite_bundle(spec), seed)
+
+    @pytest.mark.parametrize("seed, n", [(11, 2), (14, 3)])
+    @pytest.mark.parametrize("q_is_rho", [True, False], ids=["q=rho", "q!=rho"])
+    @pytest.mark.parametrize("sampler_id", ["mwg", "mcc"])
+    def test_independence_chain_matches_sweep_kernel(
+        self, sampler_id, q_is_rho, seed, n
+    ):
+        # The blocked refresh of ProposalFamily.independent against build_Q3
+        # with every proposal row equal to q; a q other than the
+        # pseudo-prior catches a refresh that weighs with the wrong one.
+        spec = random_spec(np.random.default_rng(seed), n, 5)
+        q = None if q_is_rho else random_spec(np.random.default_rng([seed, 1]), n, 5).pseudo
+        bundle, twin = independence_bundle(spec, q)
+        self._assert_bridge(sampler_id, twin, bundle, seed)
+
+    def _assert_bridge(self, sampler_id, spec, bundle, seed):
         K = sweep_kernel(sampler_id, spec).matrix
         start = State(1, float(spec.grid[0]))
         config = SamplerConfig(SamplerId(sampler_id), self.SWEEPS, start, 0, seed)
-        trace = run_chain(config, finite_bundle(spec))
+        trace = run_chain(config, bundle)
         states = (trace.m - 1) * spec.grid_size + spec.grid.searchsorted(trace.z)
         N = spec.n_states
         pairs = states[:-1] * N + states[1:]

@@ -13,6 +13,7 @@ from conftest import (
     cdf_bin_probs,
     chi2_pvalue,
     finite_bundle,
+    independence_bundle,
     posterior_z_cdf_factory,
     sample_posterior_exact,
     sample_toy_exact,
@@ -25,6 +26,7 @@ from test_oracle import sparse_specs
 from ccmix import (
     ChainTrace,
     ConfigError,
+    InvalidCurrentState,
     MixtureTarget,
     ModelBundle,
     ProposalFamily,
@@ -478,16 +480,36 @@ class TestCollapseSmoke:
             assert a.m == b.m and a.z == b.z
 
 
+def _independence_accepts(target, q, m, u, z, uniform):
+    """The MH test of the move u -> z from the independence proposal q_m:
+    uniform < exp(min(0, [lt(z) - lq(z)] - [lt(u) - lq(u)])), lt and lq the
+    log-densities of pi*(m, .) and q_m, with the errors and the -inf
+    rejections of mh_log_acceptance."""
+
+    def at(p, x):
+        return float(p.log_density(m, np.array([x]))[0])
+
+    lt_u, lq_z = at(target, u), at(q, z)
+    if lt_u == -np.inf or lq_z == -np.inf:
+        raise InvalidCurrentState(f"ell={m}")
+    lt_z, lq_u = at(target, z), at(q, u)
+    if lt_z == -np.inf or lq_u == -np.inf:
+        return False
+    return uniform < math.exp(min(0.0, (lt_z - lq_z) - (lt_u - lq_u)))
+
+
 def _reference_chain(sid, bundle, state, n_steps, seed):
     """The chain sweep by sweep through the public weight and acceptance
     functions, drawing from run_chain's child streams of the seed: every
-    label's auxiliary and exact draw, the index uniform and the MH draws."""
+    label's auxiliary and exact draw, the index uniform, the MH draws and,
+    for an independence proposal, every label's proposal."""
     target, pseudo, proposal = bundle.target, bundle.pseudo, bundle.proposal
     n = target.n
     streams = [
-        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 * n + 2)
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3 * n + 2)
     ]
-    aux, exact, index, mh = streams[:n], streams[n : 2 * n], streams[2 * n], streams[-1]
+    aux, exact, index, mh = streams[:n], streams[n : 2 * n], streams[2 * n], streams[2 * n + 1]
+    proposals = streams[2 * n + 2 :]
     labels = range(1, n + 1)
     m, z = state.m, state.z
     ms, zs, n_accepted = [], [], 0
@@ -506,9 +528,16 @@ def _reference_chain(sid, bundle, state, n_steps, seed):
             drawn = [target.conditional_sampler(j, exact[j - 1], 1)[0] for j in labels]
             z = drawn[m - 1]
         elif sid in (SamplerId.MWG, SamplerId.MCC):
-            z_prop = proposal.sampler(m, u, mh)
-            log_alpha = mh_log_acceptance(target, proposal, m, u, z_prop)
-            accepted = mh.random() < math.exp(log_alpha)
+            if proposal.rho is None:
+                z_prop = proposal.sampler(m, u, mh)
+                log_alpha = mh_log_acceptance(target, proposal, m, u, z_prop)
+                accepted = mh.random() < math.exp(log_alpha)
+            else:
+                # Every label's proposal is drawn, the selected one used.
+                q = proposal.rho
+                drawn = [q.sampler(j, proposals[j - 1], 1)[0] for j in labels]
+                z_prop = drawn[m - 1]
+                accepted = _independence_accepts(target, q, m, u, z_prop, mh.random())
             n_accepted += accepted
             z = z_prop if accepted else u
         else:
@@ -623,9 +652,30 @@ class TestCarriedDensities:
         for sid, points in want.items():
             for got in self._per_step_points(sid, bundle, state, 40):
                 assert dict(got) == points, sid
-        # The MH refresh weighs its proposal, and after an accepted move
-        # the rest of the carry at the new point: the other labels' target
-        # densities for MwG, the pseudo-prior density for MCC.
+        # The blocked MH refresh of an independence proposal q draws every
+        # label's proposal and weighs it with the densities of the carry:
+        # the target and q at every label for MwG; the target, the
+        # pseudo-prior and q at its own label for MCC, which also weighs
+        # the auxiliaries with q.
+        independent = replace(bundle, proposal=ProposalFamily.independent(bundle.pseudo))
+        blocked = {
+            SamplerId.MWG: {"target": n * n, "proposal": n * n, "proposal_draw": n},
+            SamplerId.MCC: {
+                **pseudo_selection,
+                "target": 2 * n,
+                "pseudo": 2 * n,
+                "proposal": 2 * n,
+                "proposal_draw": n,
+            },
+        }
+        for sid, points in blocked.items():
+            for got in self._per_step_points(sid, independent, state, 40):
+                assert dict(got) == points, sid
+        # A general proposal is refreshed one point at a time: the MH
+        # refresh weighs its proposal, and after an accepted move the rest
+        # of the carry at the new point: the other labels' target densities
+        # for MwG, the pseudo-prior density for MCC.
+        general = replace(bundle, proposal=replace(bundle.proposal, rho=None))
         mh = {"proposal": 2, "proposal_draw": 1}
         accepted = {SamplerId.MWG: ("target", n - 1), SamplerId.MCC: ("pseudo", 1)}
         base = {
@@ -634,7 +684,7 @@ class TestCarriedDensities:
         }
         for sid, (kind, extra) in accepted.items():
             moves = 0
-            for got in self._per_step_points(sid, bundle, state, 40):
+            for got in self._per_step_points(sid, general, state, 40):
                 want_rejected = Counter(base[sid])
                 want_accepted = want_rejected + Counter({kind: extra})
                 assert got in (want_rejected, want_accepted), sid
@@ -735,6 +785,8 @@ class TestBlocks:
 
     def test_scalar_returning_callbacks_rejected(self, toy_bundle):
         pseudo = toy_bundle.pseudo
+        # A general proposal, so that the MH refresh weighs single points.
+        general = replace(toy_bundle, proposal=replace(toy_bundle.proposal, rho=None))
         cases = [
             (
                 SamplerId.FCC,
@@ -765,7 +817,8 @@ class TestBlocks:
                 pseudo,
                 replace(toy_bundle.target, log_density=lambda m, z: -1.0),
             ),
-            # The MH refresh weighs one point at a time and wants a float.
+            # The MH refresh of a general proposal weighs one point at a
+            # time and wants a float.
             (
                 SamplerId.MWG,
                 "target.log_density",
@@ -777,9 +830,41 @@ class TestBlocks:
             ),
         ]
         for sid, name, pseudo_set, target in cases:
-            bundle = replace(toy_bundle, target=target, pseudo=pseudo_set)
+            bundle = replace(general, target=target, pseudo=pseudo_set)
             with pytest.raises(ConfigError, match=name):
                 run_chain(SamplerConfig(sid, 10, State(1, 0.0), burn_in=0), bundle)
+        # An independence proposal's rho is called on blocks.
+        scalar_rho = ProposalFamily.independent(
+            replace(pseudo, log_density=lambda j, u: 0.0)
+        )
+        for sid in (SamplerId.MWG, SamplerId.MCC):
+            with pytest.raises(ConfigError, match="proposal.rho.log_density"):
+                run_chain(
+                    SamplerConfig(sid, 10, State(1, 0.0), burn_in=0),
+                    replace(toy_bundle, proposal=scalar_rho),
+                )
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.MWG, SamplerId.MCC])
+    def test_independence_proposal_needs_no_single_point_callbacks(
+        self, sampler_id, toy_bundle
+    ):
+        # Block-only densities: a single point has no len().  The blocked
+        # refresh never calls them on one, and the chain is the toy's.
+        def block_only(fn):
+            return lambda j, x: fn(j, x) + 0.0 * len(x)
+
+        target, pseudo = toy_bundle.target, toy_bundle.pseudo
+        bundle = ModelBundle(
+            replace(target, log_density=block_only(target.log_density)),
+            replace(pseudo, log_density=block_only(pseudo.log_density)),
+            ProposalFamily.independent(
+                replace(pseudo, log_density=block_only(pseudo.log_density))
+            ),
+        )
+        want = _chain(sampler_id, toy_bundle, State(1, -1.0), 500, 3)
+        got = _chain(sampler_id, bundle, State(1, -1.0), 500, 3)
+        assert np.array_equal(got.m, want.m) and np.array_equal(got.z, want.z)
+        step(sampler_id, bundle, State(1, -1.0), np.random.default_rng(0))
 
 
 def _dominant_discarded_bundle():
@@ -888,3 +973,102 @@ class TestIndexTables:
             _chain(SamplerId.CC, bundle, State(2, 0.3), 110, 4)
         with pytest.raises(PseudoPriorZero):
             _chain(SamplerId.CC, bundle, State(2, 0.3), 200, 4)
+
+
+def _spans_wrapped(bundle):
+    """Every callback behind a forwarding wrapper, put in with
+    dataclasses.replace as bench/spans.py does: the proposal keeps its rho,
+    which is then another object than the bundle's wrapped pseudo-prior."""
+
+    def forward(fn):
+        return lambda *args: fn(*args)
+
+    t, p, r = bundle.target, bundle.pseudo, bundle.proposal
+    cond = t.conditional_sampler
+    return ModelBundle(
+        replace(
+            t,
+            log_density=forward(t.log_density),
+            conditional_sampler=None if cond is None else forward(cond),
+        ),
+        replace(p, log_density=forward(p.log_density), sampler=forward(p.sampler)),
+        replace(r, log_density=forward(r.log_density), sampler=forward(r.sampler)),
+    )
+
+
+def _label_one_only(bad_label, bad_point):
+    """Label 2 has no target mass, so every sampler stays at label 1.  The
+    independence proposal q draws ``bad_point`` for ``bad_label``; q
+    vanishes above 5."""
+    normal = PseudoPriorSet(
+        n=2,
+        log_density=lambda j, u: -0.5 * u * u,
+        sampler=lambda j, rng, size: rng.standard_normal(size),
+    )
+    q = PseudoPriorSet(
+        n=2,
+        log_density=lambda j, u: np.where(u > 5.0, -np.inf, -0.5 * u * u),
+        sampler=lambda j, rng, size: (
+            np.full(size, bad_point) if j == bad_label else rng.standard_normal(size)
+        ),
+    )
+    target = MixtureTarget(
+        n=2,
+        z_dim=1,
+        log_density=lambda m, z: -0.5 * z * z if m == 1 else np.full(len(z), -np.inf),
+    )
+    return ModelBundle(target, normal, ProposalFamily.independent(q))
+
+
+class TestIndependenceRefresh:
+    """With ProposalFamily.independent the MH refresh draws every label's
+    proposals and accept uniforms in blocks; its errors are those of
+    mh_log_acceptance and fire only for the proposal a sweep uses."""
+
+    @pytest.mark.parametrize("model", [toy_model, posterior_model])
+    def test_wrapped_callbacks_keep_the_chain(self, model):
+        bundle = model()
+        wrapped = _spans_wrapped(bundle)
+        assert wrapped.proposal.rho is bundle.pseudo
+        for sid in (SamplerId.MWG, SamplerId.MCC):
+            want = _chain(sid, bundle, State(1, -1.0), 3000, 19)
+            got = _chain(sid, wrapped, State(1, -1.0), 3000, 19)
+            assert np.array_equal(got.m, want.m), sid
+            assert np.array_equal(got.z, want.z), sid
+            assert got.acceptance_rate == want.acceptance_rate, sid
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(sparse_specs())
+    @pytest.mark.parametrize("reverse_q", [False, True], ids=["q=rho", "q!=rho"])
+    def test_chain_matches_reference_on_sparse_specs(self, reverse_q, spec):
+        # Zero-mass cells reject the proposals that land on them; with q the
+        # pseudo-prior rows in reverse label order, q can also vanish at the
+        # current point, which rejects every proposal.
+        bundle, _ = independence_bundle(spec, spec.pseudo[::-1] if reverse_q else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _assert_matches_reference(bundle, _sparse_start(spec), n_steps=80, seed=5)
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.MWG, SamplerId.MCC])
+    def test_vanishing_proposal_density_raises_only_when_used(self, sampler_id):
+        # q_l draws 10, where q_l vanishes: mh_log_acceptance calls that an
+        # invalid current state.  Label 2's proposals are never used.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = _chain(sampler_id, _label_one_only(2, 10.0), State(1, 0.3), 300, 4)
+        assert np.all(trace.m == 1)
+        bundle = _label_one_only(1, 10.0)
+        with pytest.raises(InvalidCurrentState):
+            _chain(sampler_id, bundle, State(1, 0.3), 300, 4)
+        with pytest.raises(InvalidCurrentState):
+            step(sampler_id, bundle, State(1, 0.3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.MWG, SamplerId.MCC])
+    def test_non_finite_proposal_raises_only_when_kept(self, sampler_id):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = _chain(sampler_id, _label_one_only(2, np.nan), State(1, 0.3), 300, 4)
+        assert np.all(np.isfinite(trace.z))
+        # A NaN proposal has a NaN ratio, which min(0, .) accepts.
+        with pytest.raises(ValueError, match="finite"):
+            _chain(sampler_id, _label_one_only(1, np.nan), State(1, 0.3), 300, 4)
