@@ -308,7 +308,8 @@ def _pseudo_block(bundle, streams, size, tables, q):
             return m, z, carry
         lt = lts[i][k]
         ratio = _ratio(lt, lrs[i][k])
-        return i + 1, points[i][k], (lt, ratio) if lqs is None else (lt, ratio, lqs[i][k])
+        carry = (lt, ratio) if lqs is None else (lt, ratio, lqs[i][k])
+        return i + 1, points[i][k], carry
 
     if not tables:
         return select, aux, finite
@@ -341,7 +342,8 @@ def _pseudo_block(bundle, streams, size, tables, q):
             return m, z, carry
         lt = lts[i][k]
         ratio = _ratio(lt, lrs[i][k])
-        return i + 1, points[i][k], (lt, ratio) if lqs is None else (lt, ratio, lqs[i][k])
+        carry = (lt, ratio) if lqs is None else (lt, ratio, lqs[i][k])
+        return i + 1, points[i][k], carry
 
     return select_by_prefix, aux, finite
 

@@ -194,7 +194,8 @@ def _exact_label_references(bundle, half_width, sampler_ids):
     for sid in sampler_ids:
         K = sweep_kernel(SamplerId(sid), spec)
         cov = lag_covariances(K, pi, f, 1)
-        out[sid] = float(cov[1] / cov[0]), exact_asymptotic_variance_alternating(K, K, pi, f)
+        sigma2 = exact_asymptotic_variance_alternating(K, K, pi, f)
+        out[sid] = float(cov[1] / cov[0]), sigma2
     return out
 
 

@@ -1033,7 +1033,8 @@ class TestMonteCarloBridge:
         # with every proposal row equal to q; a q other than the
         # pseudo-prior catches a refresh that weighs with the wrong one.
         spec = random_spec(np.random.default_rng(seed), n, 5)
-        q = None if q_is_rho else random_spec(np.random.default_rng([seed, 1]), n, 5).pseudo
+        other = random_spec(np.random.default_rng([seed, 1]), n, 5)
+        q = None if q_is_rho else other.pseudo
         bundle, twin = independence_bundle(spec, q)
         self._assert_bridge(sampler_id, twin, bundle, seed)
 

@@ -385,6 +385,9 @@ class TestRunChain:
     def test_proposal_component_count_mismatch_rejected(self, sampler_id, toy_bundle):
         bundle = replace(toy_bundle, proposal=replace(toy_bundle.proposal, n=7))
         self._assert_rejected(sampler_id, bundle, State(1, 0.0))
+        rho = replace(toy_bundle.pseudo, n=7)
+        bundle = replace(toy_bundle, proposal=replace(toy_bundle.proposal, rho=rho))
+        self._assert_rejected(sampler_id, bundle, State(1, 0.0))
 
     @pytest.mark.parametrize("sampler_id", list(SamplerId))
     def test_non_integer_label_rejected(self, sampler_id, toy_bundle):
@@ -508,8 +511,8 @@ def _reference_chain(sid, bundle, state, n_steps, seed):
     streams = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3 * n + 2)
     ]
-    aux, exact, index, mh = streams[:n], streams[n : 2 * n], streams[2 * n], streams[2 * n + 1]
-    proposals = streams[2 * n + 2 :]
+    aux, exact, proposals = streams[:n], streams[n : 2 * n], streams[2 * n + 2 :]
+    index, mh = streams[2 * n], streams[2 * n + 1]
     labels = range(1, n + 1)
     m, z = state.m, state.z
     ms, zs, n_accepted = [], [], 0
@@ -657,7 +660,8 @@ class TestCarriedDensities:
         # the target and q at every label for MwG; the target, the
         # pseudo-prior and q at its own label for MCC, which also weighs
         # the auxiliaries with q.
-        independent = replace(bundle, proposal=ProposalFamily.independent(bundle.pseudo))
+        q = ProposalFamily.independent(bundle.pseudo)
+        independent = replace(bundle, proposal=q)
         blocked = {
             SamplerId.MWG: {"target": n * n, "proposal": n * n, "proposal_draw": n},
             SamplerId.MCC: {
@@ -1067,7 +1071,8 @@ class TestIndependenceRefresh:
     def test_non_finite_proposal_raises_only_when_kept(self, sampler_id):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = _chain(sampler_id, _label_one_only(2, np.nan), State(1, 0.3), 300, 4)
+            bundle = _label_one_only(2, np.nan)
+            trace = _chain(sampler_id, bundle, State(1, 0.3), 300, 4)
         assert np.all(np.isfinite(trace.z))
         # A NaN proposal has a NaN ratio, which min(0, .) accepts.
         with pytest.raises(ValueError, match="finite"):
