@@ -100,29 +100,41 @@ def asymptotic_variance_batch_means(
 def kde(samples, grid, bandwidth: float) -> np.ndarray:
     """Gaussian kernel density estimate on the given grid.
 
-    The grid must be sorted; the returned values integrate to roughly
-    one when the grid spans the sample range plus a few bandwidths.
+    The samples and grid must be one-dimensional and finite, the grid
+    sorted and the bandwidth positive and finite; the returned values
+    integrate to roughly one when the grid spans the sample range plus a
+    few bandwidths.  A chain repeats its states, so
+    each distinct sample's kernel is evaluated once and weighted by its
+    multiplicity; the result differs from the sum over every sample only
+    in summation order.
     """
     x = np.asarray(samples, dtype=float)
     g = np.asarray(grid, dtype=float)
+    if x.ndim != 1 or g.ndim != 1:
+        raise ValueError("samples and grid must be one-dimensional")
     if len(x) == 0:
         raise EmptySample("cannot estimate a density from zero samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("grid must be finite")
     if np.any(np.diff(g) < 0):
         raise ValueError("grid must be sorted ascending")
     h = float(bandwidth)
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     norm = len(x) * h * np.sqrt(2.0 * np.pi)
-    # Each grid point sums only the sorted samples within _KDE_REACH
-    # bandwidths: every term left out is exactly zero, and exp never
-    # takes its slow underflow path.
-    xs = np.sort(x)
+    # Each grid point sums only the distinct sorted samples within
+    # _KDE_REACH bandwidths: every term left out is exactly zero, and exp
+    # never takes its slow underflow path.
+    xs, counts = np.unique(x, return_counts=True)
+    counts = counts.astype(float)
     reach = _KDE_REACH * h
     lo = np.searchsorted(xs, g - reach, side="left").tolist()
     hi = np.searchsorted(xs, g + reach, side="right").tolist()
     out = np.empty(len(g))
     for i, gi in enumerate(g.tolist()):
         d = (gi - xs[lo[i] : hi[i]]) / h
-        out[i] = np.exp(-0.5 * d * d).sum()
+        out[i] = np.exp(-0.5 * d * d) @ counts[lo[i] : hi[i]]
     return out / norm
 

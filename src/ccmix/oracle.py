@@ -552,7 +552,7 @@ def spec_from_log_densities(
     grid: np.ndarray,
     log_target,
     log_pseudo,
-    log_proposal=None,
+    proposal=None,
 ) -> FiniteMixtureSpec:
     """Discretize continuous densities to grid masses (normalized pointwise).
 
@@ -560,9 +560,12 @@ def spec_from_log_densities(
     on the whole grid, as the samplers call them on a block, and the
     masses are normalized after subtracting the largest log-density, so
     a target far below exp(-745) everywhere still discretizes.
-    ``log_proposal(l, u, z)``, when given, fills the proposal slices one
-    point at a time.  ValueError if the target, or a pseudo-prior, has no
-    mass on the grid.
+    ``proposal``, a ProposalFamily when given, fills the proposal slices:
+    for an independence proposal (``proposal.rho`` set) each label's slice
+    is ``rho.log_density`` on the whole grid, the same row for every u;
+    otherwise ``proposal.log_density(l, u, z)`` is called one point at a
+    time.  ValueError if the target, or a pseudo-prior, has no mass on the
+    grid.
     """
     grid = np.asarray(grid, dtype=float)
     labels = range(1, n + 1)
@@ -577,16 +580,18 @@ def spec_from_log_densities(
         [_scaled_exp(on_grid(log_pseudo, j), f"pseudo-prior {j}") for j in labels]
     )
     pseudo /= pseudo.sum(axis=1, keepdims=True)
-    proposal = None
-    if log_proposal is not None:
-        proposal = np.array(
-            [
-                [[np.exp(log_proposal(l, u, z)) for z in grid] for u in grid]
-                for l in labels
-            ]
+    masses = None
+    if proposal is not None and proposal.rho is not None:
+        rows = np.exp([on_grid(proposal.rho.log_density, l) for l in labels])
+        rows /= rows.sum(axis=1, keepdims=True)
+        masses = np.repeat(rows[:, None, :], len(grid), axis=1)
+    elif proposal is not None:
+        log_r = proposal.log_density
+        masses = np.array(
+            [[[np.exp(log_r(l, u, z)) for z in grid] for u in grid] for l in labels]
         )
-        proposal /= proposal.sum(axis=2, keepdims=True)
-    return FiniteMixtureSpec(n, grid, prob, pseudo, proposal)
+        masses /= masses.sum(axis=2, keepdims=True)
+    return FiniteMixtureSpec(n, grid, prob, pseudo, masses)
 
 
 # The section headers of a spec file, in the order save_spec writes them.

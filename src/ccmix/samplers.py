@@ -30,7 +30,10 @@ n x B table; with the MH or frozen refresh a sweep adds its current
 point's weight to stored prefix sums of the other labels' weights.  The
 per-sweep selection serves the first sweep of an exact-refresh block,
 the entries a table cannot settle (+inf, NaN, no mass), MwG and
-``step``, which runs blocks of one sweep.
+``step``, which runs blocks of one sweep.  MwG's carried row stands
+until a move is accepted, so its label weights are made once per carry,
+at block entry and after each accepted move, and each sweep only draws
+from them.
 
 The MH refresh of an independence proposal (``ProposalFamily.independent``,
 R_l(u, .) = q_l) is blocked as well, since its proposals and accept
@@ -257,9 +260,15 @@ class _Selection(NamedTuple):
 
 def _conditional_block(bundle, streams, size, tables, q):
     n = bundle.target.n
+    weighed, weights = None, None
 
     def select(k, v, m, z, carry):
-        return _pick(_weights(carry if q is None else carry[:n]), v), z, carry
+        # A carry stands until a move is accepted, so its label weights are
+        # made once per carry, not once per sweep.
+        nonlocal weighed, weights
+        if carry is not weighed:
+            weighed, weights = carry, _weights(carry if q is None else carry[:n])
+        return _pick(weights, v), z, carry
 
     return select, None, True
 

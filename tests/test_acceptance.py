@@ -187,7 +187,7 @@ def _exact_label_references(bundle, half_width, sampler_ids):
         np.linspace(-half_width, half_width, G),
         bundle.target.log_density,
         bundle.pseudo.log_density,
-        bundle.proposal.log_density,
+        bundle.proposal,
     )
     pi, f = target_distribution(spec), np.repeat([1.0, 0.0], G)
     out = {}

@@ -126,6 +126,12 @@ def _silverman(x):
     return 1.06 * float(np.std(x)) * len(x) ** (-0.2)
 
 
+def _dense_kde(x, grid, h):
+    """The full (grid x samples) sum, one kernel per sample."""
+    d = (grid[:, None] - x[None, :]) / h
+    return np.exp(-0.5 * d * d).sum(axis=1) / (len(x) * h * np.sqrt(2.0 * np.pi))
+
+
 class TestKde:
     def test_single_point_kernel_height(self):
         got = kde([0.0], [0.0], bandwidth=1.0)
@@ -175,6 +181,54 @@ class TestKde:
         want = np.exp(-0.5 * d * d).sum(axis=1) / (len(x) * h * np.sqrt(2.0 * np.pi))
         assert 0.0 < want[0] < 1e-320
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_heavy_repeats_match_the_dense_sum(self):
+        # Each distinct point weighs in once, times its multiplicity.
+        rng = np.random.default_rng(15)
+        points = rng.standard_normal(300)
+        x = rng.permutation(np.repeat(points, rng.integers(1, 51, len(points))))
+        grid = np.linspace(-4.0, 4.0, 801)
+        np.testing.assert_allclose(
+            kde(x, grid, bandwidth=0.1), _dense_kde(x, grid, 0.1), rtol=1e-14, atol=0
+        )
+
+    def test_fcc_trace_matches_the_dense_sum(self):
+        # FCC keeps z until the label switches, so its trace repeats.
+        from ccmix import SamplerConfig, SamplerId, State, run_chain
+        from ccmix.experiments import POSTERIOR_KDE_BANDWIDTH, posterior_model
+
+        config = SamplerConfig(SamplerId.FCC, 4000, State(2, 0.6), burn_in=0, seed=3)
+        x = run_chain(config, posterior_model()).z
+        assert len(np.unique(x)) < len(x) / 2
+        grid = np.linspace(-3.0, 3.0, 601)
+        h = POSTERIOR_KDE_BANDWIDTH
+        np.testing.assert_allclose(
+            kde(x, grid, bandwidth=h), _dense_kde(x, grid, h), rtol=1e-14, atol=0
+        )
+
+    @pytest.mark.parametrize(
+        "samples, grid, bandwidth, name",
+        [
+            ([0.0, math.nan], [0.0], 1.0, "samples"),
+            ([0.0, math.inf], [0.0], 1.0, "samples"),
+            ([0.0, -math.inf], [0.0], 1.0, "samples"),
+            ([0.0], [0.0, math.nan], 1.0, "grid"),
+            ([0.0], [math.nan, 0.0], 1.0, "grid"),
+            ([0.0], [0.0, math.inf], 1.0, "grid"),
+            ([0.0], [0.0], math.nan, "bandwidth"),
+            ([0.0], [0.0], math.inf, "bandwidth"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, samples, grid, bandwidth, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            kde(samples, grid, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize(
+        "samples, grid", [(np.zeros((5, 2)), [0.0]), ([0.0], [[0.0, 1.0]])]
+    )
+    def test_non_1d_input_rejected(self, samples, grid):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            kde(samples, grid, bandwidth=1.0)
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):

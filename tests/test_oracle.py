@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from ccmix import SamplerConfig, SamplerId, State, run_chain
+from ccmix import ProposalFamily, SamplerConfig, SamplerId, State, run_chain
 from ccmix.oracle import (
     CHECKS,
     DimensionMismatch,
@@ -727,7 +727,7 @@ def _toy_spec(half_width, with_proposal=False):
 
     bundle = toy_model()
     grid = np.linspace(-half_width, half_width, 100 * half_width + 1)
-    proposal = bundle.proposal.log_density if with_proposal else None
+    proposal = bundle.proposal if with_proposal else None
     return spec_from_log_densities(
         2, grid, bundle.target.log_density, bundle.pseudo.log_density, proposal
     )
@@ -951,7 +951,7 @@ class TestHelpers:
             grid,
             lambda m, z: -((z - (2 * m - 3)) ** 2),
             lambda j, u: -u * u,
-            lambda l, u, z: -((z - u) ** 2),
+            ProposalFamily(2, lambda l, u, z: -((z - u) ** 2), None),
         )
         assert spec.prob.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(spec.pseudo.sum(axis=1), 1.0, atol=1e-12)
@@ -982,6 +982,18 @@ class TestHelpers:
         )
         np.testing.assert_allclose(spec.prob, 0.1, rtol=1e-15)
         np.testing.assert_allclose(spec.pseudo, 0.2, rtol=1e-15)
+
+    def test_spec_from_log_densities_independence_proposal_on_the_grid(self):
+        # rho on the whole grid gives the slices the pointwise calls give.
+        from ccmix.experiments import toy_model
+
+        bundle = toy_model()
+        grid = np.linspace(-4.0, 4.0, 81)
+        args = (2, grid, bundle.target.log_density, bundle.pseudo.log_density)
+        general = replace(bundle.proposal, rho=None)
+        got = spec_from_log_densities(*args, bundle.proposal).proposal
+        want = spec_from_log_densities(*args, general).proposal
+        np.testing.assert_array_equal(got, want)
 
     def test_spec_from_log_densities_far_below_underflow(self):
         # exp(-800) is 0.0 in double precision; the shape is not lost.

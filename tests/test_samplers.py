@@ -624,6 +624,25 @@ class TestCarriedDensities:
                 finite_bundle(spec), _sparse_start(spec), n_steps=80, seed=5
             )
 
+    def test_mwg_weighs_each_carry_once(self, monkeypatch):
+        # The carried row, and so its label weights, change only on an
+        # accepted move: MwG weighs it at block entry and after each
+        # accepted move, not at every sweep.
+        calls = []
+        weights = samplers._weights
+
+        def counted(logw):
+            calls.append(1)
+            return weights(logw)
+
+        monkeypatch.setattr(samplers, "_weights", counted)
+        n_steps = 6000
+        trace = _chain(SamplerId.MWG, posterior_model(), State(2, 0.6), n_steps, 11)
+        accepted = round(trace.acceptance_rate * n_steps)
+        blocks = -(-n_steps // samplers._BLOCK_SIZE)
+        assert 1 + accepted + blocks < n_steps
+        assert 0 < len(calls) <= 1 + accepted + blocks
+
     @staticmethod
     def _per_step_points(sid, bundle, state, n_steps):
         """The points evaluated and drawn by sweeps 2..n_steps of one chain,
