@@ -221,14 +221,23 @@ def build_P3(spec: FiniteMixtureSpec) -> FiniteKernel:
         others = [j for j in range(n) if j not in (m, k)]
         values, weights = _refresh_sum_support(ratio, spec.pseudo, others)
         C = np.empty((G, G))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for g in range(G):
                 C[g] = (1.0 / (ratio[m, g] + ratio[k][:, None] + values)) @ weights
-        # A total can vanish only where pi*(m, g) = pi*(k, u) = 0, which
-        # makes C[g, u] infinite or NaN; that pair has no flow.
-        C[~np.isfinite(C)] = 0.0
+        # C[g, u] is not finite where a total vanishes, only where
+        # pi*(m, g) = pi*(k, u) = 0, or is so small that its inverse
+        # overflows.  There both blocks take E[pi* / total], which is at
+        # most 1: no flow for a vanishing total, the true one otherwise.
+        gs, us = np.nonzero(~np.isfinite(C))
+        C[gs, us] = 0.0
         P[m * G : (m + 1) * G, k * G : (k + 1) * G] = C * spec.prob[k]
         P[k * G : (k + 1) * G, m * G : (m + 1) * G] = C.T * spec.prob[m]
+        if len(gs):
+            total = ratio[m, gs, None] + ratio[k, us, None] + values
+            mass = np.array([spec.prob[k, us], spec.prob[m, gs]])[:, :, None]
+            flow = np.zeros(mass.shape[:2] + values.shape)
+            np.divide(mass, total, out=flow, where=total > 0)
+            P[m * G + gs, k * G + us], P[k * G + us, m * G + gs] = flow @ weights
     P[np.diag_indices(n * G)] = 1.0 - P.sum(axis=1)
     return FiniteKernel(P, n, G)
 
@@ -249,7 +258,9 @@ def build_Q3(spec: FiniteMixtureSpec) -> FiniteKernel:
     # Moves out of a zero-mass point keep alpha = 0, so its row parks;
     # an impossible reverse move has flow.T = 0 and alpha = 0.
     accept = np.zeros_like(R)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A ratio that overflows to inf is accepted by fmin below, as the
+    # exact ratio above 1 would be, so its warning is silenced.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(flow.transpose(0, 2, 1), flow, out=accept, where=(p > 0) & (R > 0))
     # fmin ignores a NaN ratio (both flows underflowed to zero), so such
     # a move is accepted.

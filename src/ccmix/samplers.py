@@ -18,22 +18,22 @@ draws z' ~ pi*(. | m'), the MH refresh proposes from the selected point
 and accepts or rejects, and the frozen refresh keeps the selected point
 as is.
 
-*Blocks.*  The auxiliaries, the exact draws and the index uniforms do
-not depend on the chain state, so the sweeps run in blocks of B: for
-every label, one sampler call draws the block's auxiliaries (the active
-label's is drawn and discarded) and one call per density weighs them;
-the exact refresh likewise draws and weighs one point per label and
-sweep.  A block of more than one sweep also draws its labels from
-tables built in numpy: with the exact refresh the label of a sweep
-depends only on the label before it, so the block is one scan of an
-n x B table; with the MH or frozen refresh a sweep adds its current
-point's weight to stored prefix sums of the other labels' weights.  The
-per-sweep selection serves the first sweep of an exact-refresh block,
-the entries a table cannot settle (+inf, NaN, no mass), MwG and
-``step``, which runs blocks of one sweep.  MwG's carried row stands
-until a move is accepted, so its label weights are made once per carry,
-at block entry and after each accepted move, and each sweep only draws
-from them.
+*Blocks.*  The auxiliaries, the exact draws, the independence proposals
+and the uniforms do not depend on the chain state, so the sweeps run in
+blocks of B: for every label, one sampler call draws the block's points
+(the active label's auxiliary is drawn and discarded) and one call per
+density weighs them.  With the exact refresh the label of a sweep depends
+only on the label before it, so a block of more than one sweep is one
+scan of an n x B label table built in numpy.  With the MH or frozen
+refresh a block lays its points out in a *point table*, the carried
+point first, and a sweep moves an integer index over it: the pseudo-prior
+selection adds the current point's weight to stored prefix sums of the
+other labels' weights, MwG draws from the current point's label weights,
+made once per point, and the MH test reads both points' densities from
+the table.  The per-sweep selection and MH test serve the first sweep of
+an exact-refresh block, the entries the tables cannot settle (a +inf or
+NaN ratio, a weight too large for exp, no mass, a vanishing q or a
+non-finite point) and ``step``, which runs blocks of one sweep.
 
 The MH refresh of an independence proposal (``ProposalFamily.independent``,
 R_l(u, .) = q_l) is blocked as well, since its proposals and accept
@@ -41,11 +41,12 @@ uniforms do not depend on the chain either: one sampler call of q per
 label draws the block's proposals, one call per label and density weighs
 them (MwG at every label, for the next sweep's conditional weights), and
 a sweep makes one comparison, a_k < exp(min(0, [lt(z') - lq(z')] -
-[lt(u) - lq(u)])) with lt = log pi*(m, .) and lq = log q_m, reading
-log q of the current point u from the carry.  The MH refresh of a
-general proposal weighs one point at a time, calling the densities on
-single points rather than on blocks of one, which cost ten times as much
-in numpy.  ``run_chain`` works in blocks of 1024 sweeps.
+[lt(u) - lq(u)])) with lt = log pi*(m, .) and lq = log q_m, on the
+entries of u and z' in the point table.  The MH refresh of a general
+proposal weighs one point at a time, calling the densities on single
+points rather than on blocks of one, which cost ten times as much in
+numpy, and puts each point it accepts at the end of the table.
+``run_chain`` works in blocks of 1024 sweeps.
 
 *Streams.*  ``run_chain`` gives each label's auxiliaries, each label's
 exact draws, the index uniforms, the MH draws (a general proposal's
@@ -53,12 +54,13 @@ points and uniforms, or an independence proposal's accept uniforms) and
 each label's independence proposals a child stream of the seed of their
 own, the last n spawned after the others, so a chain is the same at
 every block size, and samplers that share a seed share those streams.
-(The tables use numpy's exp, the per-sweep selection math.exp; a
-last-bit difference changes a label only if a uniform falls within
-rounding of a cumulative weight, and the tests check the equality.)
-``step`` draws every stream from its one generator in a fixed order: the
-auxiliaries in label order, then the index uniform, then the refresh
-(an independence proposal's points in label order, then its uniform).
+A point table keeps each draw where its stream put it.  (The tables
+use numpy's exp, the per-sweep selection math.exp; a last-bit difference
+changes a label only if a uniform falls within rounding of a cumulative
+weight, and the tests check the equality.)  ``step`` draws every stream
+from its one generator in a fixed order: the auxiliaries in label order,
+then the index uniform, then the refresh (an independence proposal's
+points in label order, then its uniform).
 
 *Lazy errors.*  PseudoPriorZero, AllZeroMass, the RuntimeWarning for a
 vanishing target and pseudo-prior pair, the ValueError for a non-finite
@@ -81,6 +83,7 @@ import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -202,14 +205,9 @@ def _spawn(seed: int, n: int) -> _Streams:
     return _Streams(g[:n], g[n : 2 * n], g[2 * n], g[2 * n + 1], g[2 * n + 2 :])
 
 
-def _points(x: np.ndarray) -> tuple[list, bool]:
-    """The points of a block one by one (floats, or rows for vector z), and
-    whether all are finite.  A sum that overflows says they are not, and
-    the sweep then checks each point it keeps."""
-    if x.ndim == 1:
-        points = x.tolist()
-        return points, math.isfinite(sum(points))
-    return list(x), math.isfinite(x.sum())
+def _point(x: np.ndarray, k: int):
+    """Point k of a block: a float, or a row for vector z."""
+    return x.item(k) if x.ndim == 1 else x[k]
 
 
 def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -228,49 +226,40 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 # pseudo-prior selection the pair (log pi*(m, z), its ratio to rho_m(z)).
 # With an independence proposal q the carry also holds log q at z: the
 # row log q_.(z) after the row of the target, or a third entry
-# log q_m(z) after the pair.
-# A selection has eight parts:
-#   block(bundle, streams, size, tables, q) draws and weighs what ``size``
-#     sweeps need and returns the per-sweep selection (k, v, m, z, carry)
-#     -> (m', u, carry of u), v the sweep's index uniform, the rows of the
-#     auxiliaries (None for the conditional selection) and whether every
-#     point drawn is finite; with ``tables`` it builds prefix sums;
+# log q_m(z) after the pair.  A point table holds one carry per point.
+# A selection has nine parts:
+#   block(bundle, streams, size, q) draws and weighs every label's
+#     auxiliaries for ``size`` sweeps: their rows and their points;
+#   select(v, m, carry, aux) -> m' selects at one sweep from its index
+#     uniform v, the current point's carry and the auxiliaries' carries,
+#     one per label; the pseudo-prior selection then moves to label m''s
+#     auxiliary unless m' = m, the conditional one keeps the point;
 #   rows(bundle, labels, blocks, q) weighs each label's block: lists of
 #     arrays indexed [density][label][point], q's last when given;
 #   carry_of(rows, j, k) is the carry of point k of label j + 1's block;
+#   carries(rows) is every such carry, an array [label, point, entry];
 #   carry_at(bundle, m, z, lt) is the carry of one point z, given
 #     lt = log pi*(m, z), for the MH refresh of a general proposal;
 #   lt(carry, m) and lq(carry, m) read log pi*(m, z) and log q_m(z) back;
-#   own(rows, j) is the arrays log pi*(j + 1, .) and log q_j+1(.) of label
-#     j + 1's block;
 #   exact_logw(rows, aux) is the log-weights [label, j, k] of the index
 #     draw at sweep k + 1 from label j + 1's exact point of sweep k.
 
 
 class _Selection(NamedTuple):
     block: Callable
+    select: Callable
     rows: Callable
     carry_of: Callable
+    carries: Callable
     carry_at: Callable
     lt: Callable
     lq: Callable
-    own: Callable
     exact_logw: Callable
 
 
-def _conditional_block(bundle, streams, size, tables, q):
-    n = bundle.target.n
-    weighed, weights = None, None
-
-    def select(k, v, m, z, carry):
-        # A carry stands until a move is accepted, so its label weights are
-        # made once per carry, not once per sweep.
-        nonlocal weighed, weights
-        if carry is not weighed:
-            weighed, weights = carry, _weights(carry if q is None else carry[:n])
-        return _pick(weights, v), z, carry
-
-    return select, None, True
+def _conditional_select(v, m, carry, aux):
+    # The exact refresh's carry, the row log pi*(., z); MwG selects inline.
+    return _pick(_weights(carry), v)
 
 
 def _row_at(bundle, m, z, lt):
@@ -290,71 +279,26 @@ def _ratio_at(bundle, m, z, lt):
     return lt, _ratio(lt, float(bundle.pseudo.log_density(m, z)))
 
 
-def _pseudo_block(bundle, streams, size, tables, q):
+def _pseudo_block(bundle, streams, size, q):
     """Every label's auxiliaries for ``size`` sweeps, with their weights."""
-    n, labels = bundle.target.n, range(1, bundle.target.n + 1)
+    labels = range(1, bundle.target.n + 1)
     u = [bundle.pseudo.sampler(j, streams.aux[j - 1], size) for j in labels]
-    rows = _pseudo_rows(bundle.target, bundle.pseudo, labels, u, q)
-    aux, lqs = rows[:2], None if q is None else [lq.tolist() for lq in rows[2]]
-    lts, lrs, points, finite = [], [], [], True
-    for lt, lr, x in zip(*aux, u):
-        lts.append(lt.tolist())
-        lrs.append(lr.tolist())
-        pts, ok = _points(x)
-        points.append(pts)
-        finite = finite and ok
+    return _pseudo_rows(bundle.target, bundle.pseudo, labels, u, q), u
 
-    def select(k, v, m, z, carry):
-        # ``_ratio`` inline: this runs every sweep of ``step``.
-        logw = [_INF if b[k] == -_INF else a[k] - b[k] for a, b in zip(lts, lrs)]
-        logw[m - 1] = carry[1]  # the active label's auxiliary is z itself
-        if _INF in logw:
-            lt_k = [lt[k] for lt in lts]
-            lt_k[m - 1] = carry[0]
-            logw = _resolve(logw, lt_k)
-        i = _pick(_weights(logw), v) - 1
-        if i == m - 1:
-            return m, z, carry
-        lt = lts[i][k]
-        ratio = _ratio(lt, lrs[i][k])
-        carry = (lt, ratio) if lqs is None else (lt, ratio, lqs[i][k])
-        return i + 1, points[i][k], carry
 
-    if not tables:
-        return select, aux, finite
+def _pseudo_select(v, m, carry, aux):
+    logw = [a[1] for a in aux]
+    logw[m - 1] = carry[1]  # the active label's auxiliary is z itself
+    if _INF in logw:
+        lts = [a[0] for a in aux]
+        lts[m - 1] = carry[0]
+        logw = _resolve(logw, lts)
+    return _pick(_weights(logw), v)
 
-    # For each active label m and sweep k: the shift, the largest of the
-    # other labels' ratios, and the prefix sums of their weights
-    # exp(ratio - shift) in label order, zero at m, flat in k * n + label.
-    # Where one of those ratios is +inf or NaN, or all are -inf, the shift
-    # is -inf and the sweep falls back on ``select``.
-    others = np.repeat(_ratios(*np.array(aux))[:, None], n, axis=1)
-    others[np.arange(n), np.arange(n)] = -_INF
-    with np.errstate(invalid="ignore"):
-        shift = others.max(axis=0)
-        prefix = np.cumsum(np.exp(others - shift), axis=0)
-    shift[~np.isfinite(shift)] = -_INF
-    shifts = shift.tolist()
-    prefixes = prefix.transpose(1, 2, 0).reshape(n, -1).tolist()
 
-    def select_by_prefix(k, v, m, z, carry):
-        d = carry[1] - shifts[m - 1][k]
-        if not d < 700.0:  # +inf, NaN, or too large for exp
-            return select(k, v, m, z, carry)
-        w = math.exp(d)  # the current point's weight
-        c, lo = prefixes[m - 1], k * n
-        u = v * (c[lo + n - 1] + w)
-        i = bisect.bisect_right(c, u, lo, lo + m - 1) - lo
-        if i == m - 1 and not u < c[lo + i] + w:
-            i = min(bisect.bisect_right(c, u - w, lo + m, lo + n) - lo, n - 1)
-        if i == m - 1:
-            return m, z, carry
-        lt = lts[i][k]
-        ratio = _ratio(lt, lrs[i][k])
-        carry = (lt, ratio) if lqs is None else (lt, ratio, lqs[i][k])
-        return i + 1, points[i][k], carry
-
-    return select_by_prefix, aux, finite
+def _pseudo_carries(rows):
+    lt = np.array(rows[0])
+    return np.stack([lt, _ratios(lt, np.array(rows[1])), *rows[2:]], axis=-1)
 
 
 def _pseudo_exact_logw(rows, aux):
@@ -372,43 +316,51 @@ def _conditional_rows(bundle, labels, blocks, q=None):
 
 
 _CONDITIONAL = _Selection(
-    _conditional_block,
+    lambda bundle, streams, size, q: (None, []),
+    _conditional_select,
     _conditional_rows,
     lambda rows, j, k: [row[j].item(k) for row in rows],
+    lambda rows: np.moveaxis(np.array(rows), 0, -1),
     _row_at,
     lambda carry, m: carry[m - 1],
     lambda carry, m: carry[len(carry) // 2 + m - 1],
-    lambda rows, j: (rows[j][j], rows[len(rows) // 2 + j][j]),
     lambda rows, aux: rows[:, :, :-1],
 )
 _PSEUDO = _Selection(
     _pseudo_block,
+    _pseudo_select,
     lambda bundle, labels, blocks, q=None: _pseudo_rows(
         bundle.target, bundle.pseudo, labels, blocks, q
     ),
     _ratio_of,
+    _pseudo_carries,
     _ratio_at,
     lambda carry, m: carry[0],
     lambda carry, m: carry[2],
-    lambda rows, j: (rows[0][j], rows[2][j]),
     _pseudo_exact_logw,
 )
 
 
-def _exact_block(bundle, streams, sel, select, aux, v, m, z, carry):
+def _exact_block(bundle, streams, sel, size, m, z, carry):
     """Sweeps with the exact refresh.  It keeps label m's exact draw and
     drops the selected point, so the label drawn at sweep k > 0 depends
     only on the label of sweep k - 1: a table lookup, with the per-sweep
     selection for sweep 0, the table's zeros and non-finite draws."""
-    labels, size = range(1, bundle.target.n + 1), len(v)
+    aux, _ = sel.block(bundle, streams, size, None)
+    v = streams.index.random(size)
+    labels = range(1, bundle.target.n + 1)
+
+    def select(k, vk, m, carry):
+        aux_k = aux and [sel.carry_of(aux, j, k) for j in range(len(labels))]
+        return sel.select(vk, m, carry, aux_k)
+
     draw = bundle.target.conditional_sampler
     x = [draw(j, streams.exact[j - 1], size) for j in labels]
     rows = sel.rows(bundle, labels, x)
     if size == 1:  # ``step``: one sweep by the per-sweep selection
-        m = select(0, v.tolist()[0], m, z, carry)[0]
-        (z,), finite = _points(x[m - 1])
-        if not finite:
-            _check_finite(z)
+        m = select(0, v.item(0), m, carry)
+        z = _point(x[m - 1], 0)
+        _check_finite(z)
         return [m], [z], m, z, sel.carry_of(rows, m - 1, 0), 0
     x = np.array(x, dtype=float)
     finite = math.isfinite(x.sum())
@@ -422,82 +374,191 @@ def _exact_block(bundle, streams, sel, select, aux, v, m, z, carry):
         j = table[m - 1][k - 1] if table and k else 0
         if not j:
             if k:
-                z, carry = x[m - 1, k - 1], sel.carry_of(rows, m - 1, k - 1)
-            j = select(k, uniforms[k], m, z, carry)[0]
+                carry = sel.carry_of(rows, m - 1, k - 1)
+            j = select(k, uniforms[k], m, carry)
             if not finite:
                 _check_finite(x[j - 1, k])
         m = j
         ms.append(m)
     zs = x[np.subtract(ms, 1), np.arange(size)]
-    z = zs[-1].tolist() if zs.ndim == 1 else zs[-1]
-    return ms, zs, m, z, sel.carry_of(rows, m - 1, size - 1), 0
+    return ms, zs, m, _point(zs, -1), sel.carry_of(rows, m - 1, size - 1), 0
 
 
-# A stepwise refresh block (bundle, streams, sel, size) returns the
-# per-sweep refresh (k, m, u, carry) -> (z', carry of z', accepted) of
-# sweep k, accepted None unless the refresh has an accept/reject.
+class _Table:
+    """The points a block of the MH or frozen refresh can visit, by index:
+    z at 0, the points of ``blocks`` (``size`` each), then those a general
+    MH refresh accepts.  ``c`` holds their carries, ``w`` floats each."""
+
+    __slots__ = ("z", "blocks", "size", "fresh", "w", "c")
+
+    def __init__(self, z, carry, blocks, size, c):
+        self.z, self.blocks, self.size, self.fresh = z, blocks, size, []
+        self.w, self.c = len(carry), c
+
+    def point(self, p: int):
+        if p == 0:
+            return self.z
+        b, k = divmod(p - 1, self.size)
+        if b >= len(self.blocks):
+            return self.fresh[p - 1 - len(self.blocks) * self.size]
+        return _point(self.blocks[b], k)
+
+    def carry(self, p: int) -> list:
+        return self.c[p * self.w : (p + 1) * self.w]
+
+    def add(self, z, carry) -> int:
+        """Put a point and its carry at the end; return its index."""
+        self.fresh.append(z)
+        self.c.extend(carry)
+        return len(self.blocks) * self.size + len(self.fresh)
+
+    def points(self) -> np.ndarray:
+        fresh = [np.array(self.fresh, dtype=float)] if self.fresh else []
+        return np.concatenate([_block(self.z), *self.blocks, *fresh])
 
 
-def _mh_block(bundle, streams, sel, size):
-    """Propose, weigh and accept or reject: in blocks for an independence
-    proposal, else one point at a time."""
+def _carry_list(sel, rows, size: int) -> list:
+    """The carries of the points ``rows`` weighs, flat; by ``carry_of`` for
+    blocks of one point, where numpy's per-call cost outweighs the work."""
+    if size == 1:
+        return [x for j in range(len(rows[0])) for x in sel.carry_of(rows, j, 0)]
+    return sel.carries(rows).ravel().tolist()
+
+
+def _mh_block(bundle, streams, sel, t):
+    """The MH refresh of a general proposal, one point at a time: (k, m, p)
+    -> the index of the point kept.  ``_table_sweeps`` tests the others."""
     target, proposal, rng = bundle.target, bundle.proposal, streams.mh
-    if proposal.rho is not None:
-        return _independence_block(bundle, streams, sel, size, proposal.rho)
-    carry_at, lt_of = sel.carry_at, sel.lt
 
-    def refresh(k, m, u, carry):
+    def refresh(k, m, p):
+        u, carry = t.point(p), t.carry(p)
         z = proposal.sampler(m, u, rng)
         lt_z = float(target.log_density(m, z))
-        log_alpha = _mh_log_acceptance(proposal, m, u, z, lt_of(carry, m), lt_z)
+        log_alpha = _mh_log_acceptance(proposal, m, u, z, sel.lt(carry, m), lt_z)
         if rng.random() < math.exp(log_alpha):
             _check_finite(z)
-            return z, carry_at(bundle, m, z, lt_z), True
-        return u, carry, False
+            return t.add(z, sel.carry_at(bundle, m, z, lt_z))
+        return p
 
     return refresh
 
 
-def _independence_block(bundle, streams, sel, size, q):
-    """Each label's proposals for ``size`` sweeps from q, weighed like the
-    auxiliaries, and the accept uniforms; a sweep makes one comparison.
-    The errors are those of ``_mh_log_acceptance``, raised only for the
-    proposal a sweep uses."""
-    labels = range(1, bundle.target.n + 1)
-    x = [q.sampler(j, streams.proposal[j - 1], size) for j in labels]
-    rows = sel.rows(bundle, labels, x, q)
-    lts, lqs, points, finite = [], [], [], True
-    for j in range(len(x)):
-        lt, lq = sel.own(rows, j)
-        lts.append(lt.tolist())
-        lqs.append(lq.tolist())
-        pts, ok = _points(x[j])
-        points.append(pts)
-        finite = finite and ok
-    a = streams.mh.random(size).tolist()
-    lt_of, lq_of, carry_of = sel.lt, sel.lq, sel.carry_of
-
-    def refresh(k, m, u, carry):
-        lt_u, lq_z = lt_of(carry, m), lqs[m - 1][k]
-        if lt_u == -_INF or lq_z == -_INF:
-            raise InvalidCurrentState(
-                f"zero target or proposal density at current point (ell={m})"
-            )
-        lt_z, lq_u = lts[m - 1][k], lq_of(carry, m)
-        if lt_z == -_INF or lq_u == -_INF:
-            return u, carry, False
-        if a[k] < math.exp(min(0.0, (lt_z - lq_z) - (lt_u - lq_u))):
-            z = points[m - 1][k]
-            if not finite:
-                _check_finite(z)
-            return z, carry_of(rows, m - 1, k), True
-        return u, carry, False
-
-    return refresh
+def _frozen_block(bundle, streams, sel, t):
+    return None  # the frozen refresh keeps the selected point
 
 
-def _frozen_block(bundle, streams, sel, size):
-    return lambda k, m, u, carry: (u, carry, None)
+def _independence_test(sel, t, m, p, pz, a):
+    """The MH test of the move from point p to the independence proposal
+    pz, with the errors of ``_mh_log_acceptance``."""
+    cu, cz = t.carry(p), t.carry(pz)
+    lt_u, lq_z = sel.lt(cu, m), sel.lq(cz, m)
+    if lt_u == -_INF or lq_z == -_INF:
+        raise InvalidCurrentState(
+            f"zero target or proposal density at current point (ell={m})"
+        )
+    lt_z, lq_u = sel.lt(cz, m), sel.lq(cu, m)
+    if lt_z == -_INF or lq_u == -_INF:
+        return False
+    return a < math.exp(min(0.0, (lt_z - lq_z) - (lt_u - lq_u)))
+
+
+def _prefix_tables(aux, size: int):
+    """For each active label m and sweep k: the shift, the largest of the
+    other labels' auxiliary ratios, and the prefix sums of their weights
+    exp(ratio - shift) in label order, zero at m, flat in k * n + label.
+    Where one of those ratios is +inf or NaN, or all are -inf, or the block
+    is one sweep, the shift is -inf and the sweep falls back on the
+    per-sweep selection."""
+    n = len(aux[0])
+    if size == 1:
+        return [[-_INF]] * n, [None] * n
+    others = np.repeat(_ratios(*np.array(aux[:2]))[:, None], n, axis=1)
+    others[np.arange(n), np.arange(n)] = -_INF
+    with np.errstate(invalid="ignore"):
+        shift = others.max(axis=0)
+        prefix = np.exp(others - shift)
+    for j in range(1, n):  # np.cumsum's sums, which it makes column by column
+        prefix[j] += prefix[j - 1]
+    shift[~np.isfinite(shift)] = -_INF
+    return shift.tolist(), prefix.transpose(1, 2, 0).reshape(n, -1).tolist()
+
+
+def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
+    """Sweeps with the MH or the frozen refresh, by point index over the
+    block's ``_Table`` (module docstring, *Blocks*)."""
+    sel, refresh_block = kernel
+    n, labels = bundle.target.n, range(1, bundle.target.n + 1)
+    pseudo, q = sel is _PSEUDO, _independence(kernel, bundle)
+    aux, blocks = sel.block(bundle, streams, size, q)
+    c = list(carry) + (_carry_list(sel, aux, size) if pseudo else [])
+    if pseudo:
+        shifts, prefixes = _prefix_tables(aux, size)
+        shift, prefix = shifts[m - 1], prefixes[m - 1]
+    v = streams.index.random(size).tolist()
+    if q is not None:
+        x = [q.sampler(j, streams.proposal[j - 1], size) for j in labels]
+        base = 1 + len(blocks) * size
+        blocks = blocks + x
+        c += _carry_list(sel, sel.rows(bundle, labels, x, q), size)
+        a = streams.mh.random(size).tolist()
+    t = _Table(z, carry, blocks, size, c)
+    refresh = None if q is not None else refresh_block(bundle, streams, sel, t)
+    # Unless every point is finite, each is checked as it is kept (in a
+    # block of one sweep, after it).
+    check = size > 1 and not math.isfinite(sum(b.sum() for b in blocks))
+    w, dq = t.w, 2 if pseudo else n  # log q_m sits dq after log pi*(m, .)
+    exp, bisect_right = math.exp, bisect.bisect_right
+    p, e, col, weighed, n_accepted, es = 0, m - 1, 0, None, 0, []
+    for k in range(size):
+        vk = v[k]
+        if pseudo:
+            d = c[p * w + 1] - shift[k]
+            if d < 700.0:  # not +inf, NaN, or too large for exp
+                wk = exp(d)  # the current point's weight
+                lo = k * n
+                uk = vk * (prefix[lo + n - 1] + wk)
+                i = bisect_right(prefix, uk, lo, lo + m - 1) - lo
+                if i == m - 1 and not uk < prefix[lo + i] + wk:
+                    i = min(bisect_right(prefix, uk - wk, lo + m, lo + n) - lo, n - 1)
+                i += 1
+            else:
+                # Label j + 1's auxiliary of sweep k is point 1 + j * size + k.
+                at = range((1 + k) * w, (1 + n * size) * w, size * w)
+                i = sel.select(vk, m, c[p * w : p * w + w], [c[o : o + w] for o in at])
+            if i != m:
+                m, p = i, 1 + (i - 1) * size + k
+                e, shift, prefix = p * n + i - 1, shifts[i - 1], prefixes[i - 1]
+        else:
+            # The current point's label weights stand until a move is
+            # accepted; ``_pick`` by their running sums.
+            if p != weighed:
+                weights = _weights(c[p * w : p * w + n])
+                weighed, total, acc = p, sum(weights), list(accumulate(weights))
+            m = min(bisect_right(acc, vk * total), n - 1) + 1
+            e, col = p * n + m - 1, m - 1
+        if q is not None:
+            pz = base + (m - 1) * size + k
+            ou, oz = p * w + col, pz * w + col
+            d = (c[oz] - c[oz + dq]) - (c[ou] - c[ou + dq])
+            if -_INF < d < _INF:
+                accept = d >= 0.0 or a[k] < exp(d)
+            else:
+                accept = _independence_test(sel, t, m, p, pz, a[k])
+            if accept:
+                p, e, n_accepted = pz, pz * n + m - 1, n_accepted + 1
+        elif refresh is not None:
+            kept = refresh(k, m, p)
+            if kept != p:
+                p, e, n_accepted = kept, kept * n + m - 1, n_accepted + 1
+        if check:
+            _check_finite(t.point(p))
+        es.append(e)
+    z = t.point(p)
+    if size == 1:
+        _check_finite(z)
+        return [m], [z], m, z, t.carry(p), n_accepted
+    es = np.array(es)
+    return es % n + 1, t.points()[es // n], m, z, t.carry(p), n_accepted
 
 
 _KERNELS = {
@@ -560,7 +621,9 @@ def _probes(kernel, bundle: ModelBundle, m: int, z):
 
 
 def _shape(x) -> tuple:
-    """np.shape(x), which takes a slow path for a float."""
+    """np.shape(x), which takes a slow path for a float or an array."""
+    if isinstance(x, np.ndarray):
+        return x.shape
     return () if isinstance(x, float) else np.shape(x)
 
 
@@ -625,25 +688,9 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
 def _sweeps(kernel, bundle, streams, size, m, z, carry):
     """Run ``size`` sweeps from (m, z); return their labels and points, the
     last (m, z, carry) and the count of accepted moves."""
-    sel, refresh_block = kernel
-    exact = refresh_block is _exact_block
-    q = _independence(kernel, bundle)
-    select, aux, finite = sel.block(bundle, streams, size, size > 1 and not exact, q)
-    v = streams.index.random(size)
-    if exact:
-        return _exact_block(bundle, streams, sel, select, aux, v, m, z, carry)
-    refresh = refresh_block(bundle, streams, sel, size)
-    ms, zs, n_accepted = [], [], 0
-    for k, vk in enumerate(v.tolist()):
-        m, u, carry = select(k, vk, m, z, carry)
-        z, carry, accepted = refresh(k, m, u, carry)
-        if not finite:
-            _check_finite(z)
-        ms.append(m)
-        zs.append(z)
-        if accepted:
-            n_accepted += 1
-    return ms, zs, m, z, carry, n_accepted
+    if kernel[1] is _exact_block:
+        return _exact_block(bundle, streams, kernel[0], size, m, z, carry)
+    return _table_sweeps(kernel, bundle, streams, size, m, z, carry)
 
 
 def step(

@@ -179,23 +179,22 @@ def test_criterion_5_gibbs_vs_iid(verified):
 
 def _exact_label_references(bundle, half_width, sampler_ids):
     """Per sampler, the exact lag-1 autocorrelation and asymptotic variance
-    of 1{m = 1} from its sweep kernel, with the study's target, pseudo-prior
-    and proposal discretised on 401 points of [-half_width, half_width]."""
+    of 1{m = 1}, and the exact asymptotic variance of z, from its sweep
+    kernel, with the study's target, pseudo-prior and proposal discretised
+    on 401 points of [-half_width, half_width]."""
     G = 401
+    grid = np.linspace(-half_width, half_width, G)
     spec = spec_from_log_densities(
-        2,
-        np.linspace(-half_width, half_width, G),
-        bundle.target.log_density,
-        bundle.pseudo.log_density,
-        bundle.proposal,
+        2, grid, bundle.target.log_density, bundle.pseudo.log_density, bundle.proposal
     )
     pi, f = target_distribution(spec), np.repeat([1.0, 0.0], G)
+    fs = np.vstack([f, np.tile(grid, 2)])  # 1{m = 1} and z, lifted to the states
     out = {}
     for sid in sampler_ids:
         K = sweep_kernel(SamplerId(sid), spec)
         cov = lag_covariances(K, pi, f, 1)
-        sigma2 = exact_asymptotic_variance_alternating(K, K, pi, f)
-        out[sid] = float(cov[1] / cov[0]), sigma2
+        sigma2, sigma2_z = exact_asymptotic_variance_alternating(K, K, pi, fs)
+        out[sid] = float(cov[1] / cov[0]), float(sigma2), float(sigma2_z)
     return out
 
 
@@ -203,7 +202,7 @@ def _lag1_deviations(lag1, exact):
     """|replicate mean - exact lag-1| in standard errors of the mean, per
     sampler; each must be within 3."""
     devs = {}
-    for sid, (rho_exact, _) in exact.items():
+    for sid, (rho_exact, _, _) in exact.items():
         reps = len(lag1[sid])
         se = float(np.std(lag1[sid], ddof=1)) / math.sqrt(reps)
         dev = abs(float(np.mean(lag1[sid])) - rho_exact)
@@ -214,12 +213,16 @@ def _lag1_deviations(lag1, exact):
 
 def _exact_summary(exact, devs, ordered):
     """The PASS-line text of the exact lag-1 checks and of the sigma^2
-    ordering of the samplers ``ordered``, which the caller asserted."""
+    orderings of the samplers ``ordered``, which the caller asserted."""
     lag1 = ", ".join(
         f"{sid.upper()} {exact[sid][0]:.5f} within {devs[sid]:.2f}" for sid in exact
     )
     s2 = " <= ".join(f"{sid.upper()} {exact[sid][1]:.3f}" for sid in ordered)
-    return f"exact lag-1 {lag1} s.e. <= 3; exact sigma^2 of 1{{m = 1}} {s2}"
+    s2_z = " <= ".join(f"{sid.upper()} {exact[sid][2]:.4g}" for sid in ordered)
+    return (
+        f"exact lag-1 {lag1} s.e. <= 3; exact sigma^2 of 1{{m = 1}} {s2}; "
+        f"exact sigma^2 of z {s2_z}"
+    )
 
 
 def test_criterion_6_toy_study(toy_report):
@@ -227,7 +230,7 @@ def test_criterion_6_toy_study(toy_report):
     ordered Gibbs >= CC >= MCC >= FCC up to replicate noise, and the
     Gibbs value matches the exact grid computation.  CC, MCC and FCC
     match their exact lag-1 values, which are equal, and their exact
-    asymptotic variances of 1{m = 1} are ordered CC <= MCC <= FCC."""
+    asymptotic variances of 1{m = 1} and of z are ordered CC <= MCC <= FCC."""
     report, elapsed = toy_report
     reps = len(report.results["gibbs"].lag1_m)
     lag1 = {s: np.asarray(report.results[s].lag1_m) for s in report.results}
@@ -257,6 +260,7 @@ def test_criterion_6_toy_study(toy_report):
     exact = _exact_label_references(bundle, 4.0, ("cc", "mcc", "fcc"))
     devs = _lag1_deviations(lag1, exact)
     assert exact["cc"][1] <= exact["mcc"][1] <= exact["fcc"][1]
+    assert exact["cc"][2] <= exact["mcc"][2] <= exact["fcc"][2]
     print(
         f"PASS criterion 6: toy study ({reps} x 101k iterations, {elapsed:.0f}s "
         f"< 300s); lag-1 ordering gaps {['%.2f' % g for g in gaps]} s.e. >= -2; "
@@ -270,7 +274,7 @@ def test_criterion_7_posterior_study(posterior_report):
     a clear mixing gain of FCC over MwG, lower cost than MCC, and a
     density estimate within the agreement budget.  MwG, MCC and FCC match
     their exact lag-1 values, and the exact asymptotic variances of
-    1{m = 1} are ordered MCC <= FCC."""
+    1{m = 1} and of z are ordered MCC <= FCC."""
     report = posterior_report
     for name in ("mwg", "mcc", "fcc"):
         assert abs(report.results[name].mean_z - 0.315) <= 0.02, name
@@ -289,12 +293,14 @@ def test_criterion_7_posterior_study(posterior_report):
     lag1 = {s: report.results[s].lag1_m for s in exact}
     devs = _lag1_deviations(lag1, exact)
     assert exact["mcc"][1] <= exact["fcc"][1]
+    assert exact["mcc"][2] <= exact["fcc"][2]
     print(
         f"PASS criterion 7: posterior study (means within 0.315 +/- 0.02; "
         f"MwG-FCC lag-1 gap {lag_gap:.3f} >= 0.1; median wallclock FCC "
         f"{report.results['fcc'].wall_clock_seconds:.2f}s < MCC "
         f"{report.results['mcc'].wall_clock_seconds:.2f}s; density sup-dev "
-        f"{sup:.3f} < 0.05; {_exact_summary(exact, devs, ('mcc', 'fcc'))})"
+        f"{sup:.3f} < 0.05; {_exact_summary(exact, devs, ('mcc', 'fcc'))}, "
+        f"MWG {exact['mwg'][2]:.4g})"
     )
 
 

@@ -1,6 +1,7 @@
 """Tests for the exact finite-state kernels and orderings."""
 
 import math
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -502,6 +503,39 @@ class TestReferenceBuilders:
             got = build_P3(spec).matrix
             assert np.max(np.abs(got - _reference_P3(spec))) <= 1e-14
             np.testing.assert_array_equal(build_Q3(spec).matrix, _reference_Q3(spec))
+
+    @pytest.mark.parametrize("half_width", [4, 6])
+    def test_p3_keeps_the_flow_of_overflowing_totals(self, half_width):
+        # On these grids the posterior study has (g, u) pairs whose total
+        # r_1(g) + r_2(u) is positive but so small that its inverse
+        # overflows; both builders must run clean, and P3 must keep the
+        # flow pi*(k, u) / total of those pairs (C = 1 / total at n = 2).
+        from ccmix.experiments import posterior_model
+
+        bundle = posterior_model()
+        spec = spec_from_log_densities(
+            2,
+            np.linspace(-half_width, half_width, 401),
+            bundle.target.log_density,
+            bundle.pseudo.log_density,
+            bundle.proposal,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = build_P3(spec).matrix
+            build_Q3(spec)
+        G = spec.grid_size
+        ratio = np.divide(
+            spec.prob, spec.pseudo, out=np.zeros_like(spec.prob), where=spec.pseudo > 0
+        )
+        total = ratio[0][:, None] + ratio[1]
+        with np.errstate(divide="ignore", over="ignore"):
+            gs, us = np.nonzero((total > 0) & np.isinf(1.0 / total))
+        flow_to_2 = spec.prob[1, us] / total[gs, us]
+        flow_to_1 = spec.prob[0, gs] / total[gs, us]
+        assert max(flow_to_2.max(), flow_to_1.max()) > 1e-9
+        np.testing.assert_allclose(P[gs, G + us], flow_to_2, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(P[G + us, gs], flow_to_1, rtol=1e-12, atol=0)
 
     def test_p3_null_row_keeps_the_rest_on_the_diagonal(self):
         # From (1, 0), where pi* vanishes, the refreshed u_2 lands on the

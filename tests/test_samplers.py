@@ -501,11 +501,12 @@ def _independence_accepts(target, q, m, u, z, uniform):
     return uniform < math.exp(min(0.0, (lt_z - lq_z) - (lt_u - lq_u)))
 
 
-def _reference_chain(sid, bundle, state, n_steps, seed):
+def _reference_chain(sid, bundle, state, n_steps, seed, burn_in=0):
     """The chain sweep by sweep through the public weight and acceptance
     functions, drawing from run_chain's child streams of the seed: every
     label's auxiliary and exact draw, the index uniform, the MH draws and,
-    for an independence proposal, every label's proposal."""
+    for an independence proposal, every label's proposal.  The sweeps
+    after ``burn_in``, and their acceptance rate."""
     target, pseudo, proposal = bundle.target, bundle.pseudo, bundle.proposal
     n = target.n
     streams = [
@@ -516,7 +517,7 @@ def _reference_chain(sid, bundle, state, n_steps, seed):
     labels = range(1, n + 1)
     m, z = state.m, state.z
     ms, zs, n_accepted = [], [], 0
-    for _ in range(n_steps):
+    for sweep in range(n_steps):
         if sid in (SamplerId.GIBBS, SamplerId.MWG):
             m = draw_index(conditional_index_weights(target, z), index)
             u = z
@@ -541,14 +542,15 @@ def _reference_chain(sid, bundle, state, n_steps, seed):
                 drawn = [q.sampler(j, proposals[j - 1], 1)[0] for j in labels]
                 z_prop = drawn[m - 1]
                 accepted = _independence_accepts(target, q, m, u, z_prop, mh.random())
-            n_accepted += accepted
+            n_accepted += accepted and sweep >= burn_in
             z = z_prop if accepted else u
         else:
             z = u
         ms.append(m)
         zs.append(z)
-    rate = n_accepted / n_steps if sid in (SamplerId.MWG, SamplerId.MCC) else None
-    return np.array(ms), np.asarray(zs, dtype=float), rate
+    kept = n_steps - burn_in
+    rate = n_accepted / kept if sid in (SamplerId.MWG, SamplerId.MCC) else None
+    return np.array(ms[burn_in:]), np.asarray(zs[burn_in:], dtype=float), rate
 
 
 def _chain(sid, bundle, state, n_steps, seed):
@@ -623,6 +625,21 @@ class TestCarriedDensities:
             _assert_matches_reference(
                 finite_bundle(spec), _sparse_start(spec), n_steps=80, seed=5
             )
+
+    @pytest.mark.parametrize("model, state", _MODELS[:2])
+    def test_chain_matches_reference_across_the_burn_in(self, model, state):
+        # Neither the burn-in nor the kept length is a whole number of
+        # blocks, so blocks end at the burn-in and short of it.
+        bundle, burn_in, n_steps, seed = model(), 1500, 3700, 23
+        size = samplers._BLOCK_SIZE
+        assert burn_in % size and (n_steps - burn_in) % size
+        for sid in (SamplerId.MWG, SamplerId.MCC, SamplerId.FCC):
+            config = SamplerConfig(sid, n_steps, state, burn_in=burn_in, seed=seed)
+            trace = run_chain(config, bundle)
+            m, z, rate = _reference_chain(sid, bundle, state, n_steps, seed, burn_in)
+            assert np.array_equal(trace.m, m), sid
+            assert np.array_equal(trace.z, z), sid
+            assert trace.acceptance_rate == rate, sid
 
     def test_mwg_weighs_each_carry_once(self, monkeypatch):
         # The carried row, and so its label weights, change only on an
