@@ -9,14 +9,16 @@ with component labels m in 1..n and grid indices g in 0..G-1.
 Kernels built here, one exact twin per selection and refresh of the
 sampler table ``samplers._KERNELS``: the conditional selection and
 ``build_P3``, the pseudo-prior selection marginalized exactly over the
-refreshed points; the exact refresh, ``build_Q3``, the within-component
-Metropolis-Hastings refresh, and ``build_Q4``, the frozen (identity)
-one.  ``sweep_kernel`` multiplies a sampler's selection and refresh.
-``build_gibbs_index_kernel`` is the Gibbs label chain in closed form,
-pi*(z | m) against pi*(m' | z) summed over the grid, and
-``check_gibbs_iid_bound`` compares its asymptotic variances with the
-i.i.d. ones.  ``verify`` builds every twin of one spec once, calls
-``check_gibbs_iid_bound`` and returns the values of the ``CHECKS`` table.
+refreshed points by one quadrature of 1/x = int_0^inf e^(-t x) dt per
+label pair, its diagonal 1 - the off-diagonal sum; the exact refresh,
+``build_Q3``, the within-component Metropolis-Hastings refresh, and
+``build_Q4``, the frozen (identity) one.  ``sweep_kernel`` multiplies
+a sampler's selection and refresh.  ``build_gibbs_index_kernel`` is the
+Gibbs label chain in closed form, pi*(z | m) against pi*(m' | z) summed
+over the grid, and ``check_gibbs_iid_bound`` compares its asymptotic
+variances with the i.i.d. ones.  ``verify`` builds every twin of one
+spec once, calls ``check_gibbs_iid_bound`` and returns the values of
+the ``CHECKS`` table.
 """
 
 from __future__ import annotations
@@ -59,7 +61,12 @@ __all__ = [
     "load_spec",
 ]
 
-MAX_ENUMERATION_TERMS = 10_000_000
+# build_P3's quadrature (Trefethen & Weideman 2014).  Its integrand is
+# analytic for |Im s| < pi/2, so the trapezoid step h in s = log t errs
+# by about e^(-pi^2 / h) = 7e-18 relative.  Nodes below e^(-40) over the
+# largest total would add under e^(-40) of it, and nodes above e^5 over
+# the smallest nonzero total under e^(-e^5).
+_STEP, _HEAD_MARGIN, _TAIL_MARGIN = 0.25, 40.0, 5.0
 # Largest detailed-balance deviation that check_covariance_ordering accepts.
 _REVERSIBILITY_TOL = 1e-8
 # Largest 1 / (1 - stay probability) of a product kernel's state that
@@ -70,7 +77,9 @@ MAX_STAY_CONDITION = 1e12
 
 
 class TooLarge(ValueError):
-    """Exact enumeration over the auxiliary grid would be too expensive."""
+    """The ratios pi*/rho of a spec span more than build_P3's quadrature
+    reaches in floating point: a ratio is infinite, or the top node
+    e^s would overflow."""
 
 
 class NotReversible(ValueError):
@@ -173,71 +182,61 @@ def _cond_m_given_z(spec: FiniteMixtureSpec) -> np.ndarray:
     return np.divide(spec.prob, col, out=np.zeros_like(spec.prob), where=col > 0)
 
 
-def _refresh_sum_support(ratio, pseudo, labels):
-    """Values and weights of S = sum_j r_j(U_j), U_j ~ rho_j, over ``labels``.
-
-    The support is enumerated as one flat array of G^len(labels) terms.
-    """
-    values, weights = np.zeros(1), np.ones(1)
-    for j in labels:
-        values = (values[:, None] + ratio[j]).ravel()
-        weights = (weights[:, None] * pseudo[j]).ravel()
-    return values, weights
-
-
 def build_P3(spec: FiniteMixtureSpec) -> FiniteKernel:
     """Exact kernel of the shared selection sweep (steps (i)-(ii)).
 
     From (m, z_g) the refreshed points U_j ~ rho_j, j != m, and the index
     draw with weights r_j(u_j) = pi*(j, u_j) / rho_j(u_j) (u_m = z_g)
-    move the chain to (k, u) with probability
+    move the chain to (k, u) with probability pi*(k, u) C_mk[g, u],
 
-        P((m, g) -> (k, u)) = pi*(k, u) C_mk[g, u],
-        C_mk[g, u] = E[1 / (r_m(g) + r_k(u) + S_mk)],
+        C_mk[g, u] = E[1 / (r_m(g) + r_k(u) + S_mk)]
+                   = int_0^inf e^(-t r_m(g)) e^(-t r_k(u)) prod_j phi_j(t) dt,
 
-    where S_mk = sum_{j not in {m, k}} r_j(U_j).  The core C_mk is
-    symmetric in the pair, C_km = C_mk^T, so one G x G core per
-    unordered pair fills both off-diagonal blocks and makes the kernel
-    pi*-reversible by construction.  Staying on label m keeps z, so the
-    diagonal takes the rest of each row; on a pi*-null start whose index
-    weights can all vanish this includes the chance that no move is
-    drawn.  Each of the n(n-1)/2 cores enumerates the G^(n-2) support of
-    S_mk for every (g, u): n(n-1)/2 x G^n terms in all, one start point
-    g at a time.
+    S_mk = sum_j r_j(U_j) and phi_j(t) = E[e^(-t r_j(U_j))] over j not in
+    {m, k}, by 1/x = int_0^inf e^(-t x) dt and independence.  C_mk is
+    symmetric in the pair, so one core per unordered pair fills both
+    off-diagonal blocks and makes the kernel pi*-reversible by
+    construction; it is one (G x T)(T x G) product over the T trapezoid
+    nodes in s = log t, and a spec costs O(n^2 G^2 T).  The ratios are
+    scaled by c = 1 / sqrt(r_min n r_max), over the positive ones, which
+    centres the totals on 1, and c goes back on the masses:
+    P = pi*(k, u) c C(c r).  The nodes run from e^(-40) over the largest
+    total to e^5 over the smallest, so T grows with the log of the span;
+    TooLarge where e^s would overflow.
+
+    Staying on label m keeps z, so the diagonal is 1 - the row's
+    off-diagonal sum, including, on a pi*-null start, the chance that
+    no move is drawn.  On the support of pi* it is structurally
+    positive; its round-off (-2.2e-16 on a 1e-300 mass) is within
+    FiniteKernel's floor and is not clipped.
     """
     n, G = spec.n, spec.grid_size
-    # The budget is set on n G^n terms, within a factor (n - 1) / 2 of
-    # the n(n-1)/2 G^n that the cores enumerate.
-    if n * G**n > MAX_ENUMERATION_TERMS:
-        raise TooLarge("auxiliary-grid enumeration exceeds the term budget")
     if np.any((spec.pseudo == 0) & (spec.prob > 0)):
         raise ValueError("a pseudo-prior vanishes where the target does not")
-    ratio = np.divide(
-        spec.prob, spec.pseudo, out=np.zeros((n, G)), where=spec.pseudo > 0
-    )
+    with np.errstate(over="ignore"):  # an infinite ratio is refused below
+        ratio = spec.prob / np.where(spec.pseudo > 0, spec.pseudo, np.inf)
+    positive = ratio[ratio > 0]
+    low, high = np.log(positive.min()), np.log(n) + np.log(positive.max())
+    half = (high - low) / 2
+    # The weights h t sum to less than twice the top node's t.
+    if not half + _TAIL_MARGIN < np.log(np.finfo(float).max / 2):
+        raise TooLarge(
+            f"the ratios pi*/rho span {positive.min():g} to {positive.max():g}, "
+            "beyond the range of the P3 quadrature"
+        )
+    t = np.exp(np.arange(-half - _HEAD_MARGIN, half + _TAIL_MARGIN, _STEP))
+    c = np.exp(-(low + high) / 2)
+    # An x t that overflows gives e^(-inf) = 0, which is the exact limit.
+    with np.errstate(over="ignore"):
+        E = np.exp(-(c * ratio)[:, :, None] * t)
+    phi = np.einsum("jg,jgt->jt", spec.pseudo, E)
 
     P = np.zeros((n * G, n * G))
     for m, k in combinations(range(n), 2):
-        others = [j for j in range(n) if j not in (m, k)]
-        values, weights = _refresh_sum_support(ratio, spec.pseudo, others)
-        C = np.empty((G, G))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for g in range(G):
-                C[g] = (1.0 / (ratio[m, g] + ratio[k][:, None] + values)) @ weights
-        # C[g, u] is not finite where a total vanishes, only where
-        # pi*(m, g) = pi*(k, u) = 0, or is so small that its inverse
-        # overflows.  There both blocks take E[pi* / total], which is at
-        # most 1: no flow for a vanishing total, the true one otherwise.
-        gs, us = np.nonzero(~np.isfinite(C))
-        C[gs, us] = 0.0
-        P[m * G : (m + 1) * G, k * G : (k + 1) * G] = C * spec.prob[k]
-        P[k * G : (k + 1) * G, m * G : (m + 1) * G] = C.T * spec.prob[m]
-        if len(gs):
-            total = ratio[m, gs, None] + ratio[k, us, None] + values
-            mass = np.array([spec.prob[k, us], spec.prob[m, gs]])[:, :, None]
-            flow = np.zeros(mass.shape[:2] + values.shape)
-            np.divide(mass, total, out=flow, where=total > 0)
-            P[m * G + gs, k * G + us], P[k * G + us, m * G + gs] = flow @ weights
+        w = _STEP * t * np.prod(np.delete(phi, (m, k), axis=0), axis=0)
+        C = (E[m] * w) @ E[k].T
+        P[m * G : (m + 1) * G, k * G : (k + 1) * G] = C * (c * spec.prob[k])
+        P[k * G : (k + 1) * G, m * G : (m + 1) * G] = C.T * (c * spec.prob[m])
     P[np.diag_indices(n * G)] = 1.0 - P.sum(axis=1)
     return FiniteKernel(P, n, G)
 

@@ -244,13 +244,16 @@ class TestEndToEnd:
             "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n0.5\t0.5\n0.5\t0.5\n",
             "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n1.0\t0.0\n0.5\t0.5\n"
             "#proposal\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n",
+            "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n1e-320\t1.0\n0.5\t0.5\n"
+            "#proposal\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n0.5\t0.5\n",
             # A spec that passes every check, with a second #pi section
             # or an unknown section added.
             _GOOD_SPEC + "#pi\n0.1\t0.4\n0.1\t0.4\n",
             _GOOD_SPEC + "#weights\n1.0\t0.0\n",
         ],
         ids=["missing", "non-numeric", "no-pi-section", "empty-grid", "nan-mass",
-             "no-proposal", "vanishing-pseudo", "duplicate-section", "unknown-section"],
+             "no-proposal", "vanishing-pseudo", "ratio-span", "duplicate-section",
+             "unknown-section"],
     )
     def test_oracle_bad_spec_file_is_exit_2(self, tmp_path, capsys, content):
         path = tmp_path / "spec.tsv"

@@ -169,9 +169,23 @@ class TestKernelStructure:
             for K in (build_P3(spec), build_Q3(spec)):
                 assert np.max(np.abs(pi @ K.matrix - pi)) <= 1e-12
 
-    def test_too_large_enumeration(self):
-        spec = replace(random_spec(np.random.default_rng(3), 3, 200), proposal=None)
-        with pytest.raises(TooLarge):
+    @pytest.mark.parametrize("seed, n, G", [(3, 3, 200), (4, 6, 25)])
+    def test_p3_builds_at_large_grids(self, seed, n, G):
+        # (3, 3, 200) is past n G^n = 10^7, where enumeration stopped.
+        spec = random_spec(np.random.default_rng(seed), n, G)
+        P3 = build_P3(spec)
+        pi = target_distribution(spec)
+        assert isinstance(P3, FiniteKernel)
+        assert check_reversibility(P3, pi) <= 1e-12
+        assert np.max(np.abs(pi @ P3.matrix - pi)) <= 1e-12
+
+    @pytest.mark.parametrize("a, b", [(1e-320, 1e-300), (0.1, 1e-320)])
+    def test_p3_refuses_a_ratio_span_beyond_the_quadrature(self, a, b):
+        # Ratios from 1e-320 to 2.5e299, and an infinite one: 0.25 / 1e-320.
+        prob = np.array([[0.25, a], [0.25, 0.25 - a]])
+        pseudo = np.array([[b, 1 - b], [0.5, 0.5]])
+        spec = FiniteMixtureSpec(2, np.arange(2.0), prob / prob.sum(), pseudo)
+        with pytest.raises(TooLarge, match="ratios pi\\*/rho span"):
             build_P3(spec)
 
     def test_gibbs_index_kernel(self, specs):
@@ -408,6 +422,7 @@ class TestReferenceBuilders:
 
     @_PROPERTY
     @given(sparse_specs())
+    @pytest.mark.filterwarnings("error")
     def test_p3_matches_enumeration(self, spec):
         want = _reference_P3(spec)
         # Mass that no assignment moves stays put.
@@ -496,6 +511,7 @@ class TestReferenceBuilders:
         assert _raises_nonergodic(K, eye, pi, np.arange(float(N))) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.filterwarnings("error")
     def test_p3_matches_enumeration_on_random_specs(self, n):
         rng = np.random.default_rng(40 + n)
         for G in (3, 5):
@@ -503,6 +519,30 @@ class TestReferenceBuilders:
             got = build_P3(spec).matrix
             assert np.max(np.abs(got - _reference_P3(spec))) <= 1e-14
             np.testing.assert_array_equal(build_Q3(spec).matrix, _reference_Q3(spec))
+
+    @pytest.mark.parametrize(
+        "study, half_width",
+        [("toy", 4), ("toy", 7), ("posterior", 3), ("posterior", 4), ("posterior", 6)],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_p3_matches_enumeration_on_study_grids(self, study, half_width):
+        # The studies' ratios span up to about e^700 on these grids.
+        from ccmix.experiments import posterior_model, toy_model
+
+        bundle = {"toy": toy_model, "posterior": posterior_model}[study]()
+        spec = spec_from_log_densities(
+            2,
+            np.linspace(-half_width, half_width, 401),
+            bundle.target.log_density,
+            bundle.pseudo.log_density,
+        )
+        want = _reference_P3(spec)
+        want[np.diag_indices(spec.n_states)] += 1.0 - want.sum(axis=1)
+        got = build_P3(spec).matrix
+        off = ~np.eye(spec.n_states, dtype=bool)
+        rel = np.abs(got - want)[off] / np.where(want[off] > 0, want[off], 1.0)
+        assert np.max(rel) <= 1e-12
+        assert np.max(np.abs(np.diag(got) - np.diag(want))) <= 1e-14
 
     @pytest.mark.parametrize("half_width", [4, 6])
     def test_p3_keeps_the_flow_of_overflowing_totals(self, half_width):
