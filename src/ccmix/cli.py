@@ -7,7 +7,11 @@ Commands::
     ccmix posterior [...same flags as toy...]
 
 ``--iters``, ``--burn-in``, ``--out`` and ``--replicates`` belong to the
-two experiment commands only; ``oracle`` refuses them.
+two experiment commands only; ``oracle`` refuses them.  A flag's
+default is its ``RunConfig`` field's.  A negative ``--seed`` or
+``--burn-in``, ``--replicates`` below 1, or at most ``DEFAULT_MAX_LAG``
+sweeps after burn-in is a usage error (exit 2).  A study chain that
+never moves after burn-in has no ACF: a runtime failure (exit 1).
 
 Experiment commands write plot-ready CSV files (one ACF file per
 sampler and component, a summary table, and for the posterior run the
@@ -26,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracle
+from .diagnostics import DEFAULT_MAX_LAG, ConstantSeries
 from .experiments import ExperimentReport, run_posterior_experiment, run_toy_experiment
 
 __all__ = ["RunConfig", "UsageError", "parse_args", "emit_reports", "main"]
@@ -41,6 +46,8 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One CLI run.  A flag that is not given keeps its field's default."""
+
     command: str
     seed: int = 42
     iterations: int = 101_000
@@ -58,34 +65,34 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("oracle", "toy", "posterior"):
-        p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=42)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--seed", type=int)
         if name == "oracle":
-            p.add_argument("--spec", type=Path, default=None)
+            p.add_argument("--spec", type=Path, dest="spec_file")
             continue
-        p.add_argument("--iters", type=int, default=101_000)
-        p.add_argument("--burn-in", type=int, default=1000)
-        p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--replicates", type=int, default=10)
+        p.add_argument("--iters", type=int, dest="iterations")
+        p.add_argument("--burn-in", type=int)
+        p.add_argument("--out", type=Path, dest="output_dir")
+        p.add_argument("--replicates", type=int)
     return parser
 
 
 def parse_args(argv) -> RunConfig:
-    ns = _parser().parse_args(argv)
-    if ns.command == "oracle":
-        return RunConfig(command="oracle", seed=ns.seed, spec_file=ns.spec)
-    if ns.iters <= ns.burn_in:
+    config = RunConfig(**vars(_parser().parse_args(argv)))
+    if config.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {config.seed}")
+    if config.command == "oracle":
+        return config
+    if config.replicates < 1:
+        raise UsageError(f"--replicates must be at least 1, got {config.replicates}")
+    if config.burn_in < 0:
+        raise UsageError(f"--burn-in must be non-negative, got {config.burn_in}")
+    if config.iterations - config.burn_in <= DEFAULT_MAX_LAG:
         raise UsageError(
-            f"--iters ({ns.iters}) must exceed --burn-in ({ns.burn_in})"
+            f"--iters ({config.iterations}) must exceed --burn-in ({config.burn_in}) "
+            f"by more than {DEFAULT_MAX_LAG}, the largest ACF lag"
         )
-    return RunConfig(
-        command=ns.command,
-        seed=ns.seed,
-        iterations=ns.iters,
-        burn_in=ns.burn_in,
-        output_dir=ns.out,
-        replicates=ns.replicates,
-    )
+    return config
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -188,23 +195,16 @@ def main(argv=None) -> int:
 
     if config.command == "oracle":
         return _run_oracle(config)
+    study = run_toy_experiment if config.command == "toy" else run_posterior_experiment
     try:
-        if config.command == "toy":
-            report = run_toy_experiment(
-                seed=config.seed,
-                n_iter=config.iterations,
-                burn_in=config.burn_in,
-                replicates=config.replicates,
-            )
-        else:
-            report = run_posterior_experiment(
-                seed=config.seed,
-                n_iter=config.iterations,
-                burn_in=config.burn_in,
-                replicates=config.replicates,
-            )
+        report = study(
+            seed=config.seed,
+            n_iter=config.iterations,
+            burn_in=config.burn_in,
+            replicates=config.replicates,
+        )
         files = emit_reports(report, config.output_dir)
-    except IOError as exc:
+    except (IOError, ConstantSeries) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     for name, r in report.results.items():

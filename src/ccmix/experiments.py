@@ -16,14 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import AcfEstimate, acf, kde
+from .diagnostics import AcfEstimate, ConstantSeries, acf, kde
 from .model import MixtureTarget, ProposalFamily, PseudoPriorSet, State
-from .samplers import ChainTrace, ModelBundle, SamplerConfig, SamplerId, run_chain
+from .samplers import ModelBundle, SamplerConfig, SamplerId, run_chain
 
 __all__ = [
     "SamplerResult",
     "ExperimentReport",
-    "QuadratureNotConverged",
     "toy_model",
     "posterior_target",
     "posterior_model",
@@ -41,10 +40,6 @@ __all__ = [
     "POSTERIOR_KDE_BANDWIDTH",
     "DEFAULT_DENSITY_GRID_STEP",
 ]
-
-
-class QuadratureNotConverged(RuntimeError):
-    pass
 
 
 TOY_MEANS = (-1.0, 1.0)
@@ -77,14 +72,14 @@ def _gaussian_pseudo(means, variances) -> PseudoPriorSet:
     const, two_var = _norm_consts(variances)
 
     # Elementwise numpy expressions: a block of points in gives a block
-    # out, and one float in (size=None) gives one float out.  Squares are
-    # products, which round alike on floats and arrays (x ** 2 on a float
-    # calls pow, which does not always round as x * x does).
+    # out, and one float in gives one float out.  Squares are products,
+    # which round alike on floats and arrays (x ** 2 on a float calls
+    # pow, which does not always round as x * x does).
     def log_density(j, u):
         d = u - means[j - 1]
         return const[j - 1] - d * d / two_var[j - 1]
 
-    def sampler(j, rng, size=None):
+    def sampler(j, rng, size):
         return rng.normal(means[j - 1], sds[j - 1], size)
 
     return PseudoPriorSet(n=len(means), log_density=log_density, sampler=sampler)
@@ -169,35 +164,29 @@ def _simpson(values: np.ndarray, step: float) -> float:
     )
 
 
-def true_posterior(
-    grid: Optional[np.ndarray] = None, quad_tol: float = 1e-8
-) -> tuple[float, np.ndarray]:
+def _density_grid() -> np.ndarray:
+    """The grid of the posterior density: [-3, 3] in steps of DEFAULT_DENSITY_GRID_STEP."""
+    return np.arange(-3.0, 3.0 + DEFAULT_DENSITY_GRID_STEP / 2, DEFAULT_DENSITY_GRID_STEP)
+
+
+def true_posterior(grid: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Quadrature ground truth: posterior mean of z and density on ``grid``.
 
-    Composite Simpson on [-3, 3]; the step is halved once and the
-    Richardson error estimate must fall below ``quad_tol``.  The mass
-    outside [-3, 3] is below 1e-12 for these parameters (Gaussian
-    tails), so the domain is fixed.
+    One composite Simpson pass with 4800 intervals over the fixed domain
+    [-3, 3] (the mass outside is below 1e-12) of the fixed integrands
+    sum_m pi*(m, z) and z times it.  The integrands never change, so the
+    rule is checked once, by ``test_simpson_passes_agree`` in
+    ``tests/test_experiments.py``: against 2400 intervals, both
+    Richardson error estimates are at most 1e-8.
     """
     if grid is None:
-        grid = np.arange(-3.0, 3.0 + DEFAULT_DENSITY_GRID_STEP / 2,
-                         DEFAULT_DENSITY_GRID_STEP)
-    results = []
-    for n_intervals in (2400, 4800):
-        z = np.linspace(-3.0, 3.0, n_intervals + 1)
-        p = _posterior_marginal_unnorm(z)
-        step = z[1] - z[0]
-        norm = _simpson(p, step)
-        first = _simpson(z * p, step)
-        results.append((norm, first))
-    (n1, f1), (n2, f2) = results
-    if abs(n1 - n2) / 15.0 > quad_tol or abs(f1 - f2) / 15.0 > quad_tol:
-        raise QuadratureNotConverged(
-            f"Richardson estimates {abs(n1 - n2) / 15:g}, {abs(f1 - f2) / 15:g} "
-            f"exceed {quad_tol:g}"
-        )
-    mu_z = f2 / n2
-    density = _posterior_marginal_unnorm(np.asarray(grid, dtype=float)) / n2
+        grid = _density_grid()
+    z = np.linspace(-3.0, 3.0, 4801)
+    p = _posterior_marginal_unnorm(z)
+    step = z[1] - z[0]
+    norm = _simpson(p, step)
+    mu_z = _simpson(z * p, step) / norm
+    density = _posterior_marginal_unnorm(np.asarray(grid, dtype=float)) / norm
     return mu_z, density
 
 
@@ -238,93 +227,96 @@ def default_initial_state(bundle: ModelBundle, seed: int) -> State:
     return State(1, z0)
 
 
-def _run_sampler_replicates(
+def _run_study(
+    experiment: str,
     bundle: ModelBundle,
-    sampler_id: SamplerId,
+    sampler_ids: tuple[SamplerId, ...],
+    *,
     seed: int,
-    n_iterations: int,
+    n_iter: int,
     burn_in: int,
     replicates: int,
-) -> tuple[SamplerResult, list[ChainTrace]]:
-    wall_clocks = []
-    lag1 = []
-    traces = []
-    for rep in range(replicates):
-        rep_seed = seed + rep
-        config = SamplerConfig(
-            sampler_id=sampler_id,
-            n_iterations=n_iterations,
-            burn_in=burn_in,
-            seed=rep_seed,
-            initial_state=default_initial_state(bundle, rep_seed),
+) -> tuple[ExperimentReport, np.ndarray]:
+    """Run each sampler's replicates (seeds seed, seed + 1, ...).
+
+    Returns the report and FCC's pooled z; every other trace is dropped
+    once its sampler's result is made.  A chain that never moves after
+    burn-in has no ACF, and its ``ConstantSeries`` names the sampler.
+    """
+    results = {}
+    for sid in sampler_ids:
+        traces = []
+        for rep in range(replicates):
+            config = SamplerConfig(
+                sampler_id=sid,
+                n_iterations=n_iter,
+                burn_in=burn_in,
+                seed=seed + rep,
+                initial_state=default_initial_state(bundle, seed + rep),
+            )
+            traces.append(run_chain(config, bundle))
+        try:
+            lag1 = [float(acf(t.m, 1).values[1]) for t in traces]
+            acf_m = acf(traces[0].m)
+            acf_z = acf(traces[0].z)
+        except ConstantSeries as exc:
+            raise ConstantSeries(f"sampler {sid.value}: {exc}") from exc
+        wall_clocks = [t.wall_clock_seconds for t in traces]
+        results[sid.value] = SamplerResult(
+            sampler_id=sid.value,
+            acf_m=acf_m,
+            acf_z=acf_z,
+            mean_z=float(np.mean(traces[0].z)),
+            acceptance_rate=traces[0].acceptance_rate,
+            wall_clock_seconds=statistics.median(wall_clocks),
+            wall_clocks=wall_clocks,
+            lag1_m=lag1,
         )
-        trace = run_chain(config, bundle)
-        wall_clocks.append(trace.wall_clock_seconds)
-        lag1.append(float(acf(trace.m, 1).values[1]))
-        traces.append(trace)
-    first_trace = traces[0]
-    result = SamplerResult(
-        sampler_id=sampler_id.value,
-        acf_m=acf(first_trace.m),
-        acf_z=acf(first_trace.z),
-        mean_z=float(np.mean(first_trace.z)),
-        acceptance_rate=first_trace.acceptance_rate,
-        wall_clock_seconds=statistics.median(wall_clocks),
-        wall_clocks=wall_clocks,
-        lag1_m=lag1,
+        if sid is SamplerId.FCC:
+            fcc_z = np.concatenate([t.z for t in traces])
+    report = ExperimentReport(
+        experiment=experiment,
+        seed=seed,
+        n_iterations=n_iter,
+        burn_in=burn_in,
+        results=results,
     )
-    return result, traces
+    return report, fcc_z
 
 
 def run_toy_experiment(
     *, seed: int, n_iter: int, burn_in: int, replicates: int
 ) -> ExperimentReport:
     """Gaussian strata: Gibbs, CC, MCC and FCC with the study's pseudo-priors."""
-    bundle = toy_model()
-    results = {}
-    for sid in (SamplerId.GIBBS, SamplerId.CC, SamplerId.MCC, SamplerId.FCC):
-        result, _ = _run_sampler_replicates(
-            bundle, sid, seed, n_iter, burn_in, replicates
-        )
-        results[sid.value] = result
-    return ExperimentReport(
-        experiment="toy",
+    report, _ = _run_study(
+        "toy",
+        toy_model(),
+        (SamplerId.GIBBS, SamplerId.CC, SamplerId.MCC, SamplerId.FCC),
         seed=seed,
-        n_iterations=n_iter,
+        n_iter=n_iter,
         burn_in=burn_in,
-        results=results,
+        replicates=replicates,
     )
+    return report
 
 
 def run_posterior_experiment(
     *, seed: int, n_iter: int, burn_in: int, replicates: int
 ) -> ExperimentReport:
     """Partially observed mixture: MwG, MCC, FCC vs quadrature ground truth."""
-    bundle = posterior_model()
-    mu_z, density_exact = true_posterior()
-    grid = np.arange(
-        -3.0, 3.0 + DEFAULT_DENSITY_GRID_STEP / 2, DEFAULT_DENSITY_GRID_STEP
-    )
-    results = {}
-    fcc_samples = None
-    for sid in (SamplerId.MWG, SamplerId.MCC, SamplerId.FCC):
-        result, traces = _run_sampler_replicates(
-            bundle, sid, seed, n_iter, burn_in, replicates
-        )
-        results[sid.value] = result
-        if sid is SamplerId.FCC:
-            # Pool the replicates: one trace leaves the sup-deviation of
-            # the estimate right at the agreement budget.
-            fcc_samples = np.concatenate([t.z for t in traces])
-    density_kde = kde(fcc_samples, grid, bandwidth=POSTERIOR_KDE_BANDWIDTH)
-    return ExperimentReport(
-        experiment="posterior",
+    report, fcc_z = _run_study(
+        "posterior",
+        posterior_model(),
+        (SamplerId.MWG, SamplerId.MCC, SamplerId.FCC),
         seed=seed,
-        n_iterations=n_iter,
+        n_iter=n_iter,
         burn_in=burn_in,
-        results=results,
-        mu_z_true=mu_z,
-        density_grid=grid,
-        density_exact=density_exact,
-        density_kde=density_kde,
+        replicates=replicates,
     )
+    grid = _density_grid()
+    report.mu_z_true, report.density_exact = true_posterior(grid)
+    report.density_grid = grid
+    # The estimate pools FCC's replicates: one trace leaves the
+    # sup-deviation of the estimate right at the agreement budget.
+    report.density_kde = kde(fcc_z, grid, bandwidth=POSTERIOR_KDE_BANDWIDTH)
+    return report

@@ -126,13 +126,14 @@ class ProposalFamily:
     def independent(cls, rho: PseudoPriorSet) -> ProposalFamily:
         """R_l(u, dz) = rho_l(dz): the proposal ignores the current point.
 
-        The single-point callbacks call rho's on one point, for callers
-        such as ``mh_log_acceptance``; the samplers use rho's on blocks.
+        The single-point callbacks, for callers such as
+        ``mh_log_acceptance``, weigh one point with rho's and take the one
+        draw of ``rho.sampler(l, rng, 1)``; the samplers use rho's on blocks.
         """
         return cls(
             n=rho.n,
             log_density=lambda l, u, z: rho.log_density(l, z),
-            sampler=lambda l, u, rng: rho.sampler(l, rng),
+            sampler=lambda l, u, rng: rho.sampler(l, rng, 1)[0],
             rho=rho,
         )
 

@@ -107,6 +107,38 @@ class TestMainExitCodes:
         assert main(["toy", "--iters", "10", "--burn-in", "10"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["oracle", "--seed", "-1"], "--seed"),
+            (["toy", "--seed", "-1", "--iters", "600", "--burn-in", "100"], "--seed"),
+            (
+                ["toy", "--replicates", "0", "--iters", "600", "--burn-in", "100"],
+                "--replicates",
+            ),
+            (["posterior", "--burn-in", "-1", "--iters", "600"], "--burn-in"),
+            # The ACF needs more than DEFAULT_MAX_LAG = 50 kept sweeps.
+            (["toy", "--iters", "150", "--burn-in", "100"], "--iters"),
+            (["posterior", "--iters", "50", "--burn-in", "0"], "--iters"),
+        ],
+        ids=["oracle-seed", "seed", "replicates", "burn-in", "kept-toy", "kept-posterior"],
+    )
+    def test_flags_a_study_cannot_run_are_exit_2(self, tmp_path, capsys, argv, flag):
+        if argv[0] != "oracle":
+            argv = [*argv, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} ")
+        assert captured.out == "" and not any(tmp_path.iterdir())
+
+    def test_label_chain_that_never_moves_is_exit_1(self, tmp_path, capsys):
+        # MwG stays on label 2 for all 60 kept sweeps: its label has no ACF.
+        argv = ["--iters", "160", "--burn-in", "100", "--replicates", "1", "--seed", "2"]
+        assert main(["posterior", *argv, "--out", str(tmp_path)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mwg" in err
+        assert "Traceback" not in err
+
     def test_argparse_rejection_is_exit_2(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
         capsys.readouterr()

@@ -10,11 +10,12 @@ from ccmix import SamplerId
 from ccmix.experiments import (
     DEFAULT_DENSITY_GRID_STEP,
     POSTERIOR_X_OBS,
-    QuadratureNotConverged,
     TOY_MEANS,
     TOY_PSEUDO_MEANS,
     TOY_PSEUDO_VARS,
     TOY_VAR,
+    _posterior_marginal_unnorm,
+    _simpson,
     default_initial_state,
     posterior_model,
     posterior_target,
@@ -102,9 +103,18 @@ class TestTruePosterior:
         _, density = true_posterior(grid=grid)
         assert density.shape == (11,)
 
-    def test_unreachable_tolerance_raises(self):
-        with pytest.raises(QuadratureNotConverged):
-            true_posterior(quad_tol=1e-18)
+    def test_simpson_passes_agree(self):
+        # true_posterior makes one pass with 4800 intervals; halving the
+        # step again changes neither integral beyond the Richardson bound.
+        passes = []
+        for n_intervals in (2400, 4800):
+            z = np.linspace(-3.0, 3.0, n_intervals + 1)
+            p = _posterior_marginal_unnorm(z)
+            passes.append((_simpson(p, z[1] - z[0]), _simpson(z * p, z[1] - z[0])))
+        (n1, f1), (n2, f2) = passes
+        assert abs(n1 - n2) / 15.0 <= 1e-8
+        assert abs(f1 - f2) / 15.0 <= 1e-8
+        assert true_posterior()[0] == f2 / n2
 
 
 class TestDefaultInitialState:

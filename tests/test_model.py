@@ -220,6 +220,27 @@ class TestMhLogAcceptance:
             mh_log_acceptance(target, toy_bundle.proposal, 1, 0.0, 0.5)
 
 
+class TestIndependentProposal:
+    def test_sampler_calls_rho_with_size(self):
+        # PseudoPriorSet's sampler takes a required size: one draw gives
+        # a float for scalar z and a vector for vector z.
+        scalar = PseudoPriorSet(
+            n=2,
+            log_density=lambda j, u: -0.5 * (u - j) ** 2,
+            sampler=lambda j, rng, size: rng.normal(j, 1.0, size),
+        )
+        z = ProposalFamily.independent(scalar).sampler(2, 0.3, np.random.default_rng(4))
+        assert np.shape(z) == () and z == np.random.default_rng(4).normal(2, 1.0, 1)[0]
+        vector = PseudoPriorSet(
+            n=1,
+            log_density=lambda j, u: -0.5 * np.sum(u * u, axis=1),
+            sampler=lambda j, rng, size: rng.standard_normal((size, 3)),
+        )
+        z = ProposalFamily.independent(vector).sampler(1, np.zeros(3), np.random.default_rng(4))
+        want = np.random.default_rng(4).standard_normal((1, 3))[0]
+        np.testing.assert_array_equal(z, want)
+
+
 class TestDrawIndex:
     def test_deterministic_given_stream(self):
         w = [0.2, 0.3, 0.5]
