@@ -242,7 +242,12 @@ def _run_study(
     Returns the report and FCC's pooled z; every other trace is dropped
     once its sampler's result is made.  A chain that never moves after
     burn-in has no ACF, and its ``ConstantSeries`` names the sampler.
+    ValueError, before any draw, if ``replicates`` < 1 or ``seed`` < 0.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     results = {}
     for sid in sampler_ids:
         traces = []

@@ -17,6 +17,11 @@ of shape (z_dim,).  An independence proposal,
 samplers draw and weigh its proposals in blocks through rho's callbacks
 and make no single-point call.  Elementwise numpy code serves blocks and
 single points alike.
+
+The samplers make each call to these callbacks (but a general
+proposal's) through ``_call``, which raises ``ConfigError``, defined here
+and exported by ``ccmix.samplers`` and ``ccmix``, naming a callback that
+breaks this protocol.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "PseudoPriorSet",
     "ProposalFamily",
     "State",
+    "ConfigError",
     "AllZeroMass",
     "PseudoPriorZero",
     "InvalidCurrentState",
@@ -44,6 +50,10 @@ __all__ = [
     "mh_log_acceptance",
     "draw_index",
 ]
+
+
+class ConfigError(ValueError):
+    """Sampler configuration inconsistent with the supplied model bundle."""
 
 
 class AllZeroMass(ValueError):
@@ -196,12 +206,37 @@ def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
     return _pick(weights, rng.random())
 
 
-def _target_rows(target, blocks: Sequence) -> list[list]:
+def _shape(x) -> tuple:
+    """np.shape(x), which takes a slow path for a float or an array."""
+    if isinstance(x, np.ndarray):
+        return x.shape
+    return () if isinstance(x, float) else np.shape(x)
+
+
+def _call(name: str, fn, args: tuple, shape: tuple):
+    """fn(*args) for the callback ``name``; ConfigError unless it takes
+    ``args`` and returns ``shape``: (B,) or (B, z_dim) for a block of B
+    points, () for a single point."""
+    try:
+        out = fn(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} failed on its input: {exc}") from exc
+    if _shape(out) != shape:
+        raise ConfigError(f"{name} returned shape {_shape(out)}, expected {shape}")
+    return out
+
+
+def _density_row(name: str, log_density, label: int, x) -> np.ndarray:
+    """log_density(label, x) on a block x of B points, checked to be (B,)."""
+    return np.asarray(_call(name, log_density, (label, x), (len(x),)), dtype=float)
+
+
+def _target_rows(name: str, target, blocks: Sequence) -> list[list]:
     """log pi*(i, x) for each label i and block x of ``blocks``, a float
     array each, in row i and column x; a PseudoPriorSet in place of the
-    target gives log rho_i(x) likewise."""
+    target, with its callback's ``name``, gives log rho_i(x) likewise."""
     return [
-        [np.asarray(target.log_density(i, x), dtype=float) for x in blocks]
+        [_density_row(name, target.log_density, i, x) for x in blocks]
         for i in range(1, target.n + 1)
     ]
 
@@ -211,11 +246,13 @@ def _pseudo_rows(
 ) -> tuple:
     """log pi*(j, x) and log rho_j(x) for each label j and its block x: two
     rows of float arrays, and log q_j(x) as a third row when a
-    PseudoPriorSet ``q`` is given."""
-    sets = (target, pseudo) if q is None else (target, pseudo, q)
+    PseudoPriorSet ``q``, an independence proposal's rho, is given."""
+    sets = [("target.log_density", target), ("pseudo.log_density", pseudo)]
+    if q is not None:
+        sets.append(("proposal.rho.log_density", q))
     return tuple(
-        [np.asarray(p.log_density(j, x), dtype=float) for j, x in zip(labels, blocks)]
-        for p in sets
+        [_density_row(name, p.log_density, j, x) for j, x in zip(labels, blocks)]
+        for name, p in sets
     )
 
 
@@ -262,7 +299,8 @@ def conditional_index_weights(target: MixtureTarget, z) -> np.ndarray:
 
     Raises AllZeroMass if every component has -inf log-density at z.
     """
-    return np.array(_weights([r[0].item(0) for r in _target_rows(target, [_block(z)])]))
+    rows = _target_rows("target.log_density", target, [_block(z)])
+    return np.array(_weights([r[0].item(0) for r in rows]))
 
 
 def cc_index_weights(
@@ -295,17 +333,17 @@ def mh_log_acceptance(
     A proposed move to a zero-mass point gets log-acceptance -inf (never NaN).
     """
     lt_u, lt_z = float(target.log_density(ell, u)), float(target.log_density(ell, z))
-    return _mh_log_acceptance(proposal, ell, u, z, lt_u, lt_z)
+    lr_uz, lr_zu = proposal.log_density(ell, u, z), proposal.log_density(ell, z, u)
+    return _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu)
 
 
-def _mh_log_acceptance(proposal, ell, u, z, lt_u, lt_z):
-    """mh_log_acceptance given lt_u = log pi*(ell, u) and lt_z = log pi*(ell, z)."""
-    lr_uz = proposal.log_density(ell, u, z)
+def _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu):
+    """mh_log_acceptance from lt_u = log pi*(ell, u), lr_uz = log r_ell(u, z)
+    and their counterparts lt_z and lr_zu at z."""
     if lt_u == _NEG_INF or lr_uz == _NEG_INF:
         raise InvalidCurrentState(
             f"zero target or proposal density at current point (ell={ell})"
         )
-    lr_zu = proposal.log_density(ell, z, u)
     if lt_z == _NEG_INF or lr_zu == _NEG_INF:
         return _NEG_INF
     return min(0.0, lt_z + lr_zu - lt_u - lr_uz)

@@ -574,8 +574,9 @@ def spec_from_log_densities(
     for an independence proposal (``proposal.rho`` set) each label's slice
     is ``rho.log_density`` on the whole grid, the same row for every u;
     otherwise ``proposal.log_density(l, u, z)`` is called one point at a
-    time.  ValueError if the target, or a pseudo-prior, has no mass on the
-    grid.
+    time.  Each proposal row is normalized after subtracting its largest
+    log-density, as the pseudo-priors are.  ValueError if the target, a
+    pseudo-prior or a proposal row has no mass on the grid.
     """
     grid = np.asarray(grid, dtype=float)
     labels = range(1, n + 1)
@@ -592,14 +593,20 @@ def spec_from_log_densities(
     pseudo /= pseudo.sum(axis=1, keepdims=True)
     masses = None
     if proposal is not None and proposal.rho is not None:
-        rows = np.exp([on_grid(proposal.rho.log_density, l) for l in labels])
+        rho = proposal.rho.log_density
+        rows = np.array(
+            [_scaled_exp(on_grid(rho, l), f"proposal {l}") for l in labels]
+        )
         rows /= rows.sum(axis=1, keepdims=True)
         masses = np.repeat(rows[:, None, :], len(grid), axis=1)
     elif proposal is not None:
         log_r = proposal.log_density
-        masses = np.array(
-            [[[np.exp(log_r(l, u, z)) for z in grid] for u in grid] for l in labels]
-        )
+
+        def row(l, u):
+            logw = np.array([log_r(l, u, z) for z in grid], dtype=float)
+            return _scaled_exp(logw, f"proposal {l} from u = {u}")
+
+        masses = np.array([[row(l, u) for u in grid] for l in labels])
         masses /= masses.sum(axis=2, keepdims=True)
     return FiniteMixtureSpec(n, grid, prob, pseudo, masses)
 

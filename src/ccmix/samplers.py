@@ -77,7 +77,6 @@ sampler evaluates and draws per sweep.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import numbers
 import time
@@ -89,12 +88,13 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .model import (  # bench/spans.py looks up the public weight functions here
-    InvalidCurrentState,
+    ConfigError,
     MixtureTarget,
     PseudoPriorSet,
     ProposalFamily,
     State,
     _block,
+    _call,
     _check_finite,
     _mh_log_acceptance,
     _pick,
@@ -102,6 +102,7 @@ from .model import (  # bench/spans.py looks up the public weight functions here
     _ratio,
     _ratios,
     _resolve,
+    _shape,
     _target_rows,
     _weights,
     cc_index_weights,
@@ -121,10 +122,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-
-class ConfigError(ValueError):
-    """Sampler configuration inconsistent with the supplied model bundle."""
 
 
 class SamplerId(str, Enum):
@@ -157,6 +154,8 @@ class SamplerConfig:
                 f"burn_in must satisfy 0 <= burn_in < n_iterations, "
                 f"got {self.burn_in} vs {self.n_iterations}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,7 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 # With an independence proposal q the carry also holds log q at z: the
 # row log q_.(z) after the row of the target, or a third entry
 # log q_m(z) after the pair.  A point table holds one carry per point.
-# A selection has nine parts:
+# A selection has eight parts:
 #   block(bundle, streams, size, q) draws and weighs every label's
 #     auxiliaries for ``size`` sweeps: their rows and their points;
 #   select(v, m, carry, aux) -> m' selects at one sweep from its index
@@ -240,7 +239,7 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 #   carries(rows) is every such carry, an array [label, point, entry];
 #   carry_at(bundle, m, z, lt) is the carry of one point z, given
 #     lt = log pi*(m, z), for the MH refresh of a general proposal;
-#   lt(carry, m) and lq(carry, m) read log pi*(m, z) and log q_m(z) back;
+#   lt(carry, m) reads log pi*(m, z) back;
 #   exact_logw(rows, aux) is the log-weights [label, j, k] of the index
 #     draw at sweep k + 1 from label j + 1's exact point of sweep k.
 
@@ -253,7 +252,6 @@ class _Selection(NamedTuple):
     carries: Callable
     carry_at: Callable
     lt: Callable
-    lq: Callable
     exact_logw: Callable
 
 
@@ -263,9 +261,10 @@ def _conditional_select(v, m, carry, aux):
 
 
 def _row_at(bundle, m, z, lt):
-    row = []
+    row, log_density = [], bundle.target.log_density
     for j in range(1, bundle.target.n + 1):
-        row.append(lt if j == m else float(bundle.target.log_density(j, z)))
+        lt_j = lt if j == m else _call("target.log_density", log_density, (j, z), ())
+        row.append(float(lt_j))
     return row
 
 
@@ -276,13 +275,25 @@ def _ratio_of(rows, j, k):
 
 
 def _ratio_at(bundle, m, z, lt):
-    return lt, _ratio(lt, float(bundle.pseudo.log_density(m, z)))
+    lr = _call("pseudo.log_density", bundle.pseudo.log_density, (m, z), ())
+    return lt, _ratio(lt, float(lr))
+
+
+def _draws(bundle, name, sampler, streams, size):
+    """``sampler(j, streams[j - 1], size)`` for every label j, each checked
+    to be a block of ``size`` points."""
+    z_dim = bundle.target.z_dim
+    shape = (size,) if z_dim == 1 else (size, z_dim)
+    return [
+        _call(name, sampler, (j, streams[j - 1], size), shape)
+        for j in range(1, bundle.target.n + 1)
+    ]
 
 
 def _pseudo_block(bundle, streams, size, q):
     """Every label's auxiliaries for ``size`` sweeps, with their weights."""
     labels = range(1, bundle.target.n + 1)
-    u = [bundle.pseudo.sampler(j, streams.aux[j - 1], size) for j in labels]
+    u = _draws(bundle, "pseudo.sampler", bundle.pseudo.sampler, streams.aux, size)
     return _pseudo_rows(bundle.target, bundle.pseudo, labels, u, q), u
 
 
@@ -311,8 +322,10 @@ def _pseudo_exact_logw(rows, aux):
 
 
 def _conditional_rows(bundle, labels, blocks, q=None):
-    rows = _target_rows(bundle.target, blocks)
-    return rows if q is None else rows + _target_rows(q, blocks)
+    rows = _target_rows("target.log_density", bundle.target, blocks)
+    if q is None:
+        return rows
+    return rows + _target_rows("proposal.rho.log_density", q, blocks)
 
 
 _CONDITIONAL = _Selection(
@@ -323,7 +336,6 @@ _CONDITIONAL = _Selection(
     lambda rows: np.moveaxis(np.array(rows), 0, -1),
     _row_at,
     lambda carry, m: carry[m - 1],
-    lambda carry, m: carry[len(carry) // 2 + m - 1],
     lambda rows, aux: rows[:, :, :-1],
 )
 _PSEUDO = _Selection(
@@ -336,7 +348,6 @@ _PSEUDO = _Selection(
     _pseudo_carries,
     _ratio_at,
     lambda carry, m: carry[0],
-    lambda carry, m: carry[2],
     _pseudo_exact_logw,
 )
 
@@ -355,7 +366,7 @@ def _exact_block(bundle, streams, sel, size, m, z, carry):
         return sel.select(vk, m, carry, aux_k)
 
     draw = bundle.target.conditional_sampler
-    x = [draw(j, streams.exact[j - 1], size) for j in labels]
+    x = _draws(bundle, "target.conditional_sampler", draw, streams.exact, size)
     rows = sel.rows(bundle, labels, x)
     if size == 1:  # ``step``: one sweep by the per-sweep selection
         m = select(0, v.item(0), m, carry)
@@ -433,8 +444,9 @@ def _mh_block(bundle, streams, sel, t):
     def refresh(k, m, p):
         u, carry = t.point(p), t.carry(p)
         z = proposal.sampler(m, u, rng)
-        lt_z = float(target.log_density(m, z))
-        log_alpha = _mh_log_acceptance(proposal, m, u, z, sel.lt(carry, m), lt_z)
+        lt_z = float(_call("target.log_density", target.log_density, (m, z), ()))
+        lr_uz, lr_zu = proposal.log_density(m, u, z), proposal.log_density(m, z, u)
+        log_alpha = _mh_log_acceptance(m, sel.lt(carry, m), lr_uz, lt_z, lr_zu)
         if rng.random() < math.exp(log_alpha):
             _check_finite(z)
             return t.add(z, sel.carry_at(bundle, m, z, lt_z))
@@ -445,21 +457,6 @@ def _mh_block(bundle, streams, sel, t):
 
 def _frozen_block(bundle, streams, sel, t):
     return None  # the frozen refresh keeps the selected point
-
-
-def _independence_test(sel, t, m, p, pz, a):
-    """The MH test of the move from point p to the independence proposal
-    pz, with the errors of ``_mh_log_acceptance``."""
-    cu, cz = t.carry(p), t.carry(pz)
-    lt_u, lq_z = sel.lt(cu, m), sel.lq(cz, m)
-    if lt_u == -_INF or lq_z == -_INF:
-        raise InvalidCurrentState(
-            f"zero target or proposal density at current point (ell={m})"
-        )
-    lt_z, lq_u = sel.lt(cz, m), sel.lq(cu, m)
-    if lt_z == -_INF or lq_u == -_INF:
-        return False
-    return a < math.exp(min(0.0, (lt_z - lq_z) - (lt_u - lq_u)))
 
 
 def _prefix_tables(aux, size: int):
@@ -496,7 +493,7 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         shift, prefix = shifts[m - 1], prefixes[m - 1]
     v = streams.index.random(size).tolist()
     if q is not None:
-        x = [q.sampler(j, streams.proposal[j - 1], size) for j in labels]
+        x = _draws(bundle, "proposal.rho.sampler", q.sampler, streams.proposal, size)
         base = 1 + len(blocks) * size
         blocks = blocks + x
         c += _carry_list(sel, sel.rows(bundle, labels, x, q), size)
@@ -542,8 +539,9 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
             d = (c[oz] - c[oz + dq]) - (c[ou] - c[ou + dq])
             if -_INF < d < _INF:
                 accept = d >= 0.0 or a[k] < exp(d)
-            else:
-                accept = _independence_test(sel, t, m, p, pz, a[k])
+            else:  # the errors and rejections of the general MH test
+                log_alpha = _mh_log_acceptance(m, c[ou], c[oz + dq], c[oz], c[ou + dq])
+                accept = a[k] < exp(log_alpha)
             if accept:
                 p, e, n_accepted = pz, pz * n + m - 1, n_accepted + 1
         elif refresh is not None:
@@ -580,73 +578,23 @@ _NEEDS = {
 }
 
 
-@functools.cache
-def _probe_rng() -> np.random.Generator:
-    """The generator of the probe draws, which are thrown away: it is never
-    a chain's stream, so sharing it changes no result.  Made on first use,
-    so that importing ccmix does not load numpy.random."""
-    return np.random.default_rng(0)
-
-
 def _independence(kernel, bundle: ModelBundle) -> Optional[PseudoPriorSet]:
     """The proposal's rho when the sampler refreshes by MH from an
     independence proposal, else None."""
     return bundle.proposal.rho if kernel[1] is _mh_block else None
 
 
-def _probes(kernel, bundle: ModelBundle, m: int, z):
-    """(name, callback, args, shape it must return) for each callback the
-    sampler calls: on a 2-point block built from z, and on z itself for
-    the densities the MH refresh of a general proposal weighs one point at
-    a time."""
-    target, pseudo = bundle.target, bundle.pseudo
-    sel, refresh = kernel
-    pair = np.array([z, z], dtype=float)
-    rng = _probe_rng()
-    yield "target.log_density", target.log_density, (m, pair), (2,)
-    if sel is _PSEUDO:
-        yield "pseudo.log_density", pseudo.log_density, (m, pair), (2,)
-        yield "pseudo.sampler", pseudo.sampler, (m, rng, 2), pair.shape
-    if refresh is _exact_block:
-        sampler = target.conditional_sampler
-        yield "target.conditional_sampler", sampler, (m, rng, 2), pair.shape
-    q = _independence(kernel, bundle)
-    if q is not None:
-        yield "proposal.rho.log_density", q.log_density, (m, pair), (2,)
-        yield "proposal.rho.sampler", q.sampler, (m, rng, 2), pair.shape
-    elif refresh is _mh_block:
-        yield "target.log_density", target.log_density, (m, z), ()
-        if sel is _PSEUDO:
-            yield "pseudo.log_density", pseudo.log_density, (m, z), ()
-
-
-def _shape(x) -> tuple:
-    """np.shape(x), which takes a slow path for a float or an array."""
-    if isinstance(x, np.ndarray):
-        return x.shape
-    return () if isinstance(x, float) else np.shape(x)
-
-
-def _probe(name: str, fn, args: tuple, shape: tuple):
-    """Call a callback on a probe; ConfigError unless it takes the probe
-    and returns ``shape``."""
-    what = "a single point" if shape == () else "a block of 2 points"
-    try:
-        out = fn(*args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} does not take {what}: {exc}") from exc
-    if _shape(out) != shape:
-        raise ConfigError(
-            f"{name} returned shape {_shape(out)} for {what}, expected {shape}"
-        )
-    return out
-
-
 def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     """Raise ConfigError unless the bundle and state fit the sampler:
     every model part it needs, with the target's n, an integer label in
-    1..n, z of the target's shape, callbacks that keep the protocol and
-    pi*(m, z) > 0.  Return the sampler's kernel and the state's carry."""
+    1..n, z of the target's shape and pi*(m, z) > 0.  Return the sampler's
+    kernel and the state's carry.
+
+    Weighing the state is the first checked call (``model._call``); the
+    sweeps check every later one, so a callback that breaks the protocol
+    raises ConfigError naming it at the first call that shows it.  A
+    TypeError or ValueError raised inside a callback, at any call, becomes
+    such a ConfigError, with the original chained."""
     kernel = _KERNELS[sampler_id]
     for part in kernel:
         if part in _NEEDS:
@@ -675,8 +623,6 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     shape = () if target.z_dim == 1 else (target.z_dim,)
     if _shape(state.z) != shape:
         raise ConfigError(f"z must have shape {shape}, got {_shape(state.z)}")
-    for probe in _probes(kernel, bundle, m, state.z):
-        _probe(*probe)
     sel = kernel[0]
     rows = sel.rows(bundle, [m], [_block(state.z)], _independence(kernel, bundle))
     carry = sel.carry_of(rows, 0, 0)

@@ -164,6 +164,14 @@ class TestRunToyExperiment:
             assert r.mean_z == r2.mean_z
             assert r.lag1_m == r2.lag1_m
 
+    def test_no_replicates_rejected(self):
+        with pytest.raises(ValueError, match="replicates must be at least 1"):
+            run_toy_experiment(seed=1, n_iter=600, burn_in=100, replicates=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            run_toy_experiment(seed=-1, n_iter=600, burn_in=100, replicates=1)
+
 
 class TestRunPosteriorExperiment:
     def test_structure(self, posterior_report_small):

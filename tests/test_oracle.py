@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from ccmix import ProposalFamily, SamplerConfig, SamplerId, State, run_chain
+from ccmix import (
+    ProposalFamily,
+    PseudoPriorSet,
+    SamplerConfig,
+    SamplerId,
+    State,
+    run_chain,
+)
 from ccmix.oracle import (
     CHECKS,
     DimensionMismatch,
@@ -1092,6 +1099,43 @@ class TestHelpers:
                 grid,
                 lambda m, z: -z * z,
                 lambda j, u: -u * u if j == 1 else nowhere(j, u),
+            )
+
+
+    @pytest.mark.parametrize(
+        "log_rho",
+        [
+            lambda j, u: -2.0 * (u - 60.0) ** 2,  # N(60, 0.5^2), far off the grid
+            lambda j, u: 800.0 - 0.5 * u * u,  # exp overflows
+        ],
+        ids=["far", "large"],
+    )
+    @pytest.mark.parametrize("general", [False, True], ids=["independence", "general"])
+    def test_spec_from_log_densities_scales_proposal_rows(self, log_rho, general):
+        # Each proposal row is scaled by its largest entry, as the
+        # pseudo-priors are, so it discretizes rho as log_pseudo does.
+        grid = np.linspace(-6.0, 6.0, 41)
+        proposal = ProposalFamily.independent(PseudoPriorSet(2, log_rho, None))
+        if general:
+            proposal = replace(proposal, rho=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = spec_from_log_densities(
+                2, grid, lambda m, z: -z * z, log_rho, proposal
+            )
+        want = np.broadcast_to(spec.pseudo[:, None, :], spec.proposal.shape)
+        np.testing.assert_allclose(spec.proposal, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("general", [False, True], ids=["independence", "general"])
+    def test_spec_from_log_densities_proposal_without_mass_raises(self, general):
+        grid = np.linspace(-1.0, 1.0, 5)
+        nowhere = lambda j, u: np.full(np.shape(u), -np.inf)  # noqa: E731
+        proposal = ProposalFamily.independent(PseudoPriorSet(2, nowhere, None))
+        if general:
+            proposal = replace(proposal, rho=None)
+        with pytest.raises(ValueError, match="proposal 1 .*has no mass"):
+            spec_from_log_densities(
+                2, grid, lambda m, z: -z * z, lambda j, u: -u * u, proposal
             )
 
 

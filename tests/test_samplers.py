@@ -251,9 +251,9 @@ class TestStepMechanics:
             np.random.default_rng(0),
         )
         assert new == State(1, 0.7)
-        # The 2-point probe of the configuration check, then the active
-        # component's auxiliary, drawn and discarded: z is never refreshed.
-        assert pseudo_draws == [(1, 2), (1, 1)]
+        # The active component's auxiliary, drawn and discarded: z is
+        # never refreshed.
+        assert pseudo_draws == [(1, 1)]
 
     def test_mwg_delta_proposal_freezes_z(self, toy_bundle):
         bundle = ModelBundle(toy_bundle.target, proposal=_delta_proposal(2))
@@ -345,6 +345,10 @@ class TestRunChain:
                 burn_in=-1,
                 initial_state=State(1, 0.0),
             )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            SamplerConfig(SamplerId.GIBBS, 10, State(1, 0.0), burn_in=0, seed=-3)
 
     def _assert_rejected(self, sid, bundle, state):
         """Both entry points raise ConfigError before drawing anything."""
@@ -883,6 +887,36 @@ class TestBlocks:
                     SamplerConfig(sid, 10, State(1, 0.0), burn_in=0),
                     replace(toy_bundle, proposal=scalar_rho),
                 )
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.CC, SamplerId.MCC, SamplerId.FCC])
+    def test_pseudo_sampler_checked_at_every_label(self, sampler_id, toy_bundle):
+        # Right at label 1, where the chain starts; a column at label 2.
+        draw = toy_bundle.pseudo.sampler
+
+        def sampler(j, rng, size):
+            x = draw(j, rng, size)
+            return x[:, None] if j == 2 else x
+
+        pseudo = replace(toy_bundle.pseudo, sampler=sampler)
+        bundle = replace(toy_bundle, pseudo=pseudo)
+        with pytest.raises(ConfigError, match="pseudo.sampler"):
+            run_chain(SamplerConfig(sampler_id, 10, State(1, 0.0), burn_in=0), bundle)
+
+    @pytest.mark.parametrize(
+        "sampler_id", [SamplerId.GIBBS, SamplerId.CC, SamplerId.MCC, SamplerId.FCC]
+    )
+    def test_target_density_checked_on_every_block(self, sampler_id, toy_bundle):
+        # Right on blocks of up to 2 points, a float on larger ones.
+        log_density = toy_bundle.target.log_density
+
+        def small_blocks_only(m, z):
+            out = log_density(m, z)
+            return out if len(z) <= 2 else float(out[0])
+
+        target = replace(toy_bundle.target, log_density=small_blocks_only)
+        bundle = replace(toy_bundle, target=target)
+        with pytest.raises(ConfigError, match="target.log_density"):
+            run_chain(SamplerConfig(sampler_id, 10, State(1, 0.0), burn_in=0), bundle)
 
     @pytest.mark.parametrize("sampler_id", [SamplerId.MWG, SamplerId.MCC])
     def test_independence_proposal_needs_no_single_point_callbacks(
