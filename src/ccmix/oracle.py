@@ -197,7 +197,8 @@ def build_P3(spec: FiniteMixtureSpec) -> FiniteKernel:
     symmetric in the pair, so one core per unordered pair fills both
     off-diagonal blocks and makes the kernel pi*-reversible by
     construction; it is one (G x T)(T x G) product over the T trapezoid
-    nodes in s = log t, and a spec costs O(n^2 G^2 T).  The ratios are
+    nodes in s = log t (the pairs that share a first label in one stacked
+    product), and a spec costs O(n^2 G^2 T).  The ratios are
     scaled by c = 1 / sqrt(r_min n r_max), over the positive ones, which
     centres the totals on 1, and c goes back on the masses:
     P = pi*(k, u) c C(c r).  The nodes run from e^(-40) over the largest
@@ -231,12 +232,21 @@ def build_P3(spec: FiniteMixtureSpec) -> FiniteKernel:
         E = np.exp(-(c * ratio)[:, :, None] * t)
     phi = np.einsum("jg,jgt->jt", spec.pseudo, E)
 
+    # The weights of every pair (m, k), m < k in lexicographic order: phi's
+    # product over the other labels, taken in ascending label order.
+    pairs = list(combinations(range(n), 2))
+    others = np.array([[j for j in range(n) if j not in p] for p in pairs], dtype=int)
+    w = _STEP * t * np.prod(phi[others.reshape(len(pairs), max(n - 2, 0))], axis=1)
     P = np.zeros((n * G, n * G))
-    for m, k in combinations(range(n), 2):
-        w = _STEP * t * np.prod(np.delete(phi, (m, k), axis=0), axis=0)
-        C = (E[m] * w) @ E[k].T
-        P[m * G : (m + 1) * G, k * G : (k + 1) * G] = C * (c * spec.prob[k])
-        P[k * G : (k + 1) * G, m * G : (m + 1) * G] = C.T * (c * spec.prob[m])
+    for m in range(n - 1):
+        # The cores of (m, k) for every k > m, stacked: [k, g, u].
+        K, rows = n - 1 - m, slice(m * G, (m + 1) * G)
+        C = (E[m] * w[:K, None]) @ E[m + 1 :].transpose(0, 2, 1)
+        w = w[K:]
+        flow = C * (c * spec.prob[m + 1 :])[:, None]
+        P[rows, (m + 1) * G :] = flow.transpose(1, 0, 2).reshape(G, K * G)
+        back = C.transpose(0, 2, 1) * (c * spec.prob[m])
+        P[(m + 1) * G :, rows] = back.reshape(K * G, G)
     P[np.diag_indices(n * G)] = 1.0 - P.sum(axis=1)
     return FiniteKernel(P, n, G)
 
@@ -541,10 +551,8 @@ def random_spec(rng: np.random.Generator, n: int, grid_size: int) -> FiniteMixtu
     """Random strictly positive spec: flat-Dirichlet masses throughout."""
     G = grid_size
     prob = rng.dirichlet(np.ones(n * G)).reshape(n, G)
-    pseudo = np.stack([rng.dirichlet(np.ones(G)) for _ in range(n)])
-    proposal = np.stack(
-        [np.stack([rng.dirichlet(np.ones(G)) for _ in range(G)]) for _ in range(n)]
-    )
+    pseudo = rng.dirichlet(np.ones(G), size=n)
+    proposal = rng.dirichlet(np.ones(G), size=(n, G))
     return FiniteMixtureSpec(n, np.arange(G, dtype=float), prob, pseudo, proposal)
 
 

@@ -29,11 +29,24 @@ refresh a block lays its points out in a *point table*, the carried
 point first, and a sweep moves an integer index over it: the pseudo-prior
 selection adds the current point's weight to stored prefix sums of the
 other labels' weights, MwG draws from the current point's label weights,
-made once per point, and the MH test reads both points' densities from
-the table.  The per-sweep selection and MH test serve the first sweep of
-an exact-refresh block, the entries the tables cannot settle (a +inf or
-NaN ratio, a weight too large for exp, no mass, a vanishing q or a
-non-finite point) and ``step``, which runs blocks of one sweep.
+made once per point, and the MH test compares the two points' log-ratios
+log pi* - log q.  The per-sweep selection and MH test serve the first
+sweep of an exact-refresh block, the entries the tables cannot settle (a
++inf or NaN ratio, a weight too large for exp, no mass, a vanishing q or
+a non-finite point) and ``step``, which runs blocks of one sweep.
+
+*Certified holds.*  With the frozen refresh or the MH refresh of an
+independence proposal, a block of more than one sweep also holds, for
+each label and sweep, thresholds that prove that a held point keeps its
+label and point under those float tests: tau on the point's ratio for
+the pseudo-prior selection, MwG's interval of the index uniform, and
+sigma on its MH log-ratio (the derivation is beside ``_holds``).  The
+loop skips the sweeps they certify with two or three comparisons each
+and runs the tests on the others, so the chain is that of the per-sweep
+tests, errors included.  There is no certificate where a threshold's
+bound does not hold: an entry the tables cannot settle, a uniform within
+2^-20 of 1 or a ratio within 699 of overflow; nor for the MH refresh of
+a general proposal, which draws at every sweep, nor in ``step``.
 
 The MH refresh of an independence proposal (``ProposalFamily.independent``,
 R_l(u, .) = q_l) is blocked as well, since its proposals and accept
@@ -225,8 +238,8 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 # pseudo-prior selection the pair (log pi*(m, z), its ratio to rho_m(z)).
 # With an independence proposal q the carry also holds log q at z: the
 # row log q_.(z) after the row of the target, or a third entry
-# log q_m(z) after the pair.  A point table holds one carry per point.
-# A selection has eight parts:
+# log q_m(z) after the pair.
+# A selection has seven parts:
 #   block(bundle, streams, size, q) draws and weighs every label's
 #     auxiliaries for ``size`` sweeps: their rows and their points;
 #   select(v, m, carry, aux) -> m' selects at one sweep from its index
@@ -236,7 +249,6 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 #   rows(bundle, labels, blocks, q) weighs each label's block: lists of
 #     arrays indexed [density][label][point], q's last when given;
 #   carry_of(rows, j, k) is the carry of point k of label j + 1's block;
-#   carries(rows) is every such carry, an array [label, point, entry];
 #   carry_at(bundle, m, z, lt) is the carry of one point z, given
 #     lt = log pi*(m, z), for the MH refresh of a general proposal;
 #   lt(carry, m) reads log pi*(m, z) back;
@@ -249,7 +261,6 @@ class _Selection(NamedTuple):
     select: Callable
     rows: Callable
     carry_of: Callable
-    carries: Callable
     carry_at: Callable
     lt: Callable
     exact_logw: Callable
@@ -307,11 +318,6 @@ def _pseudo_select(v, m, carry, aux):
     return _pick(_weights(logw), v)
 
 
-def _pseudo_carries(rows):
-    lt = np.array(rows[0])
-    return np.stack([lt, _ratios(lt, np.array(rows[1])), *rows[2:]], axis=-1)
-
-
 def _pseudo_exact_logw(rows, aux):
     """The auxiliaries' ratios of sweep k + 1, label j's replaced by that
     of its exact point of sweep k."""
@@ -333,7 +339,6 @@ _CONDITIONAL = _Selection(
     _conditional_select,
     _conditional_rows,
     lambda rows, j, k: [row[j].item(k) for row in rows],
-    lambda rows: np.moveaxis(np.array(rows), 0, -1),
     _row_at,
     lambda carry, m: carry[m - 1],
     lambda rows, aux: rows[:, :, :-1],
@@ -345,7 +350,6 @@ _PSEUDO = _Selection(
         bundle.target, bundle.pseudo, labels, blocks, q
     ),
     _ratio_of,
-    _pseudo_carries,
     _ratio_at,
     lambda carry, m: carry[0],
     _pseudo_exact_logw,
@@ -398,13 +402,12 @@ def _exact_block(bundle, streams, sel, size, m, z, carry):
 class _Table:
     """The points a block of the MH or frozen refresh can visit, by index:
     z at 0, the points of ``blocks`` (``size`` each), then those a general
-    MH refresh accepts.  ``c`` holds their carries, ``w`` floats each."""
+    MH refresh accepts."""
 
-    __slots__ = ("z", "blocks", "size", "fresh", "w", "c")
+    __slots__ = ("z", "blocks", "size", "fresh")
 
-    def __init__(self, z, carry, blocks, size, c):
+    def __init__(self, z, blocks, size):
         self.z, self.blocks, self.size, self.fresh = z, blocks, size, []
-        self.w, self.c = len(carry), c
 
     def point(self, p: int):
         if p == 0:
@@ -414,13 +417,9 @@ class _Table:
             return self.fresh[p - 1 - len(self.blocks) * self.size]
         return _point(self.blocks[b], k)
 
-    def carry(self, p: int) -> list:
-        return self.c[p * self.w : (p + 1) * self.w]
-
-    def add(self, z, carry) -> int:
-        """Put a point and its carry at the end; return its index."""
+    def add(self, z) -> int:
+        """Put a point at the end; return its index."""
         self.fresh.append(z)
-        self.c.extend(carry)
         return len(self.blocks) * self.size + len(self.fresh)
 
     def points(self) -> np.ndarray:
@@ -428,135 +427,360 @@ class _Table:
         return np.concatenate([_block(self.z), *self.blocks, *fresh])
 
 
-def _carry_list(sel, rows, size: int) -> list:
-    """The carries of the points ``rows`` weighs, flat; by ``carry_of`` for
-    blocks of one point, where numpy's per-call cost outweighs the work."""
+def _pseudo_lists(rows, size: int):
+    """Label j + 1's ratios log pi* - log rho of the points ``rows`` weighs
+    and, given q's row, their MH log-ratios h = log pi* - log q: lists
+    [j][k] and arrays, h's None without q.  A block of one sweep, where
+    numpy's per-call cost outweighs the work, gets lists by ``item`` and no
+    arrays."""
+    with_q = len(rows) == 3
     if size == 1:
-        return [x for j in range(len(rows[0])) for x in sel.carry_of(rows, j, 0)]
-    return sel.carries(rows).ravel().tolist()
+        ratios, hs = [], [] if with_q else None
+        for j in range(len(rows[0])):
+            lt = rows[0][j].item(0)
+            ratios.append([_ratio(lt, rows[1][j].item(0))])
+            if with_q:
+                hs.append([lt - rows[2][j].item(0)])
+        return ratios, hs, None, None
+    lt = np.array(rows[0])
+    ratios = _ratios(lt, np.array(rows[1]))
+    h = None
+    if with_q:
+        with np.errstate(invalid="ignore"):
+            h = lt - np.array(rows[2])
+    return ratios.tolist(), None if h is None else h.tolist(), ratios, h
 
 
-def _mh_block(bundle, streams, sel, t):
-    """The MH refresh of a general proposal, one point at a time: (k, m, p)
-    -> the index of the point kept.  ``_table_sweeps`` tests the others."""
-    target, proposal, rng = bundle.target, bundle.proposal, streams.mh
-
-    def refresh(k, m, p):
-        u, carry = t.point(p), t.carry(p)
-        z = proposal.sampler(m, u, rng)
-        lt_z = float(_call("target.log_density", target.log_density, (m, z), ()))
-        lr_uz, lr_zu = proposal.log_density(m, u, z), proposal.log_density(m, z, u)
-        log_alpha = _mh_log_acceptance(m, sel.lt(carry, m), lr_uz, lt_z, lr_zu)
-        if rng.random() < math.exp(log_alpha):
-            _check_finite(z)
-            return t.add(z, sel.carry_at(bundle, m, z, lt_z))
-        return p
-
-    return refresh
+def _read(where):
+    """log pi* and (given q, else None) log q of point k of label j + 1's
+    block, for ``where`` = (rows, j, k) with the block's pseudo-prior rows."""
+    rows, j, k = where
+    return rows[0][j].item(k), rows[2][j].item(k) if len(rows) == 3 else None
 
 
-def _frozen_block(bundle, streams, sel, t):
-    return None  # the frozen refresh keeps the selected point
+def _row_list(rows, size: int) -> list:
+    """The conditional carries of the points ``rows`` weighs, flat in
+    (label * size + sweep) * width + entry."""
+    if size == 1:
+        return [row[j].item(0) for j in range(len(rows[0])) for row in rows]
+    return np.moveaxis(np.array(rows), 0, -1).ravel().tolist()
 
 
-def _prefix_tables(aux, size: int):
+# *Certified holds.*  A sweep that would keep the held label and point is
+# skipped when a threshold proves that the exact test below keeps them.
+# Let u = 2^-53, the unit roundoff: + - * / round within a relative u,
+# math.exp within 2u (glibc: under 1 ulp) and numpy's log within 8u.
+# _SLACK = 2^-30 is 2^23 u: it covers the few roundings of each bound
+# many times over and leaves to the exact test only the sweeps within a
+# relative 1e-9 of their boundary.
+#
+# Selection (``_holds``).  Let s be the shift of sweep k, P the other
+# labels' weight below m and S their total, both read from the prefix
+# table (S >= 1).  The exact test computes wk = exp(r - s) and
+# uk = v (S + wk), and keeps label m iff (m = 1 or P <= uk) and
+# (m = n or uk < P + wk); for m = n a failed second test falls through to
+# label n.  With |r - s| < 700, wk is e^(r - s) within 702u, and uk is
+# v (S + wk) within 2u.  So P <= uk holds once wk >= P / (v (1 - 2u)) - S,
+# which is at most low = (1 + _SLACK) P/v - (1 - _SLACK) S as rounded.
+# And uk < P + wk holds once wk (1 - v') > v' S - P with v' = v (1 + 4u).
+# Where 1 - v >= 2^-20, so that 4u / (1 - v) <= 2^-31, that holds once
+# wk > high = max(S (v + _SLACK) - P (1 - _SLACK), 1e-300)
+# * (1 + _SLACK) / (1 - v).  Let B = max(low, high): B >= 1e-300 for
+# m < n, and B >= 2 _SLACK for m = n, where P = S.  Since |log B| < 711,
+# tau = s + _SLACK |s| + (log B + 711 _SLACK) exceeds s + log B by more
+# than twice its rounding.  So r > tau gives r - s > log B > -700 with a
+# margin, and wk > B: label m is kept.  The sweep loop also asks
+# r - min_k s < 699, so the exact test takes its fast branch (d < 700) at
+# every sweep of the block.  tau is +inf where 1 - v < 2^-20 and m < n,
+# and NaN, which certifies nothing, where s is not finite (stored as
+# -inf) or v = P = 0.
+#
+# MH test (``_rejections``).  Let hz = log pi*(m, z') - log q_m(z') for
+# the proposal of sweep k and h that of the held point.  The exact test
+# computes d = hz - h and, for finite d, accepts iff d >= 0 or a < exp(d).
+# Let L = log a and sigma = hz + _SLACK |hz| - (L - _SLACK (1 + |L|)).
+# If h > sigma then hz - h < L - _SLACK (1 + |hz| + |L|) / 2 < 0, so d
+# stays below 0 and exp(d) below a: the test rejects.  A +inf h gives
+# d = -inf, which the general test rejects too.  sigma is NaN or +inf
+# where hz is not finite, and +inf where a = 0.
+#
+# MwG's selection (in the sweep loop).  Let A_j be the held point's label
+# weights summed over labels 1..j and T their sum.  The exact test keeps
+# label m iff (m = 1 or A_(m-1) <= v T) and (m = n or v T < A_m), v T
+# rounded within u; v > A_(m-1) / T (1 + _SLACK) and v < A_m / T
+# (1 - _SLACK), each bound rounded within 2u, give both.
+_SLACK = 2.0**-30
+
+
+def _holds(shift, prefix, v):
+    """tau[m][k] for each active label m and sweep k (above), with a +inf
+    sentinel at k = size, as lists; ``prefix`` is [label, m, k]."""
+    n = len(shift)
+    ix = np.arange(n)
+    below, total = prefix[ix, ix], prefix[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        low = below / v * (1.0 + _SLACK) - total * (1.0 - _SLACK)
+        gap = 1.0 - v
+        scale = np.where(gap >= 2.0**-20, (1.0 + _SLACK) / gap, _INF)
+        high = np.maximum(total * (v + _SLACK) - below * (1.0 - _SLACK), 1e-300)
+        high *= scale
+        high[-1] = 0.0  # label n makes the first test only
+        log_bound = np.log(np.maximum(low, high))
+        tau = (shift + _SLACK * np.abs(shift)) + (log_bound + 711.0 * _SLACK)
+    tau = tau.tolist()
+    for row in tau:
+        row.append(_INF)
+    return tau
+
+
+def _rejections(hz, a) -> list:
+    """sigma[j][k] (above) for the proposals' hz, [label, sweep], and the
+    accept uniforms a, as lists."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.log(a)
+        log_a -= _SLACK * (1.0 + np.abs(log_a))
+        return (hz + _SLACK * np.abs(hz) - log_a).tolist()
+
+
+def _prefix_tables(ratios, v, never, certify: bool):
     """For each active label m and sweep k: the shift, the largest of the
     other labels' auxiliary ratios, and the prefix sums of their weights
-    exp(ratio - shift) in label order, zero at m, flat in k * n + label.
-    Where one of those ratios is +inf or NaN, or all are -inf, or the block
-    is one sweep, the shift is -inf and the sweep falls back on the
-    per-sweep selection."""
-    n = len(aux[0])
-    if size == 1:
-        return [[-_INF]] * n, [None] * n
-    others = np.repeat(_ratios(*np.array(aux[:2]))[:, None], n, axis=1)
+    exp(ratio - shift) in label order, zero at m, flat in k * n + label;
+    with ``certify``, the hold thresholds tau[m][k] and each label's least
+    finite shift.  Where one of those ratios is +inf or NaN, or all are
+    -inf, the shift is -inf and the sweep falls back on the per-sweep
+    selection.  Without ``certify`` every label gets the list ``never``."""
+    n = len(ratios)
+    others = np.repeat(ratios[:, None], n, axis=1)
     others[np.arange(n), np.arange(n)] = -_INF
     with np.errstate(invalid="ignore"):
         shift = others.max(axis=0)
         prefix = np.exp(others - shift)
     for j in range(1, n):  # np.cumsum's sums, which it makes column by column
         prefix[j] += prefix[j - 1]
-    shift[~np.isfinite(shift)] = -_INF
-    return shift.tolist(), prefix.transpose(1, 2, 0).reshape(n, -1).tolist()
+    finite = np.isfinite(shift)
+    shift[~finite] = -_INF
+    flat = prefix.transpose(1, 2, 0).reshape(n, -1).tolist()
+    if not certify:
+        return shift.tolist(), flat, [never] * n, [_INF] * n
+    least = np.where(finite, shift, _INF).min(axis=1).tolist()
+    return shift.tolist(), flat, _holds(shift, prefix, v), least
+
+
+def _mh_block(bundle, streams, sel):
+    """The MH refresh of a general proposal, one point at a time: (m, u,
+    lt_u) -> None to keep u, else the accepted point and its carry."""
+    target, proposal, rng = bundle.target, bundle.proposal, streams.mh
+
+    def refresh(m, u, lt_u):
+        z = proposal.sampler(m, u, rng)
+        lt_z = float(_call("target.log_density", target.log_density, (m, z), ()))
+        lr_uz, lr_zu = proposal.log_density(m, u, z), proposal.log_density(m, z, u)
+        log_alpha = _mh_log_acceptance(m, lt_u, lr_uz, lt_z, lr_zu)
+        if rng.random() < math.exp(log_alpha):
+            _check_finite(z)
+            return z, sel.carry_at(bundle, m, z, lt_z)
+        return None
+
+    return refresh
+
+
+def _frozen_block(bundle, streams, sel):
+    return None  # the frozen refresh keeps the selected point
 
 
 def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     """Sweeps with the MH or the frozen refresh, by point index over the
-    block's ``_Table`` (module docstring, *Blocks*)."""
+    block's ``_Table`` (module docstring, *Blocks*).  Each pass of the loop
+    skips the sweeps certified to keep the held label and point, then runs
+    the next sweep by the exact selection and MH test."""
     sel, refresh_block = kernel
     n, labels = bundle.target.n, range(1, bundle.target.n + 1)
     pseudo, q = sel is _PSEUDO, _independence(kernel, bundle)
     aux, blocks = sel.block(bundle, streams, size, q)
-    c = list(carry) + (_carry_list(sel, aux, size) if pseudo else [])
+    v = streams.index.random(size)
+    # A general MH refresh draws at every sweep, so it skips none.
+    certify = size > 1 and (q is not None or refresh_block is _frozen_block)
+    never = [_INF] * (size + 1)
+    hzs = prs = sigmas = [never] * n
     if pseudo:
-        shifts, prefixes = _prefix_tables(aux, size)
-        shift, prefix = shifts[m - 1], prefixes[m - 1]
-    v = streams.index.random(size).tolist()
+        rs, hs, ratios, _ = _pseudo_lists(aux, size)
+        if ratios is None:  # a block of one sweep builds no table
+            shifts, prefixes = [[-_INF]] * n, [None] * n
+            taus, least = [never] * n, [_INF] * n
+        else:
+            shifts, prefixes, taus, least = _prefix_tables(ratios, v, never, certify)
     if q is not None:
         x = _draws(bundle, "proposal.rho.sampler", q.sampler, streams.proposal, size)
         base = 1 + len(blocks) * size
         blocks = blocks + x
-        c += _carry_list(sel, sel.rows(bundle, labels, x, q), size)
-        a = streams.mh.random(size).tolist()
-    t = _Table(z, carry, blocks, size, c)
-    refresh = None if q is not None else refresh_block(bundle, streams, sel, t)
+        prop = sel.rows(bundle, labels, x, q)
+        a = streams.mh.random(size)
+        if pseudo:
+            prs, hzs, _, hz = _pseudo_lists(prop, size)
+        else:
+            w, pc = 2 * n, _row_list(prop, size)
+            if certify:
+                # Label j + 1's log pi* and log q at its own proposals.
+                own = [prop[j][j] for j in range(n)], [prop[n + j][j] for j in range(n)]
+                with np.errstate(invalid="ignore"):
+                    hz = np.subtract(*own)
+        if certify:
+            sigmas = _rejections(hz, a)
+        a = a.tolist()
+    if pseudo:
+        at = None  # what the loop reads at label j + 1, made at the first move
+        j = m - 1
+        shift, prefix, tau_m, sg, hz_m, pr_m = (
+            shifts[j], prefixes[j], taus[j], sigmas[j], hzs[j], prs[j]
+        )
+        # The held point's log pi* (and log q) are read back from its block
+        # (``where``) only where a sweep needs them: lt is None until then.
+        lt, r, where = carry[0], carry[1], None
+        if q is not None:
+            lq = carry[2]
+            h = lt - lq
+    else:
+        sg = sigmas[m - 1]
+        row, weighed, vlo, vhi = carry, None, 2.0, 2.0
+    t = _Table(z, blocks, size)
+    refresh = None if q is not None else refresh_block(bundle, streams, sel)
     # Unless every point is finite, each is checked as it is kept (in a
     # block of one sweep, after it).
     check = size > 1 and not math.isfinite(sum(b.sum() for b in blocks))
-    w, dq = t.w, 2 if pseudo else n  # log q_m sits dq after log pi*(m, .)
-    exp, bisect_right = math.exp, bisect.bisect_right
-    p, e, col, weighed, n_accepted, es = 0, m - 1, 0, None, 0, []
-    for k in range(size):
-        vk = v[k]
+    v = v.tolist()
+    v.append(2.0)  # ends a run of MwG's certified sweeps at k = size
+    exp, bisect_right, inf, ninf = math.exp, bisect.bisect_right, _INF, -_INF
+    p, k, n_accepted = 0, 0, 0
+    starts, es = [0], [m - 1]  # the sweep from which each (label, point) is kept
+    # held: the held label or point changed; record it and, with
+    # certificates, look its thresholds up.
+    tau, held = never, certify
+    while True:
+        if certify:  # skip the certified sweeps
+            if held:
+                held = False
+                if pseudo:
+                    tau = tau_m if r - least[m - 1] < 699.0 else never
+                else:
+                    # MwG keeps label m while v_k lies inside m's interval of
+                    # the point's cumulative weights, shrunk by the slack.
+                    # Weighing a point here, not at its first exact sweep,
+                    # cannot raise: a point with no finite entry is left to
+                    # that sweep.
+                    if p != weighed and max(row[:n]) > ninf:
+                        weights = _weights(row[:n])
+                        total, acc = sum(weights), list(accumulate(weights))
+                        weighed = p
+                    if p == weighed:
+                        vlo = acc[m - 2] / total * (1.0 + _SLACK) if m > 1 else -1.0
+                        vhi = acc[m - 1] / total * (1.0 - _SLACK) if m < n else 1.0
+                        lt, lq = row[m - 1], row[n + m - 1]
+                        h = lt - lq
+                    else:
+                        vlo = vhi = 2.0
+            if not pseudo:
+                while vlo < v[k] < vhi and sg[k] < h:
+                    k += 1
+            elif q is None:
+                while tau[k] < r:
+                    k += 1
+            else:
+                while tau[k] < r and sg[k] < h:
+                    k += 1
+        if k == size:
+            break
         if pseudo:
-            d = c[p * w + 1] - shift[k]
-            if d < 700.0:  # not +inf, NaN, or too large for exp
+            if tau[k] < r:
+                i = m  # the selection is certified, the MH test is not
+            elif (d := r - shift[k]) < 700.0:  # not +inf, NaN, or too large for exp
                 wk = exp(d)  # the current point's weight
                 lo = k * n
-                uk = vk * (prefix[lo + n - 1] + wk)
+                uk = v[k] * (prefix[lo + n - 1] + wk)
                 i = bisect_right(prefix, uk, lo, lo + m - 1) - lo
                 if i == m - 1 and not uk < prefix[lo + i] + wk:
                     i = min(bisect_right(prefix, uk - wk, lo + m, lo + n) - lo, n - 1)
                 i += 1
             else:
-                # Label j + 1's auxiliary of sweep k is point 1 + j * size + k.
-                at = range((1 + k) * w, (1 + n * size) * w, size * w)
-                i = sel.select(vk, m, c[p * w : p * w + w], [c[o : o + w] for o in at])
+                if lt is None:
+                    lt, lq = _read(where)
+                aux_k = [(aux[0][j].item(k), rs[j][k]) for j in range(n)]
+                i = sel.select(v[k], m, (lt, r), aux_k)
             if i != m:
-                m, p = i, 1 + (i - 1) * size + k
-                e, shift, prefix = p * n + i - 1, shifts[i - 1], prefixes[i - 1]
+                if at is None:
+                    at = list(zip(shifts, prefixes, taus, sigmas, hzs, prs))
+                shift, prefix, tau_m, sg, hz_m, pr_m = at[i - 1]
+                m, p, held = i, 1 + (i - 1) * size + k, True
+                r, lt, where = rs[i - 1][k], None, (aux, i - 1, k)
+                if q is not None:
+                    h = hs[i - 1][k]
+        elif vlo < (vk := v[k]) < vhi:
+            pass  # the selection is certified, the MH test is not
         else:
             # The current point's label weights stand until a move is
             # accepted; ``_pick`` by their running sums.
             if p != weighed:
-                weights = _weights(c[p * w : p * w + n])
+                weights = _weights(row[:n])
                 weighed, total, acc = p, sum(weights), list(accumulate(weights))
-            m = min(bisect_right(acc, vk * total), n - 1) + 1
-            e, col = p * n + m - 1, m - 1
+            i = min(bisect_right(acc, vk * total), n - 1) + 1
+            if i != m:
+                m, held, sg = i, True, sigmas[i - 1]
+            if q is not None:
+                lt, lq = row[m - 1], row[n + m - 1]
+                h = lt - lq
         if q is not None:
-            pz = base + (m - 1) * size + k
-            ou, oz = p * w + col, pz * w + col
-            d = (c[oz] - c[oz + dq]) - (c[ou] - c[ou + dq])
-            if -_INF < d < _INF:
+            if pseudo:
+                hk = hz_m[k]
+            else:
+                o = ((m - 1) * size + k) * w
+                hk = pc[o + m - 1] - pc[o + n + m - 1]
+            d = hk - h
+            if ninf < d < inf:
                 accept = d >= 0.0 or a[k] < exp(d)
             else:  # the errors and rejections of the general MH test
-                log_alpha = _mh_log_acceptance(m, c[ou], c[oz + dq], c[oz], c[ou + dq])
-                accept = a[k] < exp(log_alpha)
+                if not pseudo:
+                    lt_z, lq_z = pc[o + m - 1], pc[o + n + m - 1]
+                else:
+                    if lt is None:
+                        lt, lq = _read(where)
+                    lt_z, lq_z = _read((prop, m - 1, k))
+                accept = a[k] < exp(_mh_log_acceptance(m, lt, lq_z, lt_z, lq))
             if accept:
-                p, e, n_accepted = pz, pz * n + m - 1, n_accepted + 1
+                p, n_accepted, held = base + (m - 1) * size + k, n_accepted + 1, True
+                if pseudo:
+                    r, h, lt, where = pr_m[k], hk, None, (prop, m - 1, k)
+                else:
+                    o = (p - base) * w
+                    row = pc[o : o + w]
         elif refresh is not None:
-            kept = refresh(k, m, p)
-            if kept != p:
-                p, e, n_accepted = kept, kept * n + m - 1, n_accepted + 1
-        if check:
-            _check_finite(t.point(p))
-        es.append(e)
+            if pseudo and lt is None:
+                lt, lq = _read(where)
+            moved = refresh(m, t.point(p), lt if pseudo else row[m - 1])
+            if moved is not None:
+                p, n_accepted, held = t.add(moved[0]), n_accepted + 1, True
+                if pseudo:
+                    lt, r = moved[1]
+                else:
+                    row = moved[1]
+        if held:
+            held = certify
+            starts.append(k)
+            es.append(p * n + m - 1)
+            if check:
+                _check_finite(t.point(p))
+        k += 1
     z = t.point(p)
+    if pseudo:
+        if lt is None:
+            lt, lq = _read(where)
+        carry = (lt, r) if q is None else (lt, r, lq)
+    else:
+        carry = row
     if size == 1:
         _check_finite(z)
-        return [m], [z], m, z, t.carry(p), n_accepted
-    es = np.array(es)
-    return es % n + 1, t.points()[es // n], m, z, t.carry(p), n_accepted
+        return [m], [z], m, z, carry, n_accepted
+    es = np.repeat(es, np.diff(starts + [size]))
+    return es % n + 1, t.points()[es // n], m, z, carry, n_accepted
 
 
 _KERNELS = {

@@ -1,9 +1,10 @@
 """Tests for the exact finite-state kernels and orderings."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -49,6 +50,9 @@ from ccmix.oracle import (
     sweep_kernel,
     target_distribution,
     verify,
+    _HEAD_MARGIN,
+    _STEP,
+    _TAIL_MARGIN,
     _TWINS,
 )
 from ccmix.samplers import _CONDITIONAL, _PSEUDO, _exact_block
@@ -275,6 +279,40 @@ def _reference_P3(spec):
                 contrib[ok] = w_prior[ok] * ratio_others[ok, c] / total[ok]
                 np.add.at(P[row, (j - 1) * G : j * G], combos[:, c], contrib)
     return P
+
+
+def _pairwise_P3(spec):
+    """build_P3 with one core per label pair in a loop, each pair's weights
+    by np.delete and np.prod: the builder before it stacked the pairs of
+    each first label, kept as a bit-for-bit reference."""
+    n, G = spec.n, spec.grid_size
+    ratio = spec.prob / np.where(spec.pseudo > 0, spec.pseudo, np.inf)
+    positive = ratio[ratio > 0]
+    low, high = np.log(positive.min()), np.log(n) + np.log(positive.max())
+    half = (high - low) / 2
+    t = np.exp(np.arange(-half - _HEAD_MARGIN, half + _TAIL_MARGIN, _STEP))
+    c = np.exp(-(low + high) / 2)
+    with np.errstate(over="ignore"):
+        E = np.exp(-(c * ratio)[:, :, None] * t)
+    phi = np.einsum("jg,jgt->jt", spec.pseudo, E)
+    P = np.zeros((n * G, n * G))
+    for m, k in combinations(range(n), 2):
+        w = _STEP * t * np.prod(np.delete(phi, (m, k), axis=0), axis=0)
+        C = (E[m] * w) @ E[k].T
+        P[m * G : (m + 1) * G, k * G : (k + 1) * G] = C * (c * spec.prob[k])
+        P[k * G : (k + 1) * G, m * G : (m + 1) * G] = C.T * (c * spec.prob[m])
+    P[np.diag_indices(n * G)] = 1.0 - P.sum(axis=1)
+    return P
+
+
+def _row_by_row_spec(rng, n, G):
+    """random_spec with one Dirichlet call per pseudo-prior and proposal row."""
+    prob = rng.dirichlet(np.ones(n * G)).reshape(n, G)
+    pseudo = np.stack([rng.dirichlet(np.ones(G)) for _ in range(n)])
+    proposal = np.stack(
+        [np.stack([rng.dirichlet(np.ones(G)) for _ in range(G)]) for _ in range(n)]
+    )
+    return prob, pseudo, proposal
 
 
 def _reference_Q3(spec):
@@ -602,6 +640,48 @@ class TestReferenceBuilders:
         P3 = build_P3(spec)
         np.testing.assert_allclose(P3.matrix[0], [0.5, 0.0, 0.0, 0.5], atol=1e-15)
         assert check_reversibility(P3, target_distribution(spec)) == 0.0
+
+
+class TestBatchedBuilders:
+    """``random_spec`` draws each part in one call and ``build_P3`` stacks the
+    pairs of each first label; both are bit-identical to the per-row and
+    per-pair code they replace."""
+
+    @pytest.mark.parametrize("n, G", [(1, 1), (1, 2), (2, 5), (3, 25), (4, 10), (6, 6)])
+    def test_random_spec_draws_as_row_by_row(self, n, G):
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            spec = random_spec(rng, n, G)
+            prob, pseudo, proposal = _row_by_row_spec(ref, n, G)
+            assert np.array_equal(spec.prob, prob)
+            assert np.array_equal(spec.pseudo, pseudo)
+            assert np.array_equal(spec.proposal, proposal)
+            # The generator is left where the row-by-row draws leave it.
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_p3_equals_pairwise_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        for G in (1, 2, 5, 9):
+            spec = random_spec(rng, n, G)
+            assert np.array_equal(build_P3(spec).matrix, _pairwise_P3(spec))
+
+    @_PROPERTY
+    @given(sparse_specs())
+    def test_p3_equals_pairwise_loop_on_sparse_specs(self, spec):
+        assert np.array_equal(build_P3(spec).matrix, _pairwise_P3(spec))
+
+    def test_p3_memory_at_eight_labels(self):
+        # One stack of cores per first label, not all pairs at once: the
+        # traced peak stays under twice the kernel's own bytes.
+        spec = random_spec(np.random.default_rng(8), 8, 201)
+        tracemalloc.start()
+        try:
+            P3 = build_P3(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * P3.matrix.nbytes
 
 
 class TestChecks:

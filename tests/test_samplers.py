@@ -1,5 +1,6 @@
 """Tests of the five transition kernels and the chain driver."""
 
+import bisect
 import contextlib
 import math
 import warnings
@@ -20,6 +21,7 @@ from conftest import (
     toy_z_cdf,
 )
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import _counted
 from test_oracle import sparse_specs
 
@@ -1147,3 +1149,158 @@ class TestIndependenceRefresh:
         # A NaN proposal has a NaN ratio, which min(0, .) accepts.
         with pytest.raises(ValueError, match="finite"):
             _chain(sampler_id, _label_one_only(1, np.nan), State(1, 0.3), 300, 4)
+
+
+def _kept_by_selection(r, m, k, n, shift, prefix, v):
+    """The pseudo-prior selection of a held point with ratio r at label m,
+    sweep k, by the float operations of the sweep loop's fast branch."""
+    wk = math.exp(r - shift[k])
+    lo = k * n
+    uk = v * (prefix[lo + n - 1] + wk)
+    i = bisect.bisect_right(prefix, uk, lo, lo + m - 1) - lo
+    if i == m - 1 and not uk < prefix[lo + i] + wk:
+        i = min(bisect.bisect_right(prefix, uk - wk, lo + m, lo + n) - lo, n - 1)
+    return i + 1 == m
+
+
+def _ulps(x, count):
+    """x and its ``count`` float neighbours on each side."""
+    out = [x]
+    up = down = x
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [float(up), float(down)]
+    return out
+
+
+_SPECIAL_RATIOS = [-np.inf, -745.0, -700.0, -1e-300, 0.0, 1e-300, 5.0, 700.0, 1e15]
+_SPECIAL_UNIFORMS = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]
+_uniforms = st.one_of(
+    st.sampled_from(_SPECIAL_UNIFORMS), st.floats(0.0, 1.0, exclude_max=True)
+)
+_log_ratios = st.one_of(
+    st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -700.0, 700.0, 1e15]),
+    st.floats(-60.0, 60.0),
+)
+
+
+@st.composite
+def _selection_cases(draw):
+    """Auxiliary ratios [label, sweep] for n in {1, 2, 3, 5}, with zero
+    weights and extreme spans, and index uniforms that include 0, 1 - 2^-53
+    and, for some label, v S within a few ulps of P."""
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    size = draw(st.integers(2, 4))
+    value = st.one_of(st.sampled_from(_SPECIAL_RATIOS), st.floats(-60.0, 60.0))
+    ratios = np.array(draw(st.lists(value, min_size=n * size, max_size=n * size)))
+    ratios = ratios.reshape(n, size)
+    v = np.array(draw(st.lists(_uniforms, min_size=size, max_size=size)))
+    near = draw(st.integers(-3, 3)), draw(st.integers(0, n - 1)), draw(st.booleans())
+    return ratios, v, near
+
+
+class TestCertifiedHolds:
+    """A run of sweeps that keep the held label and point is skipped when
+    thresholds built for the block prove it: tau for the pseudo-prior
+    selection, sigma for the independence MH test.  Whatever they certify,
+    the per-sweep float arithmetic must agree with."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_selection_cases())
+    def test_hold_thresholds_keep_the_label(self, case):
+        ratios, v, (ulps, target, nudge) = case
+        n, size = ratios.shape
+        never = [math.inf] * (size + 1)
+        shifts, prefixes, _, _ = samplers._prefix_tables(ratios, v, never, False)
+        if nudge:
+            # v S within a few ulps of P for label target + 1 at every sweep.
+            for k in range(size):
+                lo = k * n
+                below = prefixes[target][lo + target]
+                total = prefixes[target][lo + n - 1]
+                if math.isfinite(shifts[target][k]) and total > 0:
+                    u = below / total
+                    for _ in range(abs(ulps)):
+                        u = np.nextafter(u, np.inf if ulps > 0 else -np.inf)
+                    v[k] = min(max(float(u), 0.0), 1.0 - 2.0**-53)
+        shifts, prefixes, taus, least = samplers._prefix_tables(ratios, v, never, True)
+        for m in range(1, n + 1):
+            shift, prefix, tau = shifts[m - 1], prefixes[m - 1], taus[m - 1]
+            assert len(tau) == size + 1 and tau[size] == math.inf
+            for k in range(size):
+                if not math.isfinite(shift[k]):
+                    assert not tau[k] < math.inf  # +inf or NaN: no certificate
+                    continue
+                candidates = []
+                if math.isfinite(tau[k]):
+                    candidates += _ulps(tau[k], 4)
+                candidates += _ulps(shift[k] + 699.0, 2) + _ulps(shift[k] - 700.0, 2)
+                for r in candidates:
+                    if tau[k] < r and r - least[m - 1] < 699.0:
+                        assert r - shift[k] < 700.0
+                        vk = float(v[k])
+                        assert _kept_by_selection(r, m, k, n, shift, prefix, vk)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(_log_ratios, min_size=1, max_size=6),
+        st.lists(_uniforms, min_size=6, max_size=6),
+    )
+    def test_reject_thresholds_reject(self, hz, a):
+        hz = np.array(hz)[None, :]
+        a = np.array(a[: hz.shape[1]])
+        sigma = samplers._rejections(hz, a)[0]
+        for k, s in enumerate(sigma):
+            if not math.isfinite(s):
+                continue
+            for h in _ulps(s, 4) + [math.inf, s + 1.0, s + 1e3]:
+                if not s < h:
+                    continue
+                d = float(hz[0, k]) - h
+                if -math.inf < d < math.inf:
+                    assert not (d >= 0.0 or float(a[k]) < math.exp(d))
+                else:  # the general MH test rejects a -inf log ratio
+                    assert d == -math.inf
+
+    def test_vanishing_pseudo_prior_in_certified_run_raises_at_its_sweep(self):
+        # Label 1 has e^-30 of label 2's weight, so the chain holds label 2
+        # and its point with certified sweeps; label 1's auxiliary of sweep
+        # 110 is drawn at 10, where rho_1 vanishes and pi*(1, .) does not.
+        def pseudo_sampler(j, rng, size):
+            if j == 2:
+                return rng.standard_normal(size)
+            u = np.zeros(size)
+            if size > 110:
+                u[110] = 10.0
+            return u
+
+        target = MixtureTarget(
+            n=2,
+            z_dim=1,
+            log_density=lambda m, z: -0.5 * z * z - (30.0 if m == 1 else 0.0),
+        )
+        pseudo = PseudoPriorSet(
+            n=2,
+            log_density=lambda j, u: np.where(
+                (j == 1) & (u > 5.0), -np.inf, -0.5 * u * u
+            ),
+            sampler=pseudo_sampler,
+        )
+        bundle, state, seed = ModelBundle(target, pseudo), State(2, 0.3), 4
+        # The holds before sweep 110 are certified: the only other ratio is
+        # -30, and tau sits below the held point's ratio 0.
+        v = np.random.default_rng(np.random.SeedSequence(seed).spawn(8)[4]).random(1024)
+        ratios = np.array([np.full(1024, -30.0), np.zeros(1024)])
+        ratios[0, 110] = np.inf
+        never = [math.inf] * 1025
+        _, _, taus, least = samplers._prefix_tables(ratios, v, never, True)
+        assert 0.0 - least[1] < 699.0
+        assert all(taus[1][k] < 0.0 for k in range(110))
+        assert not taus[1][110] < math.inf
+        trace = _chain(SamplerId.FCC, bundle, state, 110, seed)
+        assert np.all(trace.m == 2) and np.all(trace.z == 0.3)
+        with pytest.raises(PseudoPriorZero) as info:
+            _chain(SamplerId.FCC, bundle, state, 111, seed)
+        assert str(info.value) == (
+            "pseudo-prior 1 vanishes at a point where the target does not"
+        )
