@@ -18,8 +18,8 @@ samplers draw and weigh its proposals in blocks through rho's callbacks
 and make no single-point call.  Elementwise numpy code serves blocks and
 single points alike.
 
-The samplers make each call to these callbacks (but a general
-proposal's) through ``_call``, which raises ``ConfigError``, defined here
+The samplers and the oracle's discretizer make each call to these
+callbacks through ``_call``, which raises ``ConfigError``, defined here
 and exported by ``ccmix.samplers`` and ``ccmix``, naming a callback that
 breaks this protocol.
 """

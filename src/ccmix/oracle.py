@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .model import _call, _density_row
 from .samplers import _CONDITIONAL, _KERNELS, _PSEUDO, SamplerId
 from .samplers import _exact_block, _frozen_block, _mh_block
 
@@ -583,35 +584,34 @@ def spec_from_log_densities(
     is ``rho.log_density`` on the whole grid, the same row for every u;
     otherwise ``proposal.log_density(l, u, z)`` is called one point at a
     time.  Each proposal row is normalized after subtracting its largest
-    log-density, as the pseudo-priors are.  ValueError if the target, a
-    pseudo-prior or a proposal row has no mass on the grid.
+    log-density, as the pseudo-priors are.  The calls are checked as the
+    samplers check theirs (``model._call``), so a scalar for the grid is
+    refused.  ValueError if the target, a pseudo-prior or a proposal row
+    has no mass on the grid.
     """
     grid = np.asarray(grid, dtype=float)
     labels = range(1, n + 1)
 
-    def on_grid(log_density, label):
-        out = np.asarray(log_density(label, grid), dtype=float)
-        return np.broadcast_to(out, grid.shape)
+    def on_grid(name, log_density):
+        return np.array([_density_row(name, log_density, l, grid) for l in labels])
 
-    prob = _scaled_exp(np.array([on_grid(log_target, m) for m in labels]), "the target")
+    def scaled_rows(logw, name):
+        rows = np.array([_scaled_exp(w, f"{name} {l}") for l, w in zip(labels, logw)])
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    prob = _scaled_exp(on_grid("target.log_density", log_target), "the target")
     prob /= prob.sum()
-    pseudo = np.array(
-        [_scaled_exp(on_grid(log_pseudo, j), f"pseudo-prior {j}") for j in labels]
-    )
-    pseudo /= pseudo.sum(axis=1, keepdims=True)
+    pseudo = scaled_rows(on_grid("pseudo.log_density", log_pseudo), "pseudo-prior")
     masses = None
     if proposal is not None and proposal.rho is not None:
-        rho = proposal.rho.log_density
-        rows = np.array(
-            [_scaled_exp(on_grid(rho, l), f"proposal {l}") for l in labels]
-        )
-        rows /= rows.sum(axis=1, keepdims=True)
-        masses = np.repeat(rows[:, None, :], len(grid), axis=1)
+        rho = on_grid("proposal.rho.log_density", proposal.rho.log_density)
+        masses = np.repeat(scaled_rows(rho, "proposal")[:, None, :], len(grid), axis=1)
     elif proposal is not None:
         log_r = proposal.log_density
 
         def row(l, u):
-            logw = np.array([log_r(l, u, z) for z in grid], dtype=float)
+            logw = [_call("proposal.log_density", log_r, (l, u, z), ()) for z in grid]
+            logw = np.array(logw, dtype=float)
             return _scaled_exp(logw, f"proposal {l} from u = {u}")
 
         masses = np.array([[row(l, u) for u in grid] for l in labels])

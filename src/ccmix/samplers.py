@@ -32,8 +32,8 @@ other labels' weights, MwG draws from the current point's label weights,
 made once per point, and the MH test compares the two points' log-ratios
 log pi* - log q.  The per-sweep selection and MH test serve the first
 sweep of an exact-refresh block, the entries the tables cannot settle (a
-+inf or NaN ratio, a weight too large for exp, no mass, a vanishing q or
-a non-finite point) and ``step``, which runs blocks of one sweep.
++inf or NaN ratio, a weight too large for exp, no mass or a vanishing q)
+and ``step``, which runs blocks of one sweep.
 
 *Certified holds.*  With the frozen refresh or the MH refresh of an
 independence proposal, a block of more than one sweep also holds, for
@@ -229,7 +229,8 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         top = logw.max(axis=0)
         acc = np.cumsum(np.exp(logw - top), axis=0)
-    picks = np.minimum((acc <= v * acc[-1]).sum(axis=0), len(logw) - 1) + 1
+    # v < 1 and a finite top makes acc[-1] >= 1, so v * acc[-1] < acc[-1]: picks <= n.
+    picks = (acc <= v * acc[-1]).sum(axis=0) + 1
     return np.where(np.isfinite(top), picks, 0)
 
 
@@ -360,7 +361,8 @@ def _exact_block(bundle, streams, sel, size, m, z, carry):
     """Sweeps with the exact refresh.  It keeps label m's exact draw and
     drops the selected point, so the label drawn at sweep k > 0 depends
     only on the label of sweep k - 1: a table lookup, with the per-sweep
-    selection for sweep 0, the table's zeros and non-finite draws."""
+    selection for sweep 0 and the table's zeros.  In a block that holds a
+    non-finite draw, each kept point is checked, table-driven or not."""
     aux, _ = sel.block(bundle, streams, size, None)
     v = streams.index.random(size)
     labels = range(1, bundle.target.n + 1)
@@ -379,20 +381,18 @@ def _exact_block(bundle, streams, sel, size, m, z, carry):
         return [m], [z], m, z, sel.carry_of(rows, m - 1, 0), 0
     x = np.array(x, dtype=float)
     finite = math.isfinite(x.sum())
-    table = None
-    if finite:
-        logw = sel.exact_logw(np.array(rows), np.array(aux))
-        table = _pick_table(logw, v[1:]).tolist()
+    logw = sel.exact_logw(np.array(rows), np.array(aux))
+    table = _pick_table(logw, v[1:]).tolist()
     uniforms = v.tolist()
     ms = []
     for k in range(size):
-        j = table[m - 1][k - 1] if table and k else 0
+        j = table[m - 1][k - 1] if k else 0
         if not j:
             if k:
                 carry = sel.carry_of(rows, m - 1, k - 1)
             j = select(k, uniforms[k], m, carry)
-            if not finite:
-                _check_finite(x[j - 1, k])
+        if not finite:
+            _check_finite(x[j - 1, k])
         m = j
         ms.append(m)
     zs = x[np.subtract(ms, 1), np.arange(size)]
@@ -571,11 +571,13 @@ def _mh_block(bundle, streams, sel):
     """The MH refresh of a general proposal, one point at a time: (m, u,
     lt_u) -> None to keep u, else the accepted point and its carry."""
     target, proposal, rng = bundle.target, bundle.proposal, streams.mh
+    shape = () if target.z_dim == 1 else (target.z_dim,)
 
     def refresh(m, u, lt_u):
-        z = proposal.sampler(m, u, rng)
+        z = _call("proposal.sampler", proposal.sampler, (m, u, rng), shape)
         lt_z = float(_call("target.log_density", target.log_density, (m, z), ()))
-        lr_uz, lr_zu = proposal.log_density(m, u, z), proposal.log_density(m, z, u)
+        lr_uz = _call("proposal.log_density", proposal.log_density, (m, u, z), ())
+        lr_zu = _call("proposal.log_density", proposal.log_density, (m, z, u), ())
         log_alpha = _mh_log_acceptance(m, lt_u, lr_uz, lt_z, lr_zu)
         if rng.random() < math.exp(log_alpha):
             _check_finite(z)
@@ -665,20 +667,17 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                 else:
                     # MwG keeps label m while v_k lies inside m's interval of
                     # the point's cumulative weights, shrunk by the slack.
-                    # Weighing a point here, not at its first exact sweep,
-                    # cannot raise: a point with no finite entry is left to
-                    # that sweep.
-                    if p != weighed and max(row[:n]) > ninf:
+                    # Weighing cannot raise: the held row has a finite entry,
+                    # as _check wants pi*(m, z) > 0, the MH test rejects
+                    # log pi* = -inf and a label change keeps the point.
+                    if p != weighed:
                         weights = _weights(row[:n])
                         total, acc = sum(weights), list(accumulate(weights))
                         weighed = p
-                    if p == weighed:
-                        vlo = acc[m - 2] / total * (1.0 + _SLACK) if m > 1 else -1.0
-                        vhi = acc[m - 1] / total * (1.0 - _SLACK) if m < n else 1.0
-                        lt, lq = row[m - 1], row[n + m - 1]
-                        h = lt - lq
-                    else:
-                        vlo = vhi = 2.0
+                    vlo = acc[m - 2] / total * (1.0 + _SLACK) if m > 1 else -1.0
+                    vhi = acc[m - 1] / total * (1.0 - _SLACK) if m < n else 1.0
+                    lt, lq = row[m - 1], row[n + m - 1]
+                    h = lt - lq
             if not pseudo:
                 while vlo < v[k] < vhi and sg[k] < h:
                     k += 1
@@ -850,7 +849,7 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     sel = kernel[0]
     rows = sel.rows(bundle, [m], [_block(state.z)], _independence(kernel, bundle))
     carry = sel.carry_of(rows, 0, 0)
-    if kernel[0].lt(carry, m) == -math.inf:
+    if sel.lt(carry, m) == -math.inf:
         raise ConfigError(f"the target has zero mass at the initial state {state}")
     return kernel, carry
 

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from ccmix import (
+    ConfigError,
     ProposalFamily,
     PseudoPriorSet,
     SamplerConfig,
@@ -1181,6 +1182,50 @@ class TestHelpers:
                 lambda j, u: -u * u if j == 1 else nowhere(j, u),
             )
 
+    @staticmethod
+    def _boom(*args):
+        raise TypeError("boom")
+
+    @pytest.mark.parametrize(
+        "name, target, pseudo, proposal",
+        [
+            ("target.log_density", lambda m, z: 0.0, None, None),
+            ("pseudo.log_density", None, lambda j, u: 0.0, None),
+            ("proposal.rho.log_density", None, None, lambda j, u: 0.0),
+            ("target.log_density", _boom, None, None),
+            ("pseudo.log_density", None, _boom, None),
+            ("proposal.rho.log_density", None, None, _boom),
+        ],
+        ids=["scalar-target", "scalar-pseudo", "scalar-rho"]
+        + ["raising-target", "raising-pseudo", "raising-rho"],
+    )
+    def test_spec_from_log_densities_checks_grid_callbacks(
+        self, name, target, pseudo, proposal
+    ):
+        # The samplers' block check: a scalar for the grid is refused, and
+        # a callback that raises is named.
+        grid = np.linspace(-3.0, 3.0, 7)
+        target = target or (lambda m, z: -z * z)
+        pseudo = pseudo or (lambda j, u: -u * u)
+        if proposal is not None:
+            proposal = ProposalFamily.independent(PseudoPriorSet(2, proposal, None))
+        with pytest.raises(ConfigError, match=f"^{name} "):
+            spec_from_log_densities(2, grid, target, pseudo, proposal)
+
+    @pytest.mark.parametrize(
+        "log_r",
+        [lambda l, u, z: np.atleast_1d(-((z - u) ** 2)), _boom],
+        ids=["shape-1", "raising"],
+    )
+    def test_spec_from_log_densities_checks_general_proposal(self, log_r):
+        # A general proposal's density is called on single points and must
+        # return a float, as the MH refresh wants it.
+        grid = np.linspace(-3.0, 3.0, 7)
+        proposal = ProposalFamily(2, log_r, None)
+        with pytest.raises(ConfigError, match="^proposal.log_density "):
+            spec_from_log_densities(
+                2, grid, lambda m, z: -z * z, lambda j, u: -u * u, proposal
+            )
 
     @pytest.mark.parametrize(
         "log_rho",

@@ -942,6 +942,21 @@ class TestBlocks:
         assert np.array_equal(got.m, want.m) and np.array_equal(got.z, want.z)
         step(sampler_id, bundle, State(1, -1.0), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sampler_id", [SamplerId.MWG, SamplerId.MCC])
+    @pytest.mark.parametrize("name", ["proposal.sampler", "proposal.log_density"])
+    def test_general_proposal_callbacks_checked(self, sampler_id, name, toy_bundle):
+        # Shape (1,) for one-dimensional z, from the draw or the density,
+        # is refused by name in run_chain and in step.
+        proposal = replace(toy_bundle.proposal, rho=None)
+        attr = name.split(".")[1]
+        fn = getattr(proposal, attr)
+        wrapped = replace(proposal, **{attr: lambda *args: np.atleast_1d(fn(*args))})
+        bundle = replace(toy_bundle, proposal=wrapped)
+        with pytest.raises(ConfigError, match=f"^{name} returned shape"):
+            run_chain(SamplerConfig(sampler_id, 10, State(1, 0.0), burn_in=0), bundle)
+        with pytest.raises(ConfigError, match=f"^{name} returned shape"):
+            step(sampler_id, bundle, State(1, 0.0), np.random.default_rng(0))
+
 
 def _dominant_discarded_bundle():
     """Three labels, each with the target N(0, 1).  Label 1's auxiliaries
@@ -1042,6 +1057,32 @@ class TestIndexTables:
             trace = _chain(sampler_id, bundle, State(2, 0.3), 200, 4)
         assert np.all(trace.m == 2) and np.all(np.isfinite(trace.z))
 
+    @pytest.mark.parametrize("sampler_id", [SamplerId.GIBBS, SamplerId.CC])
+    def test_discarded_non_finite_exact_draw_matches_reference(self, sampler_id):
+        bundle = _stays_at_label_two(nan_label=1)
+        trace = _chain(sampler_id, bundle, State(2, 0.3), 200, 4)
+        m, z, _ = _reference_chain(sampler_id, bundle, State(2, 0.3), 200, 4)
+        assert np.array_equal(trace.m, m) and np.array_equal(trace.z, z)
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.GIBBS, SamplerId.CC])
+    def test_block_with_non_finite_draw_keeps_the_label_table(
+        self, sampler_id, monkeypatch
+    ):
+        # The NaN's column is a zero of the table; the other sweeps of the
+        # block are table lookups, so the per-sweep selection runs at sweep
+        # 0 only.
+        sel, refresh = samplers._KERNELS[sampler_id]
+        calls = []
+
+        def select(*args):
+            calls.append(args)
+            return sel.select(*args)
+
+        kernels = {sampler_id: (sel._replace(select=select), refresh)}
+        monkeypatch.setattr(samplers, "_KERNELS", kernels)
+        _chain(sampler_id, _stays_at_label_two(nan_label=1), State(2, 0.3), 200, 4)
+        assert len(calls) == 1
+
     def test_used_vanishing_pseudo_prior_raises_mid_block(self):
         bundle = _stays_at_label_two(trap=True)
         with warnings.catch_warnings():
@@ -1094,6 +1135,20 @@ def _label_one_only(bad_label, bad_point):
         log_density=lambda m, z: -0.5 * z * z if m == 1 else np.full(len(z), -np.inf),
     )
     return ModelBundle(target, normal, ProposalFamily.independent(q))
+
+
+def test_pick_table_picks_a_label_with_mass():
+    # v = 1 - 2^-53, the largest uniform, and columns that end in zero
+    # weights: every pick is in 1..n, at a label of positive weight.
+    rng = np.random.default_rng(5)
+    logw = rng.normal(0.0, 3.0, size=(4, 400))
+    for k in range(400):
+        logw[4 - k % 4 :, k] = -np.inf  # the last k % 4 labels have no mass
+    v = np.full(400, 1.0 - 2.0**-53)
+    v[::2] = rng.random(200)
+    picks = samplers._pick_table(logw, v)
+    assert np.all((1 <= picks) & (picks <= 4))
+    assert np.all(np.isfinite(logw[picks - 1, np.arange(400)]))
 
 
 class TestIndependenceRefresh:
