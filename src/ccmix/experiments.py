@@ -62,7 +62,8 @@ _LOG_HALF = math.log(0.5)
 
 
 def _norm_consts(variances) -> tuple[tuple, tuple]:
-    """(const, two_var) per variance: log N(z; mu, var) = const - (z-mu)**2 / two_var."""
+    """(const, two_var) per variance, where
+    log N(z; mu, var) = const - (z-mu)**2 / two_var."""
     const = tuple(-0.5 * math.log(2.0 * math.pi * v) for v in variances)
     return const, tuple(2.0 * v for v in variances)
 
@@ -165,8 +166,10 @@ def _simpson(values: np.ndarray, step: float) -> float:
 
 
 def _density_grid() -> np.ndarray:
-    """The grid of the posterior density: [-3, 3] in steps of DEFAULT_DENSITY_GRID_STEP."""
-    return np.arange(-3.0, 3.0 + DEFAULT_DENSITY_GRID_STEP / 2, DEFAULT_DENSITY_GRID_STEP)
+    """The grid of the posterior density: [-3, 3] in steps of
+    DEFAULT_DENSITY_GRID_STEP."""
+    step = DEFAULT_DENSITY_GRID_STEP
+    return np.arange(-3.0, 3.0 + step / 2, step)
 
 
 def true_posterior(grid: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:

@@ -77,7 +77,9 @@ class MixtureTarget:
     float (the MH refresh calls it so); it may return -inf for zero-mass
     points but never NaN.  ``conditional_sampler(m, rng, size)``, when
     present, returns ``size`` exact draws from pi*(dz | m); the samplers
-    with an exact refresh (Gibbs and CC) require it.
+    with an exact refresh (Gibbs and CC) require it.  It must return a new
+    array at every call, since the samplers keep the block it returns for
+    the block's sweeps, and neither callback may modify its input.
     """
 
     n: int
@@ -100,7 +102,9 @@ class PseudoPriorSet:
 
     ``log_density(j, u)`` maps a block of B points to shape (B,) (and,
     for MCC, one point to a float), and ``sampler(j, rng, size)`` returns
-    ``size`` draws from rho_j.
+    ``size`` draws from rho_j, in a new array at every call, since the
+    samplers keep the block it returns for the block's sweeps.  Neither
+    callback may modify its input.
     """
 
     n: int
@@ -120,7 +124,9 @@ class ProposalFamily:
     ``rho``, when set, states that R_l(u, .) = rho_l whatever u, and the
     MH refresh then draws and weighs the proposals in blocks through
     rho's callbacks instead of calling ``log_density`` and ``sampler``.
-    ``independent`` builds such a family.
+    ``independent`` builds such a family.  No callback may modify its
+    inputs; ``sampler`` may return the same array at every call, since the
+    samplers copy the points they keep.
     """
 
     n: int

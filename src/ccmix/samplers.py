@@ -25,15 +25,19 @@ blocks of B: for every label, one sampler call draws the block's points
 density weighs them.  With the exact refresh the label of a sweep depends
 only on the label before it, so a block of more than one sweep is one
 scan of an n x B label table built in numpy.  With the MH or frozen
-refresh a block lays its points out in a *point table*, the carried
-point first, and a sweep moves an integer index over it: the pseudo-prior
-selection adds the current point's weight to stored prefix sums of the
-other labels' weights, MwG draws from the current point's label weights,
-made once per point, and the MH test compares the two points' log-ratios
-log pi* - log q.  The per-sweep selection and MH test serve the first
-sweep of an exact-refresh block, the entries the tables cannot settle (a
-+inf or NaN ratio, a weight too large for exp, no mass or a vanishing q)
-and ``step``, which runs blocks of one sweep.
+refresh a block numbers its points, and a sweep moves one integer index
+p over them: p = 0 is the carried point and p = 1 + b B + k point k of
+block b, the labels' auxiliaries first, then the labels' independence
+proposals, or else the block of a general MH refresh.  Every quantity of
+a point (the point, log pi*, log q, its ratio to rho, its MH log-ratio)
+is read by p alone.  The pseudo-prior selection adds the current point's
+weight to stored prefix sums of the other labels' weights, MwG draws
+from the current point's label weights, made once per point, and the MH
+test compares the two points' log-ratios log pi* - log q.  The
+per-sweep selection and MH test serve the first sweep of an
+exact-refresh block, the entries the tables cannot settle (a +inf or
+NaN ratio, a weight too large for exp, no mass or a vanishing q) and
+``step``, which runs blocks of one sweep.
 
 *Certified holds.*  With the frozen refresh or the MH refresh of an
 independence proposal, a block of more than one sweep also holds, for
@@ -54,11 +58,12 @@ uniforms do not depend on the chain either: one sampler call of q per
 label draws the block's proposals, one call per label and density weighs
 them (MwG at every label, for the next sweep's conditional weights), and
 a sweep makes one comparison, a_k < exp(min(0, [lt(z') - lq(z')] -
-[lt(u) - lq(u)])) with lt = log pi*(m, .) and lq = log q_m, on the
-entries of u and z' in the point table.  The MH refresh of a general
-proposal weighs one point at a time, calling the densities on single
-points rather than on blocks of one, which cost ten times as much in
-numpy, and puts each point it accepts at the end of the table.
+[lt(u) - lq(u)])) with lt = log pi*(m, .) and lq = log q_m, read at
+the indices of u and z'.  The MH refresh of a general proposal weighs
+one point at a time, calling the densities on single points rather than
+on blocks of one, which cost ten times as much in numpy, and copies the
+point it accepts at sweep k into slot k of a block of its own, so its
+sampler may return the same array at every call.
 ``run_chain`` works in blocks of 1024 sweeps.
 
 *Streams.*  ``run_chain`` gives each label's auxiliaries, each label's
@@ -67,7 +72,7 @@ points and uniforms, or an independence proposal's accept uniforms) and
 each label's independence proposals a child stream of the seed of their
 own, the last n spawned after the others, so a chain is the same at
 every block size, and samplers that share a seed share those streams.
-A point table keeps each draw where its stream put it.  (The tables
+A block keeps each draw where its stream put it.  (The tables
 use numpy's exp, the per-sweep selection math.exp; a last-bit difference
 changes a label only if a uniform falls within rounding of a cumulative
 weight, and the tests check the equality.)  ``step`` draws every stream
@@ -399,63 +404,38 @@ def _exact_block(bundle, streams, sel, size, m, z, carry):
     return ms, zs, m, _point(zs, -1), sel.carry_of(rows, m - 1, size - 1), 0
 
 
-class _Table:
-    """The points a block of the MH or frozen refresh can visit, by index:
-    z at 0, the points of ``blocks`` (``size`` each), then those a general
-    MH refresh accepts."""
-
-    __slots__ = ("z", "blocks", "size", "fresh")
-
-    def __init__(self, z, blocks, size):
-        self.z, self.blocks, self.size, self.fresh = z, blocks, size, []
-
-    def point(self, p: int):
-        if p == 0:
-            return self.z
-        b, k = divmod(p - 1, self.size)
-        if b >= len(self.blocks):
-            return self.fresh[p - 1 - len(self.blocks) * self.size]
-        return _point(self.blocks[b], k)
-
-    def add(self, z) -> int:
-        """Put a point at the end; return its index."""
-        self.fresh.append(z)
-        return len(self.blocks) * self.size + len(self.fresh)
-
-    def points(self) -> np.ndarray:
-        fresh = [np.array(self.fresh, dtype=float)] if self.fresh else []
-        return np.concatenate([_block(self.z), *self.blocks, *fresh])
+def _at(col: list, p: int, size: int):
+    """The entry of point p in a column of a block's points or of one of
+    their quantities: col = [its value at z, *blocks of ``size``]."""
+    if p == 0:
+        return col[0]
+    x, k = col[(p - 1) // size + 1], (p - 1) % size
+    return x.item(k) if x.ndim == 1 else x[k]  # ``_point`` inlined: step reads many
 
 
-def _pseudo_lists(rows, size: int):
-    """Label j + 1's ratios log pi* - log rho of the points ``rows`` weighs
-    and, given q's row, their MH log-ratios h = log pi* - log q: lists
-    [j][k] and arrays, h's None without q.  A block of one sweep, where
-    numpy's per-call cost outweighs the work, gets lists by ``item`` and no
-    arrays."""
+def _pseudo_lists(rows, size: int, rs: list, hs: Optional[list]):
+    """Extend rs by the ratios log pi* - log rho of the points ``rows``
+    weighs and, given q's row, hs by their MH log-ratios h = log pi* - log q,
+    in point order; return those two arrays [label, sweep], h's None without
+    q.  A block of one sweep, where numpy's per-call cost outweighs the
+    work, gets its entries by ``item`` and no arrays."""
     with_q = len(rows) == 3
     if size == 1:
-        ratios, hs = [], [] if with_q else None
         for j in range(len(rows[0])):
             lt = rows[0][j].item(0)
-            ratios.append([_ratio(lt, rows[1][j].item(0))])
+            rs.append(_ratio(lt, rows[1][j].item(0)))
             if with_q:
-                hs.append([lt - rows[2][j].item(0)])
-        return ratios, hs, None, None
+                hs.append(lt - rows[2][j].item(0))
+        return None, None
     lt = np.array(rows[0])
     ratios = _ratios(lt, np.array(rows[1]))
+    rs += ratios.ravel().tolist()
     h = None
     if with_q:
         with np.errstate(invalid="ignore"):
             h = lt - np.array(rows[2])
-    return ratios.tolist(), None if h is None else h.tolist(), ratios, h
-
-
-def _read(where):
-    """log pi* and (given q, else None) log q of point k of label j + 1's
-    block, for ``where`` = (rows, j, k) with the block's pseudo-prior rows."""
-    rows, j, k = where
-    return rows[0][j].item(k), rows[2][j].item(k) if len(rows) == 3 else None
+        hs += h.ravel().tolist()
+    return ratios, h
 
 
 def _row_list(rows, size: int) -> list:
@@ -592,10 +572,12 @@ def _frozen_block(bundle, streams, sel):
 
 
 def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
-    """Sweeps with the MH or the frozen refresh, by point index over the
-    block's ``_Table`` (module docstring, *Blocks*).  Each pass of the loop
-    skips the sweeps certified to keep the held label and point, then runs
-    the next sweep by the exact selection and MH test."""
+    """Sweeps with the MH or the frozen refresh, by point index p (module
+    docstring, *Blocks*): a point, its log pi* and its log q are read from
+    columns by ``_at``, its ratio and h from flat lists and MwG's carry from
+    a flat list of rows, all by p.  Each pass of the loop skips the sweeps
+    certified to keep the held label and point, then runs the next sweep
+    by the exact selection and MH test."""
     sel, refresh_block = kernel
     n, labels = bundle.target.n, range(1, bundle.target.n + 1)
     pseudo, q = sel is _PSEUDO, _independence(kernel, bundle)
@@ -604,9 +586,13 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     # A general MH refresh draws at every sweep, so it skips none.
     certify = size > 1 and (q is not None or refresh_block is _frozen_block)
     never = [_INF] * (size + 1)
-    hzs = prs = sigmas = [never] * n
+    sigmas = [never] * n
+    pts = [z, *blocks]
     if pseudo:
-        rs, hs, ratios, _ = _pseudo_lists(aux, size)
+        lts, rs, hs = [carry[0], *aux[0]], [carry[1]], None
+        if q is not None:
+            lqs, hs = [carry[2], *aux[2]], [carry[0] - carry[2]]
+        ratios, _ = _pseudo_lists(aux, size, rs, hs)
         if ratios is None:  # a block of one sweep builds no table
             shifts, prefixes = [[-_INF]] * n, [None] * n
             taus, least = [never] * n, [_INF] * n
@@ -614,14 +600,16 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
             shifts, prefixes, taus, least = _prefix_tables(ratios, v, never, certify)
     if q is not None:
         x = _draws(bundle, "proposal.rho.sampler", q.sampler, streams.proposal, size)
-        base = 1 + len(blocks) * size
-        blocks = blocks + x
+        pts += x
         prop = sel.rows(bundle, labels, x, q)
         a = streams.mh.random(size)
         if pseudo:
-            prs, hzs, _, hz = _pseudo_lists(prop, size)
+            lts += prop[0]
+            lqs += prop[2]
+            _, hz = _pseudo_lists(prop, size, rs, hs)
         else:
-            w, pc = 2 * n, _row_list(prop, size)
+            # MwG's carry of point p is pc[p * w : (p + 1) * w].
+            w, pc = 2 * n, [*carry, *_row_list(prop, size)]
             if certify:
                 # Label j + 1's log pi* and log q at its own proposals.
                 own = [prop[j][j] for j in range(n)], [prop[n + j][j] for j in range(n)]
@@ -630,26 +618,25 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         if certify:
             sigmas = _rejections(hz, a)
         a = a.tolist()
+    # Unless every point is finite, each is checked as it is kept (in a
+    # block of one sweep, after it).
+    check = size > 1 and not math.isfinite(sum(b.sum() for b in pts[1:]))
+    refresh = None if q is not None else refresh_block(bundle, streams, sel)
+    if refresh is not None:  # the block of the points it accepts
+        read = None
+        pts.append(np.empty((size, *_shape(z))))
+        if pseudo:
+            lts.append(np.empty(size))
     if pseudo:
-        at = None  # what the loop reads at label j + 1, made at the first move
+        at = None  # each label's tables, made at the first move
         j = m - 1
-        shift, prefix, tau_m, sg, hz_m, pr_m = (
-            shifts[j], prefixes[j], taus[j], sigmas[j], hzs[j], prs[j]
-        )
-        # The held point's log pi* (and log q) are read back from its block
-        # (``where``) only where a sweep needs them: lt is None until then.
-        lt, r, where = carry[0], carry[1], None
+        shift, prefix, tau_m, sg = shifts[j], prefixes[j], taus[j], sigmas[j]
+        r = rs[0]
         if q is not None:
-            lq = carry[2]
-            h = lt - lq
+            h = hs[0]
     else:
         sg = sigmas[m - 1]
         row, weighed, vlo, vhi = carry, None, 2.0, 2.0
-    t = _Table(z, blocks, size)
-    refresh = None if q is not None else refresh_block(bundle, streams, sel)
-    # Unless every point is finite, each is checked as it is kept (in a
-    # block of one sweep, after it).
-    check = size > 1 and not math.isfinite(sum(b.sum() for b in blocks))
     v = v.tolist()
     v.append(2.0)  # ends a run of MwG's certified sweeps at k = size
     exp, bisect_right, inf, ninf = math.exp, bisect.bisect_right, _INF, -_INF
@@ -700,19 +687,18 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                 if i == m - 1 and not uk < prefix[lo + i] + wk:
                     i = min(bisect_right(prefix, uk - wk, lo + m, lo + n) - lo, n - 1)
                 i += 1
-            else:
-                if lt is None:
-                    lt, lq = _read(where)
-                aux_k = [(aux[0][j].item(k), rs[j][k]) for j in range(n)]
-                i = sel.select(v[k], m, (lt, r), aux_k)
+            else:  # label j's auxiliary of sweep k is point 1 + (j - 1) size + k
+                ps = range(1 + k, 1 + n * size, size)
+                aux_k = [(_at(lts, o, size), rs[o]) for o in ps]
+                i = sel.select(v[k], m, (_at(lts, p, size), r), aux_k)
             if i != m:
                 if at is None:
-                    at = list(zip(shifts, prefixes, taus, sigmas, hzs, prs))
-                shift, prefix, tau_m, sg, hz_m, pr_m = at[i - 1]
+                    at = list(zip(shifts, prefixes, taus, sigmas))
+                shift, prefix, tau_m, sg = at[i - 1]
                 m, p, held = i, 1 + (i - 1) * size + k, True
-                r, lt, where = rs[i - 1][k], None, (aux, i - 1, k)
+                r = rs[p]
                 if q is not None:
-                    h = hs[i - 1][k]
+                    h = hs[p]
         elif vlo < (vk := v[k]) < vhi:
             pass  # the selection is certified, the MH test is not
         else:
@@ -727,38 +713,43 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
             if q is not None:
                 lt, lq = row[m - 1], row[n + m - 1]
                 h = lt - lq
-        if q is not None:
+        if q is not None:  # o: label m's proposal of sweep k
             if pseudo:
-                hk = hz_m[k]
+                o = 1 + (n + m - 1) * size + k
+                hk = hs[o]
             else:
-                o = ((m - 1) * size + k) * w
-                hk = pc[o + m - 1] - pc[o + n + m - 1]
+                o = 1 + (m - 1) * size + k
+                c = o * w + m - 1
+                hk = pc[c] - pc[c + n]
             d = hk - h
             if ninf < d < inf:
                 accept = d >= 0.0 or a[k] < exp(d)
             else:  # the errors and rejections of the general MH test
-                if not pseudo:
-                    lt_z, lq_z = pc[o + m - 1], pc[o + n + m - 1]
+                if pseudo:
+                    lt, lq = _at(lts, p, size), _at(lqs, p, size)
+                    lt_z, lq_z = _at(lts, o, size), _at(lqs, o, size)
                 else:
-                    if lt is None:
-                        lt, lq = _read(where)
-                    lt_z, lq_z = _read((prop, m - 1, k))
+                    lt_z, lq_z = pc[c], pc[c + n]
                 accept = a[k] < exp(_mh_log_acceptance(m, lt, lq_z, lt_z, lq))
             if accept:
-                p, n_accepted, held = base + (m - 1) * size + k, n_accepted + 1, True
+                p, n_accepted, held = o, n_accepted + 1, True
                 if pseudo:
-                    r, h, lt, where = pr_m[k], hk, None, (prop, m - 1, k)
+                    r, h = rs[p], hk
                 else:
-                    o = (p - base) * w
-                    row = pc[o : o + w]
+                    row = pc[p * w : p * w + w]
         elif refresh is not None:
-            if pseudo and lt is None:
-                lt, lq = _read(where)
-            moved = refresh(m, t.point(p), lt if pseudo else row[m - 1])
-            if moved is not None:
-                p, n_accepted, held = t.add(moved[0]), n_accepted + 1, True
+            if p != read:  # the held point and its log pi*, read once a point
+                read, u = p, _at(pts, p, size)
                 if pseudo:
-                    lt, r = moved[1]
+                    lt = _at(lts, p, size)
+            moved = refresh(m, u, lt if pseudo else row[m - 1])
+            if moved is not None:
+                # The engine keeps a copy: a sampler may reuse its array.
+                p = 1 + (len(pts) - 2) * size + k
+                n_accepted, held = n_accepted + 1, True
+                pts[-1][k] = moved[0]
+                if pseudo:
+                    lts[-1][k], r = moved[1]
                 else:
                     row = moved[1]
         if held:
@@ -766,20 +757,20 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
             starts.append(k)
             es.append(p * n + m - 1)
             if check:
-                _check_finite(t.point(p))
+                _check_finite(_at(pts, p, size))
         k += 1
-    z = t.point(p)
+    z = _at(pts, p, size)
     if pseudo:
-        if lt is None:
-            lt, lq = _read(where)
-        carry = (lt, r) if q is None else (lt, r, lq)
+        lt = _at(lts, p, size)
+        carry = (lt, r) if q is None else (lt, r, _at(lqs, p, size))
     else:
         carry = row
     if size == 1:
         _check_finite(z)
         return [m], [z], m, z, carry, n_accepted
     es = np.repeat(es, np.diff(starts + [size]))
-    return es % n + 1, t.points()[es // n], m, z, carry, n_accepted
+    points = np.concatenate([_block(pts[0]), *pts[1:]])
+    return es % n + 1, points[es // n], m, z, carry, n_accepted
 
 
 _KERNELS = {

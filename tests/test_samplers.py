@@ -647,6 +647,34 @@ class TestCarriedDensities:
             assert np.array_equal(trace.z, z), sid
             assert trace.acceptance_rate == rate, sid
 
+    def test_reused_proposal_array_keeps_the_chain(self):
+        # A general proposal's sampler that refills one array and returns
+        # it at every call: the chain keeps copies of the points it accepts,
+        # in run_chain and in the states that step returns.
+        bundle, state = _two_d_bundle(), State(2, np.array([0.3, -0.2]))
+        buffer, sampler = np.empty(2), bundle.proposal.sampler
+
+        def reused(l, u, rng):
+            buffer[:] = sampler(l, u, rng)
+            return buffer
+
+        reusing = replace(bundle, proposal=replace(bundle.proposal, sampler=reused))
+        for sid in (SamplerId.MWG, SamplerId.MCC):
+            want = _chain(sid, bundle, state, 3000, 4)
+            got = _chain(sid, reusing, state, 3000, 4)
+            assert np.array_equal(got.m, want.m), sid
+            assert np.array_equal(got.z, want.z), sid
+            assert got.acceptance_rate == want.acceptance_rate, sid
+            runs = []
+            for model in (bundle, reusing):
+                s, rng, run = state, np.random.default_rng(4), []
+                for _ in range(500):
+                    s, accepted = step(sid, model, s, rng)
+                    run.append((s.m, accepted))
+                    run += np.array(s.z).tolist()  # a copy of z as it was
+                runs.append(run)
+            assert runs[1] == runs[0], sid
+
     def test_mwg_weighs_each_carry_once(self, monkeypatch):
         # The carried row, and so its label weights, change only on an
         # accepted move: MwG weighs it at block entry and after each
