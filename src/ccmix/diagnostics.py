@@ -56,13 +56,24 @@ class AsymptoticVarianceEstimate:
     batch_count: int
 
 
+def _series(series) -> np.ndarray:
+    """The series as a float array; ValueError unless 1-D and finite."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"series must be one-dimensional, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series must be finite")
+    return x
+
+
 def acf(series, max_lag: int = DEFAULT_MAX_LAG) -> AcfEstimate:
     """Empirical autocorrelation at lags 0..max_lag.
 
     Uses the biased (1/N) autocovariance estimator, which keeps the
-    estimated sequence positive semidefinite.
+    estimated sequence positive semidefinite.  The series must be 1-D and
+    finite.
     """
-    x = np.asarray(series, dtype=float)
+    x = _series(series)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     if len(x) <= max_lag:
@@ -83,10 +94,10 @@ def asymptotic_variance_batch_means(
 ) -> AsymptoticVarianceEstimate:
     """Batch-means estimate of the asymptotic variance of the path average.
 
-    The series is truncated to a multiple of the batch length; the
-    estimate is B * sample-variance of the batch means.
+    The series, 1-D and finite, is truncated to a multiple of the batch
+    length; the estimate is B * sample-variance of the batch means.
     """
-    x = np.asarray(series, dtype=float)
+    x = _series(series)
     if batch_count < 10:
         raise TooFewBatches(f"need at least 10 batches, got {batch_count}")
     batch_len = len(x) // batch_count

@@ -93,9 +93,13 @@ def toy_model(
 
     With ``optimal_pseudo`` the pseudo-priors equal the exact
     conditionals N(mu_m, 0.2), in which case the CC sweep draws the
-    index i.i.d. from its marginal.  ``pseudo_var_scale`` perturbs the
-    pseudo-prior variances for robustness checks.
+    index i.i.d. from its marginal.  ``pseudo_var_scale``, finite and
+    > 0, perturbs the pseudo-prior variances for robustness checks.
     """
+    if not 0 < pseudo_var_scale < math.inf:
+        raise ValueError(
+            f"pseudo_var_scale must be finite and > 0, got {pseudo_var_scale}"
+        )
     sd = math.sqrt(TOY_VAR)
     (const,), (two_var,) = _norm_consts((TOY_VAR,))
     const += _LOG_HALF

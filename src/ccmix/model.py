@@ -75,11 +75,12 @@ class MixtureTarget:
     ``log_density(m, z)`` takes a block z of B points and returns the B
     values log pi*(m, z_b), shape (B,), or one point z and returns a
     float (the MH refresh calls it so); it may return -inf for zero-mass
-    points but never NaN.  ``conditional_sampler(m, rng, size)``, when
-    present, returns ``size`` exact draws from pi*(dz | m); the samplers
-    with an exact refresh (Gibbs and CC) require it.  It must return a new
-    array at every call, since the samplers keep the block it returns for
-    the block's sweeps, and neither callback may modify its input.
+    points but never NaN (a sweep that uses a NaN raises ConfigError).
+    ``conditional_sampler(m, rng, size)``, when present, returns ``size``
+    exact draws from pi*(dz | m); the samplers with an exact refresh (Gibbs
+    and CC) require it.  It must return a new array at every call, since
+    the samplers keep the block it returns for the block's sweeps, and
+    neither callback may modify its input.
     """
 
     n: int
@@ -101,10 +102,10 @@ class PseudoPriorSet:
     """The n linking densities rho_j, each a proper probability density.
 
     ``log_density(j, u)`` maps a block of B points to shape (B,) (and,
-    for MCC, one point to a float), and ``sampler(j, rng, size)`` returns
-    ``size`` draws from rho_j, in a new array at every call, since the
-    samplers keep the block it returns for the block's sweeps.  Neither
-    callback may modify its input.
+    for MCC, one point to a float), -inf where rho_j vanishes but never
+    NaN, and ``sampler(j, rng, size)`` returns ``size`` draws from rho_j,
+    in a new array at every call, since the samplers keep the block it
+    returns for the block's sweeps.  Neither callback may modify its input.
     """
 
     n: int
@@ -119,7 +120,8 @@ class PseudoPriorSet:
 @dataclass(frozen=True)
 class ProposalFamily:
     """Proposal kernels R_l(u, dz) with transition densities r_l(u, z),
-    called with one point u (and z) at a time.
+    called with one point u (and z) at a time; ``log_density`` may return
+    -inf but never NaN.
 
     ``rho``, when set, states that R_l(u, .) = rho_l whatever u, and the
     MH refresh then draws and weighs the proposals in blocks through
@@ -178,15 +180,18 @@ def _block(z) -> np.ndarray:
 
 
 def _weights(logw: Sequence[float]) -> list[float]:
-    """exp(logw) normalized, by max-subtraction; AllZeroMass if all are -inf."""
+    """exp(logw) normalized, by max-subtraction; AllZeroMass if all are
+    -inf, ConfigError if a NaN or +inf entry makes the sum NaN."""
     # Loops, not comprehensions: this runs every sweep.  exp(-inf) is 0.0.
     top = max(logw)
-    if top == _NEG_INF:
-        raise AllZeroMass("every index weight is zero")
     w = []
     for lw in logw:
         w.append(math.exp(lw - top))
     total = sum(w)
+    if total != total:  # NaN; so is an all -inf sum, as -inf - -inf is NaN
+        if all(lw == _NEG_INF for lw in logw):
+            raise AllZeroMass("every index weight is zero")
+        raise ConfigError(f"the index weights are NaN, from log-weights {list(logw)}")
     for i in range(len(w)):
         w[i] /= total
     return w
@@ -336,7 +341,8 @@ def mh_log_acceptance(
 
     Returns min(0, log pi*(ell, z) + log r_ell(z, u)
                    - log pi*(ell, u) - log r_ell(u, z)).
-    A proposed move to a zero-mass point gets log-acceptance -inf (never NaN).
+    A proposed move to a zero-mass point gets log-acceptance -inf; a NaN
+    log-ratio, from a NaN density, raises ConfigError.
     """
     lt_u, lt_z = float(target.log_density(ell, u)), float(target.log_density(ell, z))
     lr_uz, lr_zu = proposal.log_density(ell, u, z), proposal.log_density(ell, z, u)
@@ -352,4 +358,9 @@ def _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu):
         )
     if lt_z == _NEG_INF or lr_zu == _NEG_INF:
         return _NEG_INF
-    return min(0.0, lt_z + lr_zu - lt_u - lr_uz)
+    log_ratio = lt_z + lr_zu - lt_u - lr_uz
+    if log_ratio != log_ratio:
+        raise ConfigError(
+            f"the MH log-ratio is NaN (ell={ell}): a log-density or point is not finite"
+        )
+    return min(0.0, log_ratio)

@@ -6,19 +6,20 @@ and asymptotic variances can all be checked by plain linear algebra at
 machine precision.  States are enumerated as (m, g) -> (m - 1) * G + g
 with component labels m in 1..n and grid indices g in 0..G-1.
 
-Kernels built here, one exact twin per selection and refresh of the
-sampler table ``samplers._KERNELS``: the conditional selection and
-``build_P3``, the pseudo-prior selection marginalized exactly over the
-refreshed points by one quadrature of 1/x = int_0^inf e^(-t x) dt per
-label pair, its diagonal 1 - the off-diagonal sum; the exact refresh,
-``build_Q3``, the within-component Metropolis-Hastings refresh, and
-``build_Q4``, the frozen (identity) one.  ``sweep_kernel`` multiplies
-a sampler's selection and refresh.  ``build_gibbs_index_kernel`` is the
-Gibbs label chain in closed form, pi*(z | m) against pi*(m' | z) summed
-over the grid, and ``check_gibbs_iid_bound`` compares its asymptotic
-variances with the i.i.d. ones.  ``verify`` builds every twin of one
-spec once, calls ``check_gibbs_iid_bound`` and returns the values of
-the ``CHECKS`` table.
+Kernels built here, one exact twin per selection and refresh record of
+the sampler table ``samplers._KERNELS``, keyed by the record in
+``_TWINS``: the conditional selection and ``build_P3``, the pseudo-prior
+selection marginalized exactly over the refreshed points by one
+quadrature of 1/x = int_0^inf e^(-t x) dt per label pair, its diagonal
+1 - the off-diagonal sum; the exact refresh, ``build_Q3``, the
+within-component Metropolis-Hastings refresh, and ``build_Q4``, the
+frozen (identity) one.  ``sweep_kernel`` multiplies a sampler's
+selection and refresh.  ``build_gibbs_index_kernel`` is the Gibbs label
+chain in closed form, pi*(z | m) against pi*(m' | z) summed over the
+grid, and ``check_gibbs_iid_bound`` compares its asymptotic variances
+with the i.i.d. ones.  ``verify`` builds every twin of one spec once,
+calls ``check_gibbs_iid_bound`` and returns the values of the ``CHECKS``
+table.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .model import _call, _density_row
-from .samplers import _CONDITIONAL, _KERNELS, _PSEUDO, SamplerId
-from .samplers import _exact_block, _frozen_block, _mh_block
+from .samplers import _CONDITIONAL, _EXACT, _FROZEN, _KERNELS, _MH, _PSEUDO, SamplerId
 
 __all__ = [
     "FiniteMixtureSpec",
@@ -305,14 +305,14 @@ def _exact_refresh(spec: FiniteMixtureSpec) -> FiniteKernel:
     return FiniteKernel(R, n, G)
 
 
-# Selection or refresh of samplers._KERNELS -> its exact kernel.  The
+# Selection or refresh record of samplers._KERNELS -> its exact kernel.  The
 # builders are looked up when called, so a patched module attribute is used.
 _TWINS = {
     _CONDITIONAL: lambda spec: _conditional_selection(spec),
     _PSEUDO: lambda spec: build_P3(spec),
-    _exact_block: lambda spec: _exact_refresh(spec),
-    _mh_block: lambda spec: build_Q3(spec),
-    _frozen_block: lambda spec: build_Q4(spec),
+    _EXACT: lambda spec: _exact_refresh(spec),
+    _MH: lambda spec: build_Q3(spec),
+    _FROZEN: lambda spec: build_Q4(spec),
 }
 
 
@@ -529,7 +529,7 @@ def verify(spec: FiniteMixtureSpec, hs: np.ndarray) -> dict[str, float]:
     """
     pi = target_distribution(spec)
     K = {part: build(spec) for part, build in _TWINS.items()}
-    P3, Q3, Q4 = K[_PSEUDO], K[_mh_block], K[_frozen_block]
+    P3, Q3, Q4 = K[_PSEUDO], K[_MH], K[_FROZEN]
     F = np.repeat(hs, spec.grid_size, axis=1)
     s_mcc = exact_asymptotic_variance_alternating(P3, Q3, pi, F)
     s_fcc = exact_asymptotic_variance_alternating(P3, Q4, pi, F)

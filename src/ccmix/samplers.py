@@ -16,7 +16,10 @@ auxiliary points from their pseudo-priors and draws m' from the
 reweighted index probabilities, selecting u_m'.  The exact refresh
 draws z' ~ pi*(. | m'), the MH refresh proposes from the selected point
 and accepts or rejects, and the frozen refresh keeps the selected point
-as is.
+as is.  The table is ``_KERNELS``: per sampler, a ``_Selection`` record
+(``_CONDITIONAL``, ``_PSEUDO``) and a ``_Refresh`` record (``_EXACT``,
+``_MH``, ``_FROZEN``), each naming the bundle part it needs; a refresh
+also names its block engine, ``_exact_block`` or ``_table_sweeps``.
 
 *Blocks.*  The auxiliaries, the exact draws, the independence proposals
 and the uniforms do not depend on the chain state, so the sweeps run in
@@ -52,19 +55,16 @@ bound does not hold: an entry the tables cannot settle, a uniform within
 2^-20 of 1 or a ratio within 699 of overflow; nor for the MH refresh of
 a general proposal, which draws at every sweep, nor in ``step``.
 
-The MH refresh of an independence proposal (``ProposalFamily.independent``,
-R_l(u, .) = q_l) is blocked as well, since its proposals and accept
-uniforms do not depend on the chain either: one sampler call of q per
-label draws the block's proposals, one call per label and density weighs
-them (MwG at every label, for the next sweep's conditional weights), and
-a sweep makes one comparison, a_k < exp(min(0, [lt(z') - lq(z')] -
-[lt(u) - lq(u)])) with lt = log pi*(m, .) and lq = log q_m, read at
-the indices of u and z'.  The MH refresh of a general proposal weighs
-one point at a time, calling the densities on single points rather than
-on blocks of one, which cost ten times as much in numpy, and copies the
-point it accepts at sweep k into slot k of a block of its own, so its
-sampler may return the same array at every call.
-``run_chain`` works in blocks of 1024 sweeps.
+An independence proposal's points (``ProposalFamily.independent``,
+R_l(u, .) = q_l) are weighed by one call per label and density (MwG's at
+every label, for the next sweep's conditional weights), and its MH test
+is one comparison, a_k < exp(min(0, [lt(z') - lq(z')] - [lt(u) -
+lq(u)])) with lt = log pi*(m, .) and lq = log q_m, read at the indices of
+u and z'.  The MH refresh of a general proposal weighs one point at a
+time, calling the densities on single points rather than on blocks of
+one, which cost ten times as much in numpy, and copies the point it
+accepts at sweep k into slot k of a block of its own, so its sampler may
+return the same array at every call.
 
 *Streams.*  ``run_chain`` gives each label's auxiliaries, each label's
 exact draws, the index uniforms, the MH draws (a general proposal's
@@ -82,7 +82,8 @@ points in label order, then its uniform).
 
 *Lazy errors.*  PseudoPriorZero, AllZeroMass, the RuntimeWarning for a
 vanishing target and pseudo-prior pair, the ValueError for a non-finite
-z and the InvalidCurrentState of the MH test fire only for values a
+z, the InvalidCurrentState of the MH test and the ConfigError for a NaN
+index weight or MH log-ratio (from a NaN density) fire only for values a
 sweep uses, at the sweep that uses them; a block entry drawn and
 discarded never raises.
 
@@ -156,6 +157,11 @@ DEFAULT_BURN_IN = 1000
 _BLOCK_SIZE = 1024
 
 
+def _integer(x) -> bool:
+    """An int or a numpy integer, not a bool (``type(x) is int`` first: cheap)."""
+    return type(x) is int or isinstance(x, numbers.Integral) and type(x) is not bool
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     sampler_id: SamplerId
@@ -165,6 +171,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_iterations", "burn_in", "seed"):
+            if not _integer(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_iterations < 1:
             raise ConfigError("n_iterations must be positive")
         if not 0 <= self.burn_in < self.n_iterations:
@@ -245,7 +254,7 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 # With an independence proposal q the carry also holds log q at z: the
 # row log q_.(z) after the row of the target, or a third entry
 # log q_m(z) after the pair.
-# A selection has seven parts:
+# A selection has eight parts:
 #   block(bundle, streams, size, q) draws and weighs every label's
 #     auxiliaries for ``size`` sweeps: their rows and their points;
 #   select(v, m, carry, aux) -> m' selects at one sweep from its index
@@ -259,7 +268,11 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 #     lt = log pi*(m, z), for the MH refresh of a general proposal;
 #   lt(carry, m) reads log pi*(m, z) back;
 #   exact_logw(rows, aux) is the log-weights [label, j, k] of the index
-#     draw at sweep k + 1 from label j + 1's exact point of sweep k.
+#     draw at sweep k + 1 from label j + 1's exact point of sweep k;
+#   needs is the bundle part it requires, (name, accessor), or ().
+# A refresh has needs and its block engine, sweeps(kernel, bundle, streams,
+# size, m, z, carry) -> the labels and points of ``size`` sweeps from (m, z),
+# the last (m, z, carry) and the count of accepted moves.
 
 
 class _Selection(NamedTuple):
@@ -270,6 +283,12 @@ class _Selection(NamedTuple):
     carry_at: Callable
     lt: Callable
     exact_logw: Callable
+    needs: tuple
+
+
+class _Refresh(NamedTuple):
+    sweeps: Callable
+    needs: tuple
 
 
 def _conditional_select(v, m, carry, aux):
@@ -348,6 +367,7 @@ _CONDITIONAL = _Selection(
     _row_at,
     lambda carry, m: carry[m - 1],
     lambda rows, aux: rows[:, :, :-1],
+    (),
 )
 _PSEUDO = _Selection(
     _pseudo_block,
@@ -359,15 +379,17 @@ _PSEUDO = _Selection(
     _ratio_at,
     lambda carry, m: carry[0],
     _pseudo_exact_logw,
+    ("a PseudoPriorSet", lambda b: b.pseudo),
 )
 
 
-def _exact_block(bundle, streams, sel, size, m, z, carry):
+def _exact_block(kernel, bundle, streams, size, m, z, carry):
     """Sweeps with the exact refresh.  It keeps label m's exact draw and
     drops the selected point, so the label drawn at sweep k > 0 depends
     only on the label of sweep k - 1: a table lookup, with the per-sweep
     selection for sweep 0 and the table's zeros.  In a block that holds a
     non-finite draw, each kept point is checked, table-driven or not."""
+    sel = kernel[0]
     aux, _ = sel.block(bundle, streams, size, None)
     v = streams.index.random(size)
     labels = range(1, bundle.target.n + 1)
@@ -547,7 +569,7 @@ def _prefix_tables(ratios, v, never, certify: bool):
     return shift.tolist(), flat, _holds(shift, prefix, v), least
 
 
-def _mh_block(bundle, streams, sel):
+def _general_refresh(bundle, streams, sel):
     """The MH refresh of a general proposal, one point at a time: (m, u,
     lt_u) -> None to keep u, else the accepted point and its carry."""
     target, proposal, rng = bundle.target, bundle.proposal, streams.mh
@@ -567,10 +589,6 @@ def _mh_block(bundle, streams, sel):
     return refresh
 
 
-def _frozen_block(bundle, streams, sel):
-    return None  # the frozen refresh keeps the selected point
-
-
 def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     """Sweeps with the MH or the frozen refresh, by point index p (module
     docstring, *Blocks*): a point, its log pi* and its log q are read from
@@ -578,13 +596,13 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     a flat list of rows, all by p.  Each pass of the loop skips the sweeps
     certified to keep the held label and point, then runs the next sweep
     by the exact selection and MH test."""
-    sel, refresh_block = kernel
+    sel, kind = kernel
     n, labels = bundle.target.n, range(1, bundle.target.n + 1)
-    pseudo, q = sel is _PSEUDO, _independence(kernel, bundle)
+    pseudo, q = sel is _PSEUDO, bundle.proposal.rho if kind is _MH else None
     aux, blocks = sel.block(bundle, streams, size, q)
     v = streams.index.random(size)
     # A general MH refresh draws at every sweep, so it skips none.
-    certify = size > 1 and (q is not None or refresh_block is _frozen_block)
+    certify = size > 1 and (q is not None or kind is _FROZEN)
     never = [_INF] * (size + 1)
     sigmas = [never] * n
     pts = [z, *blocks]
@@ -621,9 +639,9 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     # Unless every point is finite, each is checked as it is kept (in a
     # block of one sweep, after it).
     check = size > 1 and not math.isfinite(sum(b.sum() for b in pts[1:]))
-    refresh = None if q is not None else refresh_block(bundle, streams, sel)
-    if refresh is not None:  # the block of the points it accepts
-        read = None
+    refresh = None
+    if kind is _MH and q is None:  # with the block of the points it accepts
+        refresh, read = _general_refresh(bundle, streams, sel), None
         pts.append(np.empty((size, *_shape(z))))
         if pseudo:
             lts.append(np.empty(size))
@@ -647,16 +665,17 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     tau, held = never, certify
     while True:
         if certify:  # skip the certified sweeps
-            if held:
+            if held and k < size:
                 held = False
                 if pseudo:
                     tau = tau_m if r - least[m - 1] < 699.0 else never
                 else:
                     # MwG keeps label m while v_k lies inside m's interval of
                     # the point's cumulative weights, shrunk by the slack.
-                    # Weighing cannot raise: the held row has a finite entry,
-                    # as _check wants pi*(m, z) > 0, the MH test rejects
-                    # log pi* = -inf and a label change keeps the point.
+                    # Weighing raises only on a NaN, as sweep k would: the
+                    # held row has a finite entry, as _check wants pi*(m, z)
+                    # > 0, the MH test rejects log pi* = -inf and a label
+                    # change keeps the point.
                     if p != weighed:
                         weights = _weights(row[:n])
                         total, acc = sum(weights), list(accumulate(weights))
@@ -773,36 +792,27 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     return es % n + 1, points[es // n], m, z, carry, n_accepted
 
 
+_EXACT = _Refresh(
+    _exact_block,
+    ("target.conditional_sampler", lambda b: b.target.conditional_sampler),
+)
+_MH = _Refresh(_table_sweeps, ("a ProposalFamily", lambda b: b.proposal))
+_FROZEN = _Refresh(_table_sweeps, ())  # keeps the selected point
+
 _KERNELS = {
-    SamplerId.GIBBS: (_CONDITIONAL, _exact_block),
-    SamplerId.MWG: (_CONDITIONAL, _mh_block),
-    SamplerId.CC: (_PSEUDO, _exact_block),
-    SamplerId.MCC: (_PSEUDO, _mh_block),
-    SamplerId.FCC: (_PSEUDO, _frozen_block),
+    SamplerId.GIBBS: (_CONDITIONAL, _EXACT),
+    SamplerId.MWG: (_CONDITIONAL, _MH),
+    SamplerId.CC: (_PSEUDO, _EXACT),
+    SamplerId.MCC: (_PSEUDO, _MH),
+    SamplerId.FCC: (_PSEUDO, _FROZEN),
 }
-
-# The bundle part each selection or refresh needs: (name, accessor).
-_NEEDS = {
-    _PSEUDO: ("a PseudoPriorSet", lambda b: b.pseudo),
-    _exact_block: (
-        "target.conditional_sampler",
-        lambda b: b.target.conditional_sampler,
-    ),
-    _mh_block: ("a ProposalFamily", lambda b: b.proposal),
-}
-
-
-def _independence(kernel, bundle: ModelBundle) -> Optional[PseudoPriorSet]:
-    """The proposal's rho when the sampler refreshes by MH from an
-    independence proposal, else None."""
-    return bundle.proposal.rho if kernel[1] is _mh_block else None
 
 
 def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
-    """Raise ConfigError unless the bundle and state fit the sampler:
-    every model part it needs, with the target's n, an integer label in
-    1..n, z of the target's shape and pi*(m, z) > 0.  Return the sampler's
-    kernel and the state's carry.
+    """Raise ConfigError unless the bundle and state fit the sampler: the
+    part each of its records needs, every part with the target's n, an
+    integer label in 1..n, z of the target's shape and pi*(m, z) > 0, not
+    NaN.  Return the sampler's kernel and the state's carry.
 
     Weighing the state is the first checked call (``model._call``); the
     sweeps check every later one, so a callback that breaks the protocol
@@ -810,13 +820,10 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     TypeError or ValueError raised inside a callback, at any call, becomes
     such a ConfigError, with the original chained."""
     kernel = _KERNELS[sampler_id]
-    for part in kernel:
-        if part in _NEEDS:
-            name, get = _NEEDS[part]
-            if get(bundle) is None:
-                raise ConfigError(f"{sampler_id.value} sampling needs {name}")
-    target = bundle.target
-    proposal = bundle.proposal
+    for name, get in (part.needs for part in kernel if part.needs):
+        if get(bundle) is None:
+            raise ConfigError(f"{sampler_id.value} sampling needs {name}")
+    target, proposal = bundle.target, bundle.proposal
     for name, part in (
         ("pseudo-prior", bundle.pseudo),
         ("proposal", proposal),
@@ -828,8 +835,7 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
             )
     # A float label would pass the range test and never equal j in 1..n.
     m = state.m
-    integral = type(m) is int or isinstance(m, numbers.Integral)  # int first: cheap
-    if isinstance(m, bool) or not integral:
+    if not _integer(m):
         raise ConfigError(f"label must be an integer, got {m!r}")
     if not 1 <= m <= target.n:
         raise ConfigError(f"label {m} outside 1..{target.n}")
@@ -838,19 +844,12 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     if _shape(state.z) != shape:
         raise ConfigError(f"z must have shape {shape}, got {_shape(state.z)}")
     sel = kernel[0]
-    rows = sel.rows(bundle, [m], [_block(state.z)], _independence(kernel, bundle))
-    carry = sel.carry_of(rows, 0, 0)
-    if sel.lt(carry, m) == -math.inf:
-        raise ConfigError(f"the target has zero mass at the initial state {state}")
+    q = proposal.rho if kernel[1] is _MH else None
+    carry = sel.carry_of(sel.rows(bundle, [m], [_block(state.z)], q), 0, 0)
+    if not (lt := sel.lt(carry, m)) > -math.inf:
+        what = "zero mass" if lt == -math.inf else "a NaN log-density"
+        raise ConfigError(f"the target has {what} at the initial state {state}")
     return kernel, carry
-
-
-def _sweeps(kernel, bundle, streams, size, m, z, carry):
-    """Run ``size`` sweeps from (m, z); return their labels and points, the
-    last (m, z, carry) and the count of accepted moves."""
-    if kernel[1] is _exact_block:
-        return _exact_block(bundle, streams, kernel[0], size, m, z, carry)
-    return _table_sweeps(kernel, bundle, streams, size, m, z, carry)
 
 
 def step(
@@ -867,10 +866,10 @@ def step(
     kernel, carry = _check(sampler_id, bundle, state)
     per_label = [rng] * bundle.target.n
     streams = _Streams(per_label, per_label, rng, rng, per_label)
-    _, _, m, z, _, n_accepted = _sweeps(
+    _, _, m, z, _, n_accepted = kernel[1].sweeps(
         kernel, bundle, streams, 1, state.m, state.z, carry
     )
-    accepted = n_accepted == 1 if kernel[1] is _mh_block else None
+    accepted = n_accepted == 1 if kernel[1] is _MH else None
     return State(m, z), accepted
 
 
@@ -892,7 +891,7 @@ def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     # accepted moves are taken by whole blocks.
     for lo, hi in ((0, burn_in), (burn_in, config.n_iterations)):
         for start in range(lo, hi, size):
-            block_m, block_z, m, z, carry, accepted = _sweeps(
+            block_m, block_z, m, z, carry, accepted = kernel[1].sweeps(
                 kernel, bundle, streams, min(size, hi - start), m, z, carry
             )
             if lo == burn_in:
@@ -902,7 +901,7 @@ def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     wall = time.perf_counter() - t0
 
     n_keep = config.n_iterations - burn_in
-    acc = n_accepted / n_keep if kernel[1] is _mh_block else None
+    acc = n_accepted / n_keep if kernel[1] is _MH else None
     return ChainTrace(
         m=np.concatenate(ms, dtype=np.int64),
         z=np.concatenate(zs, dtype=float),

@@ -132,6 +132,22 @@ def _dense_kde(x, grid, h):
     return np.exp(-0.5 * d * d).sum(axis=1) / (len(x) * h * np.sqrt(2.0 * np.pi))
 
 
+@pytest.mark.parametrize(
+    "series",
+    [
+        [0.0, 1.0, np.nan, 2.0] * 30,
+        [0.0, np.inf, 1.0] * 40,
+        np.arange(120.0).reshape(60, 2),
+    ],
+    ids=["nan", "inf", "2-D"],
+)
+def test_non_finite_or_multidimensional_series_rejected(series):
+    with pytest.raises(ValueError, match="series must be"):
+        acf(series, 5)
+    with pytest.raises(ValueError, match="series must be"):
+        asymptotic_variance_batch_means(series, 10)
+
+
 class TestKde:
     def test_single_point_kernel_height(self):
         got = kde([0.0], [0.0], bandwidth=1.0)

@@ -56,6 +56,11 @@ class TestToyModel:
         want = stats.norm.logpdf(0.0, TOY_PSEUDO_MEANS[0], math.sqrt(1.5 * TOY_PSEUDO_VARS[0]))
         assert bundle.pseudo.log_density(1, 0.0) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_pseudo_var_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="pseudo_var_scale must be finite and > 0"):
+            toy_model(pseudo_var_scale=scale)
+
     def test_independence_proposal_matches_pseudo(self):
         bundle = toy_model()
         for u in (-2.0, 0.0, 3.0):

@@ -8,6 +8,7 @@ from scipy import stats
 
 from ccmix import (
     AllZeroMass,
+    ConfigError,
     InvalidCurrentState,
     MixtureTarget,
     ProposalFamily,
@@ -94,6 +95,16 @@ class TestConditionalIndexWeights:
             n=2, z_dim=1, log_density=lambda m, z: np.full(len(z), -np.inf)
         )
         with pytest.raises(AllZeroMass):
+            conditional_index_weights(target, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_weight_raises(self, bad):
+        # A NaN after -inf entries too, where max(logw) is -inf.
+        def log_density(m, z):
+            return np.full(len(z), -np.inf if m < 3 else bad)
+
+        target = MixtureTarget(n=3, z_dim=1, log_density=log_density)
+        with pytest.raises(ConfigError, match="index weights are NaN"):
             conditional_index_weights(target, 0.0)
 
     def test_extreme_point_no_underflow(self, toy_bundle):
@@ -211,6 +222,13 @@ class TestMhLogAcceptance:
         )
         got = mh_log_acceptance(target, toy_bundle.proposal, 1, 0.0, 2.0)
         assert got == float("-inf")
+
+    def test_nan_log_ratio_raises(self, toy_bundle):
+        target = MixtureTarget(
+            n=2, z_dim=1, log_density=lambda m, z: np.where(z > 1.0, np.nan, -z * z)
+        )
+        with pytest.raises(ConfigError, match="MH log-ratio is NaN"):
+            mh_log_acceptance(target, toy_bundle.proposal, 1, 0.0, 2.0)
 
     def test_zero_mass_current_raises(self, toy_bundle):
         target = MixtureTarget(

@@ -56,7 +56,7 @@ from ccmix.oracle import (
     _TAIL_MARGIN,
     _TWINS,
 )
-from ccmix.samplers import _CONDITIONAL, _PSEUDO, _exact_block
+from ccmix.samplers import _CONDITIONAL, _EXACT, _PSEUDO
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +357,7 @@ def _reference_label_chain(spec):
     of the exact refresh, then the conditional selection, summed over
     the grid."""
     n, G = spec.n, spec.grid_size
-    K = _TWINS[_exact_block](spec).matrix[::G] @ _TWINS[_CONDITIONAL](spec).matrix
+    K = _TWINS[_EXACT](spec).matrix[::G] @ _TWINS[_CONDITIONAL](spec).matrix
     return K.reshape(n, n, G).sum(axis=2)
 
 
@@ -1058,7 +1058,7 @@ class TestVerify:
             gap = np.min(s2 - covs[:, 0])
             assert values["gibbs_gap"] == pytest.approx(gap, rel=1e-9, abs=1e-15)
 
-    @pytest.mark.parametrize("part", [_CONDITIONAL, _PSEUDO, _exact_block])
+    @pytest.mark.parametrize("part", [_CONDITIONAL, _PSEUDO, _EXACT])
     def test_invariance_reads_every_selection_and_refresh(self, monkeypatch, specs, part):
         # A part that does not preserve pi* must show, whichever sweeps use it.
         spec, N = specs[0], specs[0].n_states

@@ -348,6 +348,25 @@ class TestRunChain:
                 initial_state=State(1, 0.0),
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_iterations", 2000.0),
+            ("burn_in", 100.0),
+            ("seed", 1.5),
+            ("n_iterations", True),
+        ],
+    )
+    def test_non_integer_config_rejected(self, field, value):
+        kwargs = {"n_iterations": 2000, "burn_in": 0, "seed": 0, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SamplerConfig(SamplerId.GIBBS, initial_state=State(1, 0.0), **kwargs)
+
+    def test_numpy_integer_config_accepted(self, toy_bundle):
+        n, burn_in, seed = np.int64(20), np.int64(5), np.int64(3)
+        config = SamplerConfig(SamplerId.CC, n, State(1, 0.0), burn_in, seed)
+        assert len(run_chain(config, toy_bundle)) == 15
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             SamplerConfig(SamplerId.GIBBS, 10, State(1, 0.0), burn_in=0, seed=-3)
@@ -1232,6 +1251,131 @@ class TestIndependenceRefresh:
         # A NaN proposal has a NaN ratio, which min(0, .) accepts.
         with pytest.raises(ValueError, match="finite"):
             _chain(sampler_id, _label_one_only(1, np.nan), State(1, 0.3), 300, 4)
+
+
+def _nan_where(part, bad):
+    """``part``, a target or a PseudoPriorSet, with its log-density NaN
+    where bad(label, z), on blocks and single points alike."""
+    log_density = part.log_density
+    return replace(
+        part, log_density=lambda j, z: np.where(bad(j, z), np.nan, log_density(j, z))
+    )
+
+
+def _nan_bundle(part, general):
+    """The toy model with the ``part`` callback's log-density NaN above 1.5
+    for the target, only at label 2 and below -1.5 for "target 2", where
+    MwG's label-1 points go, and above 1.2 for the pseudo-prior or the
+    independence proposal's rho; ``general`` strips rho, so MwG and MCC
+    run the MH refresh of a general proposal."""
+    bundle = toy_model()
+    target, pseudo, proposal = bundle.target, bundle.pseudo, bundle.proposal
+    if part == "target":
+        target = _nan_where(target, lambda j, z: z > 1.5)
+    elif part == "target 2":
+        target = _nan_where(target, lambda j, z: (j == 2) & (z < -1.5))
+    elif part == "pseudo":
+        pseudo = _nan_where(pseudo, lambda j, z: z > 1.2)
+    else:
+        proposal = ProposalFamily.independent(_nan_where(pseudo, lambda j, z: z > 1.2))
+    if general:
+        proposal = replace(proposal, rho=None)
+    return ModelBundle(target, pseudo, proposal)
+
+
+def _nan_discarded_bundle():
+    """Label 1 has no target mass below 5 and its auxiliaries are drawn at
+    0, so every sampler stays at label 2.  Label 2's auxiliaries and label
+    1's exact draws and independence proposals are drawn at 10, where
+    pi*(2, .) is NaN: entries drawn and discarded, or weighed at label 2
+    only for a label the chain never takes."""
+
+    def log_density(m, z):
+        if m == 1:
+            return np.where(z > 5.0, -0.5 * z * z, -np.inf)
+        return np.where(z > 5.0, np.nan, -0.5 * z * z)
+
+    def at_ten(label, other):
+        def draw(j, rng, size):
+            return np.full(size, 10.0) if j == label else other(rng, size)
+
+        return draw
+
+    normal = lambda rng, size: rng.standard_normal(size)  # noqa: E731
+    target = MixtureTarget(
+        n=2, z_dim=1, log_density=log_density, conditional_sampler=at_ten(1, normal)
+    )
+    zeros = lambda rng, size: np.zeros(size)  # noqa: E731
+    pseudo = PseudoPriorSet(
+        n=2, log_density=lambda j, u: -0.5 * u * u, sampler=at_ten(2, zeros)
+    )
+    rho = replace(pseudo, sampler=at_ten(1, normal))
+    return ModelBundle(target, pseudo, ProposalFamily.independent(rho))
+
+
+_NAN_CASES = [
+    *[("target", sid, False) for sid in SamplerId],
+    ("target", SamplerId.MWG, True),
+    ("target", SamplerId.MCC, True),
+    ("target 2", SamplerId.MWG, False),
+    ("target 2", SamplerId.MWG, True),
+    ("pseudo", SamplerId.CC, False),
+    ("pseudo", SamplerId.FCC, False),
+    ("pseudo", SamplerId.MCC, False),
+    ("pseudo", SamplerId.MCC, True),
+    *[
+        ("proposal", sid, general)
+        for sid in (SamplerId.MWG, SamplerId.MCC)
+        for general in (False, True)
+    ],
+]
+
+
+class TestNanDensities:
+    """A NaN log-density breaks the callback contract.  It raises
+    ConfigError at the sweep that uses it, as the per-sweep path does;
+    a NaN in a discarded entry never raises."""
+
+    @pytest.mark.parametrize("part, sampler_id, general", _NAN_CASES)
+    def test_used_nan_raises_at_its_sweep(self, part, sampler_id, general):
+        bundle, state = _nan_bundle(part, general), State(1, -1.0)
+
+        def runs_clean(n_steps):
+            try:
+                _chain(sampler_id, bundle, state, n_steps, 3)
+            except ConfigError as exc:
+                assert "NaN" in str(exc)
+                return False
+            return True
+
+        # The chain is the same at every block size, so the sweeps that run
+        # clean are a prefix: bisect for the last of them.
+        lo, hi = 0, 4000
+        assert not runs_clean(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if runs_clean(mid) else (lo, mid)
+        assert lo >= 1
+        with _block_size(1):  # sweep by sweep, as ``step`` runs
+            assert runs_clean(lo) and not runs_clean(lo + 1)
+
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_nan_target_at_the_initial_state_rejected(self, sampler_id):
+        bundle, state = _nan_bundle("target", False), State(1, 2.0)
+        with pytest.raises(ConfigError, match="NaN log-density at the initial state"):
+            _chain(sampler_id, bundle, state, 10, 0)
+        with pytest.raises(ConfigError, match="NaN log-density at the initial state"):
+            step(sampler_id, bundle, state, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_discarded_nan_runs_clean(self, sampler_id):
+        bundle, state = _nan_discarded_bundle(), State(2, 0.3)
+        for block_size in (1, 64):
+            with _block_size(block_size):
+                trace = _chain(sampler_id, bundle, state, 300, 4)
+            assert np.all(trace.m == 2)
+        new, _ = step(sampler_id, bundle, state, np.random.default_rng(0))
+        assert new.m == 2
 
 
 def _kept_by_selection(r, m, k, n, shift, prefix, v):
