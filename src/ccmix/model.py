@@ -75,7 +75,7 @@ class MixtureTarget:
     ``log_density(m, z)`` takes a block z of B points and returns the B
     values log pi*(m, z_b), shape (B,), or one point z and returns a
     float (the MH refresh calls it so); it may return -inf for zero-mass
-    points but never NaN (a sweep that uses a NaN raises ConfigError).
+    points but never NaN or +inf (a sweep that uses one raises ConfigError).
     ``conditional_sampler(m, rng, size)``, when present, returns ``size``
     exact draws from pi*(dz | m); the samplers with an exact refresh (Gibbs
     and CC) require it.  It must return a new array at every call, since
@@ -103,9 +103,10 @@ class PseudoPriorSet:
 
     ``log_density(j, u)`` maps a block of B points to shape (B,) (and,
     for MCC, one point to a float), -inf where rho_j vanishes but never
-    NaN, and ``sampler(j, rng, size)`` returns ``size`` draws from rho_j,
-    in a new array at every call, since the samplers keep the block it
-    returns for the block's sweeps.  Neither callback may modify its input.
+    NaN or +inf, and ``sampler(j, rng, size)`` returns ``size`` draws from
+    rho_j, in a new array at every call, since the samplers keep the block
+    it returns for the block's sweeps.  Neither callback may modify its
+    input.
     """
 
     n: int
@@ -179,9 +180,14 @@ def _block(z) -> np.ndarray:
     return np.array([z], dtype=float)
 
 
+def _infinite_target(label: int) -> str:
+    return f"the target log-density of label {label} is +inf"
+
+
 def _weights(logw: Sequence[float]) -> list[float]:
     """exp(logw) normalized, by max-subtraction; AllZeroMass if all are
-    -inf, ConfigError if a NaN or +inf entry makes the sum NaN."""
+    -inf, ConfigError if a NaN or +inf entry makes the sum NaN.  A +inf
+    entry comes from the target: ``_resolve`` settles +inf ratios first."""
     # Loops, not comprehensions: this runs every sweep.  exp(-inf) is 0.0.
     top = max(logw)
     w = []
@@ -191,7 +197,10 @@ def _weights(logw: Sequence[float]) -> list[float]:
     if total != total:  # NaN; so is an all -inf sum, as -inf - -inf is NaN
         if all(lw == _NEG_INF for lw in logw):
             raise AllZeroMass("every index weight is zero")
-        raise ConfigError(f"the index weights are NaN, from log-weights {list(logw)}")
+        cause = f"from log-weights {list(logw)}"
+        if _INF in logw:
+            cause = f"as {_infinite_target(list(logw).index(_INF) + 1)}"
+        raise ConfigError(f"the index weights are NaN, {cause}")
     for i in range(len(w)):
         w[i] /= total
     return w
@@ -283,13 +292,16 @@ def _ratios(lt: np.ndarray, lr: np.ndarray) -> np.ndarray:
 
 
 def _resolve(logw: Sequence[float], lts: Sequence[float]) -> list[float]:
-    """Index log-weights with the +inf entries of vanishing pseudo-priors
-    settled: PseudoPriorZero where the target (log pi* in ``lts``) is
-    positive, zero weight with a RuntimeWarning where it vanishes too."""
+    """Index log-weights with their +inf entries settled: ConfigError
+    where the target (log pi* in ``lts``) is +inf; else a pseudo-prior
+    vanishes, and PseudoPriorZero where the target is positive, zero
+    weight with a RuntimeWarning where it vanishes too."""
     out = list(logw)
     for i, lw in enumerate(logw):
         if lw != _INF:
             continue
+        if lts[i] == _INF:
+            raise ConfigError(_infinite_target(i + 1))
         if lts[i] != _NEG_INF:
             raise PseudoPriorZero(
                 f"pseudo-prior {i + 1} vanishes at a point where the target does not"
@@ -341,8 +353,9 @@ def mh_log_acceptance(
 
     Returns min(0, log pi*(ell, z) + log r_ell(z, u)
                    - log pi*(ell, u) - log r_ell(u, z)).
-    A proposed move to a zero-mass point gets log-acceptance -inf; a NaN
-    log-ratio, from a NaN density, raises ConfigError.
+    A proposed move to a zero-mass point gets log-acceptance -inf; a +inf
+    target log-density, or a NaN log-ratio, from a NaN density, raises
+    ConfigError.
     """
     lt_u, lt_z = float(target.log_density(ell, u)), float(target.log_density(ell, z))
     lr_uz, lr_zu = proposal.log_density(ell, u, z), proposal.log_density(ell, z, u)
@@ -352,6 +365,8 @@ def mh_log_acceptance(
 def _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu):
     """mh_log_acceptance from lt_u = log pi*(ell, u), lr_uz = log r_ell(u, z)
     and their counterparts lt_z and lr_zu at z."""
+    if lt_u == _INF or lt_z == _INF:
+        raise ConfigError(_infinite_target(ell))
     if lt_u == _NEG_INF or lr_uz == _NEG_INF:
         raise InvalidCurrentState(
             f"zero target or proposal density at current point (ell={ell})"

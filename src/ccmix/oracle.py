@@ -19,7 +19,9 @@ chain in closed form, pi*(z | m) against pi*(m' | z) summed over the
 grid, and ``check_gibbs_iid_bound`` compares its asymptotic variances
 with the i.i.d. ones.  ``verify`` builds every twin of one spec once,
 calls ``check_gibbs_iid_bound`` and returns the values of the ``CHECKS``
-table.
+table.  Every asymptotic variance is one solve on the jump chain of a
+product kernel (``exact_asymptotic_variance_alternating``), so a nearly
+absorbing state keeps its precision.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "TooLarge",
     "NotReversible",
     "NonErgodic",
-    "IllConditioned",
     "DimensionMismatch",
     "build_P3",
     "build_Q3",
@@ -70,11 +71,6 @@ __all__ = [
 _STEP, _HEAD_MARGIN, _TAIL_MARGIN = 0.25, 40.0, 5.0
 # Largest detailed-balance deviation that check_covariance_ordering accepts.
 _REVERSIBILITY_TOL = 1e-8
-# Largest 1 / (1 - stay probability) of a product kernel's state that
-# exact_asymptotic_variance_alternating accepts.  The condition number of
-# its linear system tracks this estimate; times the machine epsilon it
-# is about 2e-4.
-MAX_STAY_CONDITION = 1e12
 
 
 class TooLarge(ValueError):
@@ -89,10 +85,6 @@ class NotReversible(ValueError):
 
 class NonErgodic(ValueError):
     pass
-
-
-class IllConditioned(ValueError):
-    """A chain stays put so surely that its variance solve is round-off."""
 
 
 class DimensionMismatch(ValueError):
@@ -400,27 +392,6 @@ def _require_ergodic(T: np.ndarray, origin: int) -> None:
         raise NonErgodic(f"product kernel is periodic with period {period}")
 
 
-def _require_well_conditioned(T: np.ndarray, states: np.ndarray) -> None:
-    """Raise IllConditioned if a state of T leaves with probability below
-    1 / MAX_STAY_CONDITION.
-
-    A stay probability s puts the condition number of I - T + 1 pi^T at
-    about 1 / (1 - s) or more, and past that bound the solve returns
-    round-off, negative variances included.  A one-state chain stays put
-    by definition, and its system I - T + 1 pi^T is about 1.  Reading the
-    diagonal costs O(N).  ``states`` numbers T's states as the caller
-    does, for the message.
-    """
-    stay = np.diagonal(T)
-    worst = int(np.argmax(stay))
-    if len(T) > 1 and (1.0 - stay[worst]) * MAX_STAY_CONDITION < 1.0:
-        raise IllConditioned(
-            f"state {states[worst]} of the product kernel stays put with "
-            f"probability {float(stay[worst])!r}, so 1 / (1 - stay) exceeds "
-            f"{MAX_STAY_CONDITION:g}"
-        )
-
-
 def exact_asymptotic_variance_alternating(
     P: FiniteKernel, Q: FiniteKernel, pi: np.ndarray, f: np.ndarray
 ):
@@ -428,21 +399,23 @@ def exact_asymptotic_variance_alternating(
 
     The chain starts at pi and applies P on even steps and Q on odd
     steps; both kernels must preserve pi.  With A = P, B = Q,
-    fbar = f - pi.f, l = pi * fbar and the fundamental matrix
-    Z = (I - AB + 1 pi^T)^-1 (Kemeny & Snell 1960), the lag covariances
-    sum in closed form to
+    fbar = f - pi.f and l = pi * fbar, the lag covariances sum, by
+    (BA)^k B = B (AB)^k and without reversibility, to
 
-        sigma^2 = ||fbar||^2_pi + l Z A (I + B) fbar + (l B) Z (I + A) fbar,
+        sigma^2 = ||fbar||^2_pi + <l, g1> + <l B, g2>,
 
-    whose last term is l Z_BA B (I + A) fbar: B 1 = 1 and pi B = pi give
-    (I - BA + 1 pi^T) B = B (I - AB + 1 pi^T), so Z_BA B = B Z without
-    reversibility.  One linear solve gives l Z and (l B) Z.  With P == Q
-    this is the homogeneous-chain asymptotic variance.  Before solving,
-    a search of the graph of the entries AB > 0 raises NonErgodic,
-    naming its cause, for a reducible or periodic product, and
-    IllConditioned is raised where a state of AB stays put so surely
-    that the solve cannot be trusted.  States of zero pi-mass are never
-    entered from the support of pi and are left out.
+    where g solves the Poisson equation (I - AB) g = x (Kemeny & Snell
+    1960) for x1 = A (I + B) fbar and x2 = (I + A) fbar; l.1 = (l B).1 = 0,
+    so g's constant does not matter.  I - AB = D (I - J) is never formed,
+    as 1 - stay cancels to 0 on a near-absorbing state: D holds the leave
+    rates, AB's off-diagonal row sums, and J = offdiag(AB) / D is AB's
+    jump chain, with zero diagonal and stationary law nu ~ pi D.  One
+    solve against I - J + 1 nu^T takes the 2k right-hand sides D^-1 x.
+    With P == Q this is the homogeneous-chain asymptotic variance.  A
+    search of the graph of AB > 0 raises NonErgodic, naming its cause,
+    for a reducible or periodic product, as does a state that AB never
+    leaves.  States of zero pi-mass are never entered from the support
+    and are left out; on a one-state support sigma^2 is 0.
 
     ``f`` may be a single state vector or a (k, n_states) stack, in
     which case an array of k variances is returned.
@@ -455,23 +428,30 @@ def exact_asymptotic_variance_alternating(
         raise DimensionMismatch("pi, f and the kernels must share one state space")
     Fbar = F - (F @ pi)[:, None]
     norm2 = Fbar * Fbar @ pi
-    if np.all(norm2 == 0.0):
+    states = np.flatnonzero(pi > 0)
+    if len(states) == 1 or np.all(norm2 == 0.0):
         return 0.0 if single else np.zeros(F.shape[0])
     A, B = P.matrix, Q.matrix
-    states = np.flatnonzero(pi > 0)
     if len(states) < len(pi):
         block = np.ix_(states, states)
         A, B, pi, Fbar = A[block], B[block], pi[states], Fbar[:, states]
-    AB = A @ B
-    _require_ergodic(AB, int(states[0]))
-    _require_well_conditioned(AB, states)
-    L = (Fbar * pi).T  # columns l = pi * fbar, one per function
+    M = A @ B
+    _require_ergodic(M, int(states[0]))
+    stay = M.reshape(-1)[:: len(M) + 1]  # a view of the diagonal
+    stay[:] = 0.0
+    leave = M.sum(axis=1)
+    if not leave.min() > 0.0:
+        never = states[np.argmin(leave)]
+        raise NonErgodic(f"product kernel is reducible: state {never} never leaves")
+    M /= leave[:, None]  # J
+    nu = pi * leave
+    np.subtract(nu / nu.sum(), M, out=M)
+    stay += 1.0  # I - J + 1 nu^T
     Fcols = Fbar.T
-    M = (np.eye(len(pi)) + pi - AB).T  # (I - AB + 1 pi^T)^T
-    # Solving against M gives the columns (l Z)^T and (l B Z)^T.
-    lz, lbz = np.hsplit(np.linalg.solve(M, np.hstack([L, B.T @ L])), 2)
-    sigma2 = norm2 + (lz * (A @ (Fcols + B @ Fcols))).sum(axis=0)
-    sigma2 += (lbz * (Fcols + A @ Fcols)).sum(axis=0)
+    X = np.hstack([A @ (Fcols + B @ Fcols), Fcols + A @ Fcols]) / leave[:, None]
+    g1, g2 = np.hsplit(np.linalg.solve(M, X), 2)
+    L = (Fbar * pi).T  # columns l = pi * fbar, one per function
+    sigma2 = norm2 + (L * g1).sum(axis=0) + ((B.T @ L) * g2).sum(axis=0)
     return float(sigma2[0]) if single else sigma2
 
 
@@ -562,7 +542,8 @@ def _scaled_exp(logw: np.ndarray, name: str) -> np.ndarray:
     unless that entry is finite."""
     top = logw.max()
     if not np.isfinite(top):
-        raise ValueError(f"{name} has no mass on the grid (largest log-density {top})")
+        what = "no mass on the grid" if top < 0 else "a log-density that is not finite"
+        raise ValueError(f"{name} has {what} (largest log-density {top})")
     return np.exp(logw - top)
 
 
@@ -587,7 +568,7 @@ def spec_from_log_densities(
     log-density, as the pseudo-priors are.  The calls are checked as the
     samplers check theirs (``model._call``), so a scalar for the grid is
     refused.  ValueError if the target, a pseudo-prior or a proposal row
-    has no mass on the grid.
+    has no mass on the grid or a log-density NaN or +inf there.
     """
     grid = np.asarray(grid, dtype=float)
     labels = range(1, n + 1)

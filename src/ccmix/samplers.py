@@ -811,8 +811,8 @@ _KERNELS = {
 def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     """Raise ConfigError unless the bundle and state fit the sampler: the
     part each of its records needs, every part with the target's n, an
-    integer label in 1..n, z of the target's shape and pi*(m, z) > 0, not
-    NaN.  Return the sampler's kernel and the state's carry.
+    integer label in 1..n, z of the target's shape and log pi*(m, z)
+    finite.  Return the sampler's kernel and the state's carry.
 
     Weighing the state is the first checked call (``model._call``); the
     sweeps check every later one, so a callback that breaks the protocol
@@ -846,8 +846,9 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     sel = kernel[0]
     q = proposal.rho if kernel[1] is _MH else None
     carry = sel.carry_of(sel.rows(bundle, [m], [_block(state.z)], q), 0, 0)
-    if not (lt := sel.lt(carry, m)) > -math.inf:
-        what = "zero mass" if lt == -math.inf else "a NaN log-density"
+    if not -math.inf < (lt := sel.lt(carry, m)) < math.inf:
+        kinds = {-math.inf: "zero mass", math.inf: "a +inf log-density"}
+        what = kinds.get(lt, "a NaN log-density")
         raise ConfigError(f"the target has {what} at the initial state {state}")
     return kernel, carry
 

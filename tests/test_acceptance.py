@@ -5,10 +5,10 @@ failure on any test here means the corresponding criterion is FAIL.
 Criteria 1-5 verify the exact finite-state theory on a fixed family of
 20 random specs; 6-7 reproduce the two numerical studies at full size;
 8-9 check the structural collapse identities and the optimal
-pseudo-prior behaviour.  Two checks ride along without a criterion
+pseudo-prior behaviour.  Three checks ride along without a criterion
 number: criteria 1-3 with their bounds on specs with four and five
-components, and a count of model points per step behind criterion 7's
-cost claim.
+components, the width of criterion 6's grid, and a count of model points
+per step behind criterion 7's cost claim.
 """
 
 import math
@@ -177,12 +177,11 @@ def test_criterion_5_gibbs_vs_iid(verified):
     )
 
 
-def _exact_label_references(bundle, half_width, sampler_ids):
+def _exact_label_references(bundle, half_width, sampler_ids, G=401):
     """Per sampler, the exact lag-1 autocorrelation and asymptotic variance
     of 1{m = 1}, and the exact asymptotic variance of z, from its sweep
     kernel, with the study's target, pseudo-prior and proposal discretised
-    on 401 points of [-half_width, half_width]."""
-    G = 401
+    on G points of [-half_width, half_width]."""
     grid = np.linspace(-half_width, half_width, G)
     spec = spec_from_log_densities(
         2, grid, bundle.target.log_density, bundle.pseudo.log_density, bundle.proposal
@@ -267,6 +266,23 @@ def test_criterion_6_toy_study(toy_report):
         f"Gibbs lag-1 within {dev / se_g if se_g else 0:.2f} s.e. of exact "
         f"{rho_exact:.5f}; {_exact_summary(exact, devs, ('cc', 'mcc', 'fcc'))}"
     )
+
+
+def test_toy_references_are_converged_in_the_grid_width():
+    """Criterion 6's exact sigma^2 on [-4, 4] against [-6, 6] at the same
+    step 0.02: cutting the toy's tails at 4 moves no sweep kernel's sigma^2
+    of 1{m = 1} or of z by more than 5e-4 relative."""
+    order = ("gibbs", "cc", "mcc", "fcc")
+    narrow = _exact_label_references(toy_model(), 4.0, order)
+    wide = _exact_label_references(toy_model(), 6.0, order, G=601)
+    values = []
+    for sid in order:
+        for i, name in ((1, "1{m = 1}"), (2, "z")):
+            gap = abs(narrow[sid][i] / wide[sid][i] - 1.0)
+            assert gap <= 5e-4, (sid, name, narrow[sid][i], wide[sid][i])
+            pair = f"{narrow[sid][i]:.7g} / {wide[sid][i]:.7g}"
+            values.append(f"{sid.upper()} {name} {pair}")
+    print(f"PASS toy grid width: exact sigma^2 on +-4 / +-6 {'; '.join(values)}")
 
 
 def test_criterion_7_posterior_study(posterior_report):

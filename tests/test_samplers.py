@@ -1248,17 +1248,17 @@ class TestIndependenceRefresh:
             bundle = _label_one_only(2, np.nan)
             trace = _chain(sampler_id, bundle, State(1, 0.3), 300, 4)
         assert np.all(np.isfinite(trace.z))
-        # A NaN proposal has a NaN ratio, which min(0, .) accepts.
-        with pytest.raises(ValueError, match="finite"):
+        # A NaN proposal has a NaN MH log-ratio, which raises at once.
+        with pytest.raises(ConfigError, match="MH log-ratio is NaN"):
             _chain(sampler_id, _label_one_only(1, np.nan), State(1, 0.3), 300, 4)
 
 
-def _nan_where(part, bad):
-    """``part``, a target or a PseudoPriorSet, with its log-density NaN
-    where bad(label, z), on blocks and single points alike."""
+def _nan_where(part, bad, value=np.nan):
+    """``part``, a target or a PseudoPriorSet, with its log-density NaN, or
+    ``value``, where bad(label, z), on blocks and single points alike."""
     log_density = part.log_density
     return replace(
-        part, log_density=lambda j, z: np.where(bad(j, z), np.nan, log_density(j, z))
+        part, log_density=lambda j, z: np.where(bad(j, z), value, log_density(j, z))
     )
 
 
@@ -1376,6 +1376,32 @@ class TestNanDensities:
             assert np.all(trace.m == 2)
         new, _ = step(sampler_id, bundle, state, np.random.default_rng(0))
         assert new.m == 2
+
+
+class TestInfiniteTarget:
+    """A +inf target log-density breaks the callback contract too, and
+    the error names the target and its label, not a vanishing
+    pseudo-prior, though the ratio pi*/rho is +inf either way."""
+
+    @staticmethod
+    def _bundle():
+        bundle = toy_model()
+        target = _nan_where(bundle.target, lambda j, z: z > 1.5, np.inf)
+        return replace(bundle, target=target)
+
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_used_inf_raises_naming_the_target(self, sampler_id):
+        with pytest.raises(
+            ConfigError, match=r"the target log-density of label [12] is \+inf$"
+        ):
+            _chain(sampler_id, self._bundle(), State(1, -1.0), 4000, 3)
+
+    def test_inf_target_at_the_initial_state_rejected(self):
+        for sampler_id in SamplerId:
+            with pytest.raises(
+                ConfigError, match=r"\+inf log-density at the initial state"
+            ):
+                step(sampler_id, self._bundle(), State(1, 2.0), np.random.default_rng(0))
 
 
 def _kept_by_selection(r, m, k, n, shift, prefix, v):

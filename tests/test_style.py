@@ -16,3 +16,18 @@ def test_source_lines_fit_88_columns():
         if len(line) > MAX_COLUMNS
     ]
     assert not long, "\n".join(long)
+
+
+def test_all_names_exist():
+    """Every name in each ccmix module's ``__all__`` is defined there, once,
+    so ``from ccmix.<module> import *`` never meets a deleted name."""
+    import importlib
+
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "ccmix" if path.stem == "__init__" else f"ccmix.{path.stem}"
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        problems += [f"{name}.{n} is missing" for n in exported if not hasattr(module, n)]
+        problems += [f"{name}.{n} repeats" for n in set(exported) if exported.count(n) > 1]
+    assert not problems, "\n".join(problems)
