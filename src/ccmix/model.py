@@ -35,6 +35,7 @@ import numpy as np
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
+_NAN = float("nan")
 
 __all__ = [
     "MixtureTarget",
@@ -103,10 +104,10 @@ class PseudoPriorSet:
 
     ``log_density(j, u)`` maps a block of B points to shape (B,) (and,
     for MCC, one point to a float), -inf where rho_j vanishes but never
-    NaN or +inf, and ``sampler(j, rng, size)`` returns ``size`` draws from
-    rho_j, in a new array at every call, since the samplers keep the block
-    it returns for the block's sweeps.  Neither callback may modify its
-    input.
+    NaN or +inf (a sweep that uses one raises ConfigError), and
+    ``sampler(j, rng, size)`` returns ``size`` draws from rho_j, in a new
+    array at every call, since the samplers keep the block it returns for
+    the block's sweeps.  Neither callback may modify its input.
     """
 
     n: int
@@ -122,7 +123,7 @@ class PseudoPriorSet:
 class ProposalFamily:
     """Proposal kernels R_l(u, dz) with transition densities r_l(u, z),
     called with one point u (and z) at a time; ``log_density`` may return
-    -inf but never NaN.
+    -inf but never NaN or +inf.
 
     ``rho``, when set, states that R_l(u, .) = rho_l whatever u, and the
     MH refresh then draws and weighs the proposals in blocks through
@@ -277,27 +278,45 @@ def _pseudo_rows(
 
 
 def _ratio(lt: float, lr: float) -> float:
-    """log pi* - log rho at one point, +inf where rho vanishes; ``_resolve``
-    turns such an entry into an error or a zero weight only once a sweep
-    uses it."""
-    return _INF if lr == _NEG_INF else lt - lr
+    """log pi* - log rho at one point, +inf where rho vanishes and NaN
+    where log rho is +inf; ``_resolve`` turns such an entry into an error
+    or a zero weight only once a sweep uses it."""
+    if lr == _NEG_INF:
+        return _INF
+    return lt - lr if lr != _INF else _NAN
 
 
 def _ratios(lt: np.ndarray, lr: np.ndarray) -> np.ndarray:
     """``_ratio`` entry by entry on arrays."""
     with np.errstate(invalid="ignore"):
         ratio = lt - lr
+        if math.isfinite(ratio.sum()):  # no infinite log rho: the common case
+            return ratio
     ratio[lr == _NEG_INF] = _INF
+    ratio[lr == _INF] = _NAN
     return ratio
 
 
+def _unsettled(logw: Sequence[float]) -> bool:
+    """Whether index log-weights hold a +inf or NaN entry for ``_resolve``."""
+    return not sum(logw) < _INF  # a -inf entry only makes the sum -inf
+
+
 def _resolve(logw: Sequence[float], lts: Sequence[float]) -> list[float]:
-    """Index log-weights with their +inf entries settled: ConfigError
-    where the target (log pi* in ``lts``) is +inf; else a pseudo-prior
-    vanishes, and PseudoPriorZero where the target is positive, zero
-    weight with a RuntimeWarning where it vanishes too."""
+    """Index log-weights with their +inf and NaN entries settled:
+    ConfigError where the target (log pi* in ``lts``) is +inf, or where a
+    ratio is NaN, naming the target if its log-density is NaN, else the
+    pseudo-prior; else a pseudo-prior vanishes, and PseudoPriorZero where
+    the target is positive, zero weight with a RuntimeWarning where it
+    vanishes too."""
     out = list(logw)
     for i, lw in enumerate(logw):
+        if lw != lw:  # a NaN density, or log rho = +inf
+            if lts[i] == _INF:
+                raise ConfigError(_infinite_target(i + 1))
+            if lts[i] != lts[i]:
+                raise ConfigError(f"the target log-density of label {i + 1} is NaN")
+            raise ConfigError(f"pseudo.log_density of label {i + 1} is NaN or +inf")
         if lw != _INF:
             continue
         if lts[i] == _INF:
@@ -341,7 +360,7 @@ def cc_index_weights(
     lts, lrs = _pseudo_rows(target, pseudo, range(1, target.n + 1), blocks)
     lts = [a.item(0) for a in lts]
     logw = [_ratio(lt, a.item(0)) for lt, a in zip(lts, lrs)]
-    if _INF in logw:
+    if _unsettled(logw):
         logw = _resolve(logw, lts)
     return np.array(_weights(logw))
 
@@ -354,19 +373,22 @@ def mh_log_acceptance(
     Returns min(0, log pi*(ell, z) + log r_ell(z, u)
                    - log pi*(ell, u) - log r_ell(u, z)).
     A proposed move to a zero-mass point gets log-acceptance -inf; a +inf
-    target log-density, or a NaN log-ratio, from a NaN density, raises
-    ConfigError.
+    target or proposal log-density, or a NaN log-ratio, from a NaN density,
+    raises ConfigError.
     """
     lt_u, lt_z = float(target.log_density(ell, u)), float(target.log_density(ell, z))
     lr_uz, lr_zu = proposal.log_density(ell, u, z), proposal.log_density(ell, z, u)
     return _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu)
 
 
-def _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu):
+def _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu, name="proposal.log_density"):
     """mh_log_acceptance from lt_u = log pi*(ell, u), lr_uz = log r_ell(u, z)
-    and their counterparts lt_z and lr_zu at z."""
+    and their counterparts lt_z and lr_zu at z; ``name`` is the proposal
+    density's, for its error."""
     if lt_u == _INF or lt_z == _INF:
         raise ConfigError(_infinite_target(ell))
+    if lr_uz == _INF or lr_zu == _INF:
+        raise ConfigError(f"{name} of label {ell} is +inf")
     if lt_u == _NEG_INF or lr_uz == _NEG_INF:
         raise InvalidCurrentState(
             f"zero target or proposal density at current point (ell={ell})"

@@ -616,9 +616,17 @@ def save_spec(spec: FiniteMixtureSpec, path) -> None:
                 fh.write("\t".join(repr(float(v)) for v in row) + "\n")
 
 
+def _parse_section(lines: list[str]) -> np.ndarray:
+    """The tab-separated rows of one section as a 2-D float array;
+    ValueError on a bad number or ragged rows."""
+    if not lines:
+        return np.empty((0, 0))
+    return np.loadtxt(lines, delimiter="\t", comments=None, ndmin=2)
+
+
 def load_spec(path) -> FiniteMixtureSpec:
     """Read a spec written by :func:`save_spec`; ValueError on a malformed file."""
-    sections: dict[str, list[list[float]]] = {}
+    sections: dict[str, list[str]] = {}
     current = None
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -635,15 +643,14 @@ def load_spec(path) -> FiniteMixtureSpec:
                 continue
             if current is None:
                 raise ValueError("data before the first section header")
-            sections[current].append([float(v) for v in line.split("\t")])
+            sections[current].append(line)
+    arrays = {name: _parse_section(lines) for name, lines in sections.items()}
     for name in ("grid", "pi", "pseudo"):
-        if name not in sections:
+        if name not in arrays:
             raise ValueError(f"missing #{name} section")
-    grid = np.array(sections["grid"]).ravel()
-    prob = np.array(sections["pi"])
-    pseudo = np.array(sections["pseudo"])
+    grid, prob, pseudo = arrays["grid"].ravel(), arrays["pi"], arrays["pseudo"]
     n, G = prob.shape
     proposal = None
-    if "proposal" in sections:
-        proposal = np.array(sections["proposal"]).reshape(n, G, G)
+    if "proposal" in arrays:
+        proposal = arrays["proposal"].reshape(n, G, G)
     return FiniteMixtureSpec(n, grid, prob, pseudo, proposal)

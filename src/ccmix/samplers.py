@@ -35,19 +35,24 @@ proposals, or else the block of a general MH refresh.  Every quantity of
 a point (the point, log pi*, log q, its ratio to rho, its MH log-ratio)
 is read by p alone.  The pseudo-prior selection adds the current point's
 weight to stored prefix sums of the other labels' weights, MwG draws
-from the current point's label weights, made once per point, and the MH
-test compares the two points' log-ratios log pi* - log q.  The
-per-sweep selection and MH test serve the first sweep of an
-exact-refresh block, the entries the tables cannot settle (a +inf or
-NaN ratio, a weight too large for exp, no mass or a vanishing q) and
-``step``, which runs blocks of one sweep.
+from the current point's label weights, made once per point from its
+row of densities, which it reads from the blocks only to weigh the point
+or to end the block, and the MH test compares the two points' log-ratios
+log pi* - log q, read from a list by p.  The per-sweep selection and MH
+test serve the first sweep of an exact-refresh block, the entries the
+tables cannot settle (a +inf or NaN ratio, a weight too large for exp,
+no mass or a vanishing q) and ``step``, which runs blocks of one sweep.
 
 *Certified holds.*  With the frozen refresh or the MH refresh of an
 independence proposal, a block of more than one sweep also holds, for
 each label and sweep, thresholds that prove that a held point keeps its
 label and point under those float tests: tau on the point's ratio for
 the pseudo-prior selection, MwG's interval of the index uniform, and
-sigma on its MH log-ratio (the derivation is beside ``_holds``).  The
+sigma on its MH log-ratio (the derivation is beside ``_holds``).  MwG's
+intervals for the independence proposals, each at its own label, are
+made in numpy with the other tables and read by p; only the carried
+point and a label changed by a sweep's test get theirs from the
+per-sweep weights (the bound for both is beside ``_SLACK``).  The
 loop skips the sweeps they certify with two or three comparisons each
 and runs the tests on the others, so the chain is that of the per-sweep
 tests, errors included.  There is no certificate where a threshold's
@@ -83,9 +88,10 @@ points in label order, then its uniform).
 *Lazy errors.*  PseudoPriorZero, AllZeroMass, the RuntimeWarning for a
 vanishing target and pseudo-prior pair, the ValueError for a non-finite
 z, the InvalidCurrentState of the MH test and the ConfigError for a NaN
-index weight or MH log-ratio (from a NaN density) fire only for values a
-sweep uses, at the sweep that uses them; a block entry drawn and
-discarded never raises.
+index weight or MH log-ratio (from a NaN density) or for a +inf
+pseudo-prior or proposal log-density fire only for values a sweep uses,
+at the sweep that uses them; a block entry drawn and discarded never
+raises.
 
 The selection hands the densities of the point it selects to the
 refresh, and the refresh those of the point it keeps to the next sweep,
@@ -123,6 +129,7 @@ from .model import (  # bench/spans.py looks up the public weight functions here
     _resolve,
     _shape,
     _target_rows,
+    _unsettled,
     _weights,
     cc_index_weights,
     conditional_index_weights,
@@ -141,6 +148,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
+_RHO = "proposal.rho.log_density"  # the MH test's density, named in its errors
 
 
 class SamplerId(str, Enum):
@@ -336,7 +344,7 @@ def _pseudo_block(bundle, streams, size, q):
 def _pseudo_select(v, m, carry, aux):
     logw = [a[1] for a in aux]
     logw[m - 1] = carry[1]  # the active label's auxiliary is z itself
-    if _INF in logw:
+    if _unsettled(logw):
         lts = [a[0] for a in aux]
         lts[m - 1] = carry[0]
         logw = _resolve(logw, lts)
@@ -460,14 +468,6 @@ def _pseudo_lists(rows, size: int, rs: list, hs: Optional[list]):
     return ratios, h
 
 
-def _row_list(rows, size: int) -> list:
-    """The conditional carries of the points ``rows`` weighs, flat in
-    (label * size + sweep) * width + entry."""
-    if size == 1:
-        return [row[j].item(0) for j in range(len(rows[0])) for row in rows]
-    return np.moveaxis(np.array(rows), 0, -1).ravel().tolist()
-
-
 # *Certified holds.*  A sweep that would keep the held label and point is
 # skipped when a threshold proves that the exact test below keeps them.
 # Let u = 2^-53, the unit roundoff: + - * / round within a relative u,
@@ -511,7 +511,26 @@ def _row_list(rows, size: int) -> list:
 # label m iff (m = 1 or A_(m-1) <= v T) and (m = n or v T < A_m), v T
 # rounded within u; v > A_(m-1) / T (1 + _SLACK) and v < A_m / T
 # (1 - _SLACK), each bound rounded within 2u, give both.
+#
+# MwG's tables (``_intervals``).  The intervals of an independence
+# proposal's points, each at its own label, are made in numpy for the
+# whole block: numpy's exp of the same differences l_i - max l as the
+# exact test's (a subtraction rounds alike), running sums of those
+# weights and one division per end.  The exact test takes math.exp,
+# divides each weight by their sum and sums the quotients.  Each side's
+# quotient is within (2n + 8)u relative of A_j / T of the exact
+# exponentials: 4u per weight from exp (numpy's tests hold its float64 exp
+# to 1 ulp, glibc's is under 1 ulp; either is 2 ulp at most), (n - 1)u per
+# running sum, two of them, and u per division.  So the two differ by
+# under (4n + 16)u, which _SLACK = 2^23 u covers many times over for any
+# n < 2^20: it need not grow.  A weight below 2^-1022 errs absolutely
+# instead, by up to 2^-1072, and so a quotient (T >= 1) by up to
+# n 2^-1072.  A lower bound certifies only v > 0, so v >= 2^-53, far
+# beyond that error; an upper bound is lowered by _FLOOR = 2^-1000, so it
+# certifies v = 0 only where A_m / T exceeds 2^-1000, which that error
+# cannot reach.
 _SLACK = 2.0**-30
+_FLOOR = 2.0**-1000
 
 
 def _holds(shift, prefix, v):
@@ -542,6 +561,41 @@ def _rejections(hz, a) -> list:
         log_a = np.log(a)
         log_a -= _SLACK * (1.0 + np.abs(log_a))
         return (hz + _SLACK * np.abs(hz) - log_a).tolist()
+
+
+def _intervals(logw, own):
+    """MwG's certified intervals (vlo, vhi) of the index uniform (above)
+    for points with label log-weights logw [label, point], each at its
+    label own + 1; NaN, which certifies nothing, where a log-weight is NaN
+    or +inf."""
+    n, cols = len(logw), np.arange(logw.shape[1])
+    with np.errstate(invalid="ignore"):
+        acc = np.cumsum(np.exp(logw - logw.max(axis=0)), axis=0)
+        total = acc[-1]
+        vlo = np.where(own > 0, acc[own - 1, cols] / total * (1.0 + _SLACK), -1.0)
+        vhi = acc[own, cols] / total * (1.0 - _SLACK) - _FLOOR
+        one = total / total  # or NaN with the weights
+    return vlo, np.where(own < n - 1, vhi, one)
+
+
+def _own_tables(prop, size: int):
+    """MwG's lists of the independence proposals that ``prop`` weighs
+    (rows [density][label][sweep], q's after the target's), each point at
+    its own label, by point index p: h = log pi* - log q and, for a block
+    of more than one sweep, the interval (vlo, vhi) of ``_intervals``;
+    entry 0, the carried point's, is None.  Also h as an array [label,
+    sweep], None in a block of one sweep, which reads its entries by
+    ``item``."""
+    n = len(prop) // 2
+    if size == 1:
+        hs = [prop[j][j].item(0) - prop[n + j][j].item(0) for j in range(n)]
+        return None, [None, *hs], None, None
+    lt, ix = np.array(prop[:n]), np.arange(n)  # lt [weighed, drawn, sweep]
+    with np.errstate(invalid="ignore"):
+        h = lt[ix, ix] - np.array([prop[n + j][j] for j in ix])
+    vlo, vhi = _intervals(lt.reshape(n, -1), np.repeat(ix, size))
+    hs, vlos, vhis = ([None, *x.ravel().tolist()] for x in (h, vlo, vhi))
+    return h, hs, vlos, vhis
 
 
 def _prefix_tables(ratios, v, never, certify: bool):
@@ -626,13 +680,7 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
             lqs += prop[2]
             _, hz = _pseudo_lists(prop, size, rs, hs)
         else:
-            # MwG's carry of point p is pc[p * w : (p + 1) * w].
-            w, pc = 2 * n, [*carry, *_row_list(prop, size)]
-            if certify:
-                # Label j + 1's log pi* and log q at its own proposals.
-                own = [prop[j][j] for j in range(n)], [prop[n + j][j] for j in range(n)]
-                with np.errstate(invalid="ignore"):
-                    hz = np.subtract(*own)
+            hz, hs, vlos, vhis = _own_tables(prop, size)
         if certify:
             sigmas = _rejections(hz, a)
         a = a.tolist()
@@ -653,8 +701,12 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         if q is not None:
             h = hs[0]
     else:
+        # MwG reads a point's row, its carry, only to weigh it or to end
+        # the block; row is None from an accepted proposal until then.
         sg = sigmas[m - 1]
         row, weighed, vlo, vhi = carry, None, 2.0, 2.0
+        if q is not None:
+            h = row[m - 1] - row[n + m - 1]
     v = v.tolist()
     v.append(2.0)  # ends a run of MwG's certified sweeps at k = size
     exp, bisect_right, inf, ninf = math.exp, bisect.bisect_right, _INF, -_INF
@@ -669,6 +721,8 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                 held = False
                 if pseudo:
                     tau = tau_m if r - least[m - 1] < 699.0 else never
+                elif row is None:  # an accepted proposal, at its own label
+                    vlo, vhi = vlos[p], vhis[p]
                 else:
                     # MwG keeps label m while v_k lies inside m's interval of
                     # the point's cumulative weights, shrunk by the slack.
@@ -682,8 +736,6 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                         weighed = p
                     vlo = acc[m - 2] / total * (1.0 + _SLACK) if m > 1 else -1.0
                     vhi = acc[m - 1] / total * (1.0 - _SLACK) if m < n else 1.0
-                    lt, lq = row[m - 1], row[n + m - 1]
-                    h = lt - lq
             if not pseudo:
                 while vlo < v[k] < vhi and sg[k] < h:
                     k += 1
@@ -724,22 +776,22 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
             # The current point's label weights stand until a move is
             # accepted; ``_pick`` by their running sums.
             if p != weighed:
+                if row is None:
+                    row = sel.carry_of(prop, *divmod(p - 1, size))
                 weights = _weights(row[:n])
                 weighed, total, acc = p, sum(weights), list(accumulate(weights))
             i = min(bisect_right(acc, vk * total), n - 1) + 1
             if i != m:
                 m, held, sg = i, True, sigmas[i - 1]
-            if q is not None:
-                lt, lq = row[m - 1], row[n + m - 1]
-                h = lt - lq
+                if q is not None:
+                    h = row[m - 1] - row[n + m - 1]
         if q is not None:  # o: label m's proposal of sweep k
             if pseudo:
                 o = 1 + (n + m - 1) * size + k
                 hk = hs[o]
             else:
                 o = 1 + (m - 1) * size + k
-                c = o * w + m - 1
-                hk = pc[c] - pc[c + n]
+                hk = hs[o]
             d = hk - h
             if ninf < d < inf:
                 accept = d >= 0.0 or a[k] < exp(d)
@@ -748,14 +800,19 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                     lt, lq = _at(lts, p, size), _at(lqs, p, size)
                     lt_z, lq_z = _at(lts, o, size), _at(lqs, o, size)
                 else:
-                    lt_z, lq_z = pc[c], pc[c + n]
-                accept = a[k] < exp(_mh_log_acceptance(m, lt, lq_z, lt_z, lq))
+                    if row is None:
+                        row = sel.carry_of(prop, *divmod(p - 1, size))
+                    lt, lq = row[m - 1], row[n + m - 1]
+                    lt_z = prop[m - 1][m - 1].item(k)
+                    lq_z = prop[n + m - 1][m - 1].item(k)
+                log_alpha = _mh_log_acceptance(m, lt, lq_z, lt_z, lq, _RHO)
+                accept = a[k] < exp(log_alpha)
             if accept:
-                p, n_accepted, held = o, n_accepted + 1, True
+                p, n_accepted, held, h = o, n_accepted + 1, True, hk
                 if pseudo:
-                    r, h = rs[p], hk
+                    r = rs[p]
                 else:
-                    row = pc[p * w : p * w + w]
+                    row = None
         elif refresh is not None:
             if p != read:  # the held point and its log pi*, read once a point
                 read, u = p, _at(pts, p, size)
@@ -783,7 +840,7 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         lt = _at(lts, p, size)
         carry = (lt, r) if q is None else (lt, r, _at(lqs, p, size))
     else:
-        carry = row
+        carry = row if row is not None else sel.carry_of(prop, *divmod(p - 1, size))
     if size == 1:
         _check_finite(z)
         return [m], [z], m, z, carry, n_accepted
@@ -811,8 +868,9 @@ _KERNELS = {
 def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     """Raise ConfigError unless the bundle and state fit the sampler: the
     part each of its records needs, every part with the target's n, an
-    integer label in 1..n, z of the target's shape and log pi*(m, z)
-    finite.  Return the sampler's kernel and the state's carry.
+    integer label in 1..n, z of the target's shape, log pi*(m, z) finite
+    and log rho_m(z) and log q_m(z) not +inf.  Return the sampler's kernel
+    and the state's carry.
 
     Weighing the state is the first checked call (``model._call``); the
     sweeps check every later one, so a callback that breaks the protocol
@@ -845,11 +903,18 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
         raise ConfigError(f"z must have shape {shape}, got {_shape(state.z)}")
     sel = kernel[0]
     q = proposal.rho if kernel[1] is _MH else None
-    carry = sel.carry_of(sel.rows(bundle, [m], [_block(state.z)], q), 0, 0)
+    rows = sel.rows(bundle, [m], [_block(state.z)], q)
+    carry = sel.carry_of(rows, 0, 0)
     if not -math.inf < (lt := sel.lt(carry, m)) < math.inf:
         kinds = {-math.inf: "zero mass", math.inf: "a +inf log-density"}
         what = kinds.get(lt, "a NaN log-density")
         raise ConfigError(f"the target has {what} at the initial state {state}")
+    # The first sweep also reads log rho_m(z), in the ratio (NaN for a
+    # +inf), and log q_m(z), if weighed.
+    if sel is _PSEUDO and carry[1] != carry[1] and rows[1][0].item(0) == math.inf:
+        raise ConfigError(f"pseudo.log_density is +inf at the initial state {state}")
+    if q is not None and carry[2 if sel is _PSEUDO else target.n + m - 1] == math.inf:
+        raise ConfigError(f"{_RHO} is +inf at the initial state {state}")
     return kernel, carry
 
 

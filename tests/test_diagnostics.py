@@ -1,6 +1,7 @@
 """Tests for the trace diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,43 @@ class TestKde:
         np.testing.assert_allclose(
             kde(x, grid, bandwidth=0.1), _dense_kde(x, grid, 0.1), rtol=1e-14, atol=0
         )
+
+    def test_blocks_match_the_chunked_dense_sum(self):
+        # Heavy repeats, a grid with jumps, windows that span many blocks
+        # and windows wider than a block, summed in parts.
+        rng = np.random.default_rng(16)
+        points = rng.standard_normal(20_000)
+        x = rng.permutation(np.repeat(points, rng.integers(1, 11, len(points))))
+        jumps = [0.51, 4.0, 12.0]
+        grid = np.concatenate(
+            [np.linspace(-6.0, -3.0, 150), np.linspace(-0.5, 0.5, 300), jumps]
+        )
+        h = 0.1
+        reach = diagnostics._KDE_REACH * h
+        xs = np.unique(x)
+        widths = np.searchsorted(xs, grid + reach, "right") - np.searchsorted(
+            xs, grid - reach, "left"
+        )
+        assert widths.max() > diagnostics._KDE_BLOCK_PAIRS and widths.min() == 0
+        want = np.concatenate([_dense_kde(x, p, h) for p in np.array_split(grid, 60)])
+        np.testing.assert_allclose(kde(x, grid, bandwidth=h), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("size", [50_000, 400_000])
+    def test_memory_beyond_the_sort_does_not_grow_with_the_sample(self, size):
+        # Every sample is within reach of every grid point.  Beyond what
+        # np.unique takes, kde holds blocks of bounded size.
+        x = np.random.default_rng(17).uniform(-1.0, 1.0, size)
+        grid = np.linspace(-1.0, 1.0, 41)
+        peaks = []
+        for call in (lambda: np.unique(x, return_counts=True),
+                     lambda: kde(x, grid, bandwidth=1.0)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 6 * 8 * diagnostics._KDE_BLOCK_PAIRS
 
     def test_fcc_trace_matches_the_dense_sum(self):
         # FCC keeps z until the label switches, so its trace repeats.

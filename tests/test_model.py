@@ -164,6 +164,16 @@ class TestCcIndexWeights:
         with pytest.raises(PseudoPriorZero):
             cc_index_weights(toy_bundle.target, pseudo, (0.0, 0.0))
 
+    def test_inf_pseudo_density_raises_naming_it(self, toy_bundle):
+        # log pi* - (+inf) would read as a zero weight.
+        pseudo = PseudoPriorSet(
+            n=2,
+            log_density=lambda j, u: np.where(u > 1.0, np.inf, -0.5 * u * u),
+            sampler=lambda j, rng, size: np.zeros(size),
+        )
+        with pytest.raises(ConfigError, match=r"^pseudo\.log_density of label 2"):
+            cc_index_weights(toy_bundle.target, pseudo, (0.0, 2.0))
+
     def test_both_zero_warns_and_gets_zero_weight(self):
         target = MixtureTarget(
             n=2,
@@ -229,6 +239,20 @@ class TestMhLogAcceptance:
         )
         with pytest.raises(ConfigError, match="MH log-ratio is NaN"):
             mh_log_acceptance(target, toy_bundle.proposal, 1, 0.0, 2.0)
+
+    @pytest.mark.parametrize("z", [2.0, 0.5], ids=["proposed", "current"])
+    def test_inf_proposal_density_raises_naming_it(self, toy_bundle, z):
+        # +inf at the proposed point, or, for the reverse move, at the
+        # current one: a rejection or a certain acceptance read silently.
+        proposal = ProposalFamily(
+            n=2,
+            log_density=lambda l, u, z: np.inf if z > 1.0 or u > 1.0 else 0.0,
+            sampler=lambda l, u, rng: u,
+        )
+        u = 2.0 if z == 0.5 else 0.0
+        message = r"^proposal\.log_density of label 1 is \+inf$"
+        with pytest.raises(ConfigError, match=message):
+            mh_log_acceptance(toy_bundle.target, proposal, 1, u, z)
 
     def test_zero_mass_current_raises(self, toy_bundle):
         target = MixtureTarget(

@@ -1119,6 +1119,21 @@ class TestHelpers:
         with pytest.raises(ValueError, match=f"^{reason}$"):
             load_spec(path)
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("0.5\n#grid\n0.0\n", "data before the first section header"),
+         ("#grid\n0.0\t1.0\n#pi\n0.5\tabc\n0.5\t0.5\n#pseudo\n1.0\t0.0\n",
+          "could not convert string 'abc'"),
+         ("#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.5\n#pseudo\n1.0\t0.0\n",
+          "number of columns changed")],
+        ids=["before-header", "bad-number", "ragged"],
+    )
+    def test_load_rejects_a_malformed_section(self, tmp_path, text, reason):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=reason):
+            load_spec(path)
+
     def test_spec_from_log_densities_normalizes(self):
         grid = np.linspace(-3, 3, 61)
         spec = spec_from_log_densities(

@@ -2,7 +2,9 @@
 
 import bisect
 import contextlib
+import itertools
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -713,6 +715,26 @@ class TestCarriedDensities:
         assert 1 + accepted + blocks < n_steps
         assert 0 < len(calls) <= 1 + accepted + blocks
 
+    def test_mwg_weighs_at_block_entry_and_label_picks(self, monkeypatch):
+        # An accepted independence proposal's interval and h come from the
+        # block's tables, so MwG weighs a point only at block entry, at a
+        # label pick, or with v_k within the slack of an interval's end.
+        calls = []
+        weights = samplers._weights
+
+        def counted(logw):
+            calls.append(1)
+            return weights(logw)
+
+        monkeypatch.setattr(samplers, "_weights", counted)
+        n_steps, state = 6000, State(2, 0.6)
+        trace = _chain(SamplerId.MWG, posterior_model(), state, n_steps, 1)
+        labels = np.concatenate([[state.m], trace.m])
+        picks = int(np.sum(labels[1:] != labels[:-1]))
+        blocks = -(-n_steps // samplers._BLOCK_SIZE)
+        assert 0 < len(calls) <= blocks + picks + 1
+        assert blocks + picks + 1 < round(trace.acceptance_rate * n_steps)
+
     @staticmethod
     def _per_step_points(sid, bundle, state, n_steps):
         """The points evaluated and drawn by sweeps 2..n_steps of one chain,
@@ -1404,6 +1426,88 @@ class TestInfiniteTarget:
                 step(sampler_id, self._bundle(), State(1, 2.0), np.random.default_rng(0))
 
 
+def _inf_bundle(part):
+    """The toy model with log rho = +inf above 1.2 for the pseudo-prior
+    (``part`` "pseudo") or for the independence proposal's rho."""
+    bundle = toy_model()
+    bad = _nan_where(bundle.pseudo, lambda j, z: z > 1.2, np.inf)
+    if part == "pseudo":
+        return replace(bundle, pseudo=bad)
+    return replace(bundle, proposal=ProposalFamily.independent(bad))
+
+
+_INF_CASES = [
+    *[("pseudo", sid, r"pseudo\.log_density of label [12] is NaN or \+inf$")
+      for sid in (SamplerId.CC, SamplerId.MCC, SamplerId.FCC)],
+    *[("proposal", sid, r"proposal\.rho\.log_density of label [12] is \+inf$")
+      for sid in (SamplerId.MWG, SamplerId.MCC)],
+]
+
+
+class TestInfiniteDensities:
+    """A +inf pseudo-prior or independence-proposal log-density breaks the
+    callback contract as well.  The ratio log pi* - log rho would read it
+    as a zero weight and the MH test as a rejection, so a sweep that uses
+    one raises ConfigError naming the density; a discarded one never does."""
+
+    @pytest.mark.parametrize("part, sampler_id, message", _INF_CASES)
+    def test_used_inf_raises_naming_the_density(self, part, sampler_id, message):
+        # With the pseudo-prior's, label 1 read 0.70, 0.62 and 0.59 over
+        # 20000 sweeps of CC, MCC and FCC, against 0.50, with no error.
+        bundle, state = _inf_bundle(part), State(1, -1.0)
+
+        def runs_clean(n_steps):
+            try:
+                _chain(sampler_id, bundle, state, n_steps, 3)
+            except ConfigError as exc:
+                assert re.search(message, str(exc)), str(exc)
+                return False
+            return True
+
+        # The sweeps that run clean are a prefix at every block size.
+        lo, hi = 0, 20000
+        assert not runs_clean(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if runs_clean(mid) else (lo, mid)
+        assert lo >= 1
+        with _block_size(1):
+            assert runs_clean(lo) and not runs_clean(lo + 1)
+
+    @pytest.mark.parametrize(
+        "part, name, sampler_ids",
+        [
+            ("pseudo", "pseudo.log_density", [SamplerId.CC, SamplerId.FCC]),
+            ("proposal", "proposal.rho.log_density", [SamplerId.MWG, SamplerId.MCC]),
+        ],
+    )
+    def test_inf_at_the_initial_state_rejected(self, part, name, sampler_ids):
+        bundle, state = _inf_bundle(part), State(1, 2.0)
+        message = rf"^{re.escape(name)} is \+inf at the initial state"
+        for sampler_id in sampler_ids:
+            with pytest.raises(ConfigError, match=message):
+                _chain(sampler_id, bundle, state, 10, 0)
+            with pytest.raises(ConfigError, match=message):
+                step(sampler_id, bundle, state, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sampler_id", list(SamplerId))
+    def test_discarded_inf_runs_clean(self, sampler_id):
+        # rho is +inf above 5, where label 2's auxiliaries and label 1's
+        # independence proposals are drawn; the chain stays at label 2.
+        bundle, state = _nan_discarded_bundle(), State(2, 0.3)
+        pseudo = _nan_where(bundle.pseudo, lambda j, z: z > 5.0, np.inf)
+        rho = replace(pseudo, sampler=bundle.proposal.rho.sampler)
+        bundle = ModelBundle(bundle.target, pseudo, ProposalFamily.independent(rho))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for block_size in (1, 64):
+                with _block_size(block_size):
+                    trace = _chain(sampler_id, bundle, state, 300, 4)
+                assert np.all(trace.m == 2)
+            new, _ = step(sampler_id, bundle, state, np.random.default_rng(0))
+        assert new.m == 2
+
+
 def _kept_by_selection(r, m, k, n, shift, prefix, v):
     """The pseudo-prior selection of a held point with ratio r at label m,
     sweep k, by the float operations of the sweep loop's fast branch."""
@@ -1450,6 +1554,23 @@ def _selection_cases(draw):
     v = np.array(draw(st.lists(_uniforms, min_size=size, max_size=size)))
     near = draw(st.integers(-3, 3)), draw(st.integers(0, n - 1)), draw(st.booleans())
     return ratios, v, near
+
+
+@st.composite
+def _interval_cases(draw):
+    """Label log-weights [label, point] for n in {1, 2, 3, 5}, with -inf,
+    NaN, +inf and +-700 entries and spans that make subnormal weights, each
+    point's own label (0-based) and two index uniforms."""
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    size = draw(st.integers(1, 4))
+    value = st.one_of(
+        st.sampled_from([-np.inf, np.nan, np.inf, -745.0, -710.0, -700.0, 0.0, 700.0]),
+        st.floats(-60.0, 60.0),
+    )
+    logw = np.array(draw(st.lists(value, min_size=n * size, max_size=n * size)))
+    own = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    uniforms = draw(st.lists(_uniforms, min_size=2, max_size=2))
+    return logw.reshape(n, size), np.array(own), uniforms
 
 
 class TestCertifiedHolds:
@@ -1514,6 +1635,26 @@ class TestCertifiedHolds:
                     assert not (d >= 0.0 or float(a[k]) < math.exp(d))
                 else:  # the general MH test rejects a -inf log ratio
                     assert d == -math.inf
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_interval_cases())
+    def test_mwg_intervals_keep_the_label(self, case):
+        logw, own, uniforms = case
+        vlo, vhi = samplers._intervals(logw, own)
+        for c in range(logw.shape[1]):
+            row, lo, hi = logw[:, c].tolist(), float(vlo[c]), float(vhi[c])
+            candidates = list(uniforms)
+            bounds = [lo, hi]
+            with contextlib.suppress(ValueError):  # NaN or no mass
+                w = samplers._weights(row)
+                bounds += [a / sum(w) for a in itertools.accumulate(w)]
+            for b in bounds:
+                if math.isfinite(b):
+                    candidates += _ulps(b, 4)
+            for v in candidates:
+                # An index uniform is 0 or at least 2^-53, and below 1.
+                if (v == 0.0 or 2.0**-53 <= v < 1.0) and lo < v < hi:
+                    assert samplers._pick(samplers._weights(row), v) == own[c] + 1
 
     def test_vanishing_pseudo_prior_in_certified_run_raises_at_its_sweep(self):
         # Label 1 has e^-30 of label 2's weight, so the chain holds label 2
