@@ -96,10 +96,10 @@ def parse_args(argv) -> RunConfig:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The header and rows as one string, written at once."""
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _fmt(v) -> str:

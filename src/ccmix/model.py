@@ -267,14 +267,18 @@ def _pseudo_rows(
 ) -> tuple:
     """log pi*(j, x) and log rho_j(x) for each label j and its block x: two
     rows of float arrays, and log q_j(x) as a third row when a
-    PseudoPriorSet ``q``, an independence proposal's rho, is given."""
+    PseudoPriorSet ``q``, an independence proposal's rho, is given.  When q
+    is the pseudo-prior itself, its row is the pseudo-prior's, weighed once,
+    so an error from that call names ``pseudo.log_density``."""
+    shared = q is not None and q is pseudo
     sets = [("target.log_density", target), ("pseudo.log_density", pseudo)]
-    if q is not None:
+    if q is not None and not shared:
         sets.append(("proposal.rho.log_density", q))
-    return tuple(
+    rows = tuple(
         [_density_row(name, p.log_density, j, x) for j, x in zip(labels, blocks)]
         for name, p in sets
     )
+    return rows + (rows[1],) if shared else rows
 
 
 def _ratio(lt: float, lr: float) -> float:

@@ -38,10 +38,17 @@ weight to stored prefix sums of the other labels' weights, MwG draws
 from the current point's label weights, made once per point from its
 row of densities, which it reads from the blocks only to weigh the point
 or to end the block, and the MH test compares the two points' log-ratios
-log pi* - log q, read from a list by p.  The per-sweep selection and MH
+log pi* - log q, read from a table by p.  The per-sweep selection and MH
 test serve the first sweep of an exact-refresh block, the entries the
 tables cannot settle (a +inf or NaN ratio, a weight too large for exp,
 no mass or a vanishing q) and ``step``, which runs blocks of one sweep.
+The tables by p or by label and sweep (ratios, h, MwG's intervals, the
+shifts and prefix sums) stay the float64 arrays numpy builds, read
+through memoryviews, which return the same floats as lists would: a sweep
+reads only the held label's entries, and only where no certificate
+settles it, so a ``tolist`` copy of every entry costs more than it saves.
+The thresholds tau and sigma, read at every skipped sweep, and the
+uniforms stay lists; a block of one sweep reads its entries by ``item``.
 
 *Certified holds.*  With the frozen refresh or the MH refresh of an
 independence proposal, a block of more than one sweep also holds, for
@@ -65,11 +72,13 @@ R_l(u, .) = q_l) are weighed by one call per label and density (MwG's at
 every label, for the next sweep's conditional weights), and its MH test
 is one comparison, a_k < exp(min(0, [lt(z') - lq(z')] - [lt(u) -
 lq(u)])) with lt = log pi*(m, .) and lq = log q_m, read at the indices of
-u and z'.  The MH refresh of a general proposal weighs one point at a
-time, calling the densities on single points rather than on blocks of
-one, which cost ten times as much in numpy, and copies the point it
-accepts at sweep k into slot k of a block of its own, so its sampler may
-return the same array at every call.
+u and z'.  Where q is the pseudo-prior itself, as in both studies, MCC
+reuses the pseudo-prior's rows as q's (``model._pseudo_rows``): 4n
+density points a sweep, not 6n.  The MH refresh of a general proposal
+weighs one point at a time, calling the densities on single points rather
+than on blocks of one, which cost ten times as much in numpy, and copies
+the point it accepts at sweep k into slot k of a block of its own, so its
+sampler may return the same array at every call.
 
 *Streams.*  ``run_chain`` gives each label's auxiliaries, each label's
 exact draws, the index uniforms, the MH draws (a general proposal's
@@ -430,7 +439,8 @@ def _exact_block(kernel, bundle, streams, size, m, z, carry):
             _check_finite(x[j - 1, k])
         m = j
         ms.append(m)
-    zs = x[np.subtract(ms, 1), np.arange(size)]
+    ms = np.array(ms)
+    zs = x[ms - 1, np.arange(size)]
     return ms, zs, m, _point(zs, -1), sel.carry_of(rows, m - 1, size - 1), 0
 
 
@@ -443,29 +453,41 @@ def _at(col: list, p: int, size: int):
     return x.item(k) if x.ndim == 1 else x[k]  # ``_point`` inlined: step reads many
 
 
-def _pseudo_lists(rows, size: int, rs: list, hs: Optional[list]):
-    """Extend rs by the ratios log pi* - log rho of the points ``rows``
-    weighs and, given q's row, hs by their MH log-ratios h = log pi* - log q,
-    in point order; return those two arrays [label, sweep], h's None without
-    q.  A block of one sweep, where numpy's per-call cost outweighs the
-    work, gets its entries by ``item`` and no arrays."""
-    with_q = len(rows) == 3
+def _by_point(first: float, x: np.ndarray) -> memoryview:
+    """``first``, then the entries of x in C order: a float64 array read
+    through a memoryview, which returns the array's floats."""
+    return memoryview(np.concatenate(([first], x.ravel())))
+
+
+def _pseudo_lists(carry, parts, size: int):
+    """The ratios rs = log pi* - log rho of the carry and of the points that
+    ``parts`` weigh (rows [density][label][sweep] each: the auxiliaries,
+    then any independence proposals), by point index p, and, given q's
+    log-density as the carry's third entry and the parts' third row, their
+    MH log-ratios hs = log pi* - log q (else None).  A block of more than
+    one sweep gets rs and hs as ``_by_point`` memoryviews, with the
+    auxiliaries' ratios and the last part's h as arrays [label, sweep];
+    a block of one sweep, where numpy's per-call cost outweighs the work,
+    gets lists by ``item`` and no arrays."""
+    with_q = len(carry) == 3
+    h0 = carry[0] - carry[2] if with_q else None
     if size == 1:
-        for j in range(len(rows[0])):
-            lt = rows[0][j].item(0)
-            rs.append(_ratio(lt, rows[1][j].item(0)))
-            if with_q:
-                hs.append(lt - rows[2][j].item(0))
-        return None, None
-    lt = np.array(rows[0])
-    ratios = _ratios(lt, np.array(rows[1]))
-    rs += ratios.ravel().tolist()
-    h = None
+        rs, hs = [carry[1]], [h0] if with_q else None
+        for rows in parts:
+            for j in range(len(rows[0])):
+                lt = rows[0][j].item(0)
+                rs.append(_ratio(lt, rows[1][j].item(0)))
+                if with_q:
+                    hs.append(lt - rows[2][j].item(0))
+        return rs, hs, None, None
+    lt = np.array([rows[0] for rows in parts])  # [part, label, sweep]
+    ratios = _ratios(lt, np.array([rows[1] for rows in parts]))
+    hs = h = None
     if with_q:
         with np.errstate(invalid="ignore"):
-            h = lt - np.array(rows[2])
-        hs += h.ravel().tolist()
-    return ratios, h
+            h = lt - np.array([rows[2] for rows in parts])
+        hs, h = _by_point(h0, h), h[-1]
+    return _by_point(carry[1], ratios), hs, ratios[0], h
 
 
 # *Certified holds.*  A sweep that would keep the held label and point is
@@ -579,13 +601,13 @@ def _intervals(logw, own):
 
 
 def _own_tables(prop, size: int):
-    """MwG's lists of the independence proposals that ``prop`` weighs
+    """MwG's tables of the independence proposals that ``prop`` weighs
     (rows [density][label][sweep], q's after the target's), each point at
     its own label, by point index p: h = log pi* - log q and, for a block
-    of more than one sweep, the interval (vlo, vhi) of ``_intervals``;
-    entry 0, the carried point's, is None.  Also h as an array [label,
-    sweep], None in a block of one sweep, which reads its entries by
-    ``item``."""
+    of more than one sweep, the interval (vlo, vhi) of ``_intervals``, as
+    ``_by_point`` memoryviews whose entry 0, the carried point's, is a NaN
+    the loop never reads.  Also h as an array [label, sweep]; a block of one
+    sweep gets h as a list by ``item``, entry 0 None, and no arrays."""
     n = len(prop) // 2
     if size == 1:
         hs = [prop[j][j].item(0) - prop[n + j][j].item(0) for j in range(n)]
@@ -594,7 +616,7 @@ def _own_tables(prop, size: int):
     with np.errstate(invalid="ignore"):
         h = lt[ix, ix] - np.array([prop[n + j][j] for j in ix])
     vlo, vhi = _intervals(lt.reshape(n, -1), np.repeat(ix, size))
-    hs, vlos, vhis = ([None, *x.ravel().tolist()] for x in (h, vlo, vhi))
+    hs, vlos, vhis = (_by_point(math.nan, x) for x in (h, vlo, vhi))
     return h, hs, vlos, vhis
 
 
@@ -602,10 +624,12 @@ def _prefix_tables(ratios, v, never, certify: bool):
     """For each active label m and sweep k: the shift, the largest of the
     other labels' auxiliary ratios, and the prefix sums of their weights
     exp(ratio - shift) in label order, zero at m, flat in k * n + label;
-    with ``certify``, the hold thresholds tau[m][k] and each label's least
-    finite shift.  Where one of those ratios is +inf or NaN, or all are
-    -inf, the shift is -inf and the sweep falls back on the per-sweep
-    selection.  Without ``certify`` every label gets the list ``never``."""
+    each label's row of either is a memoryview of a contiguous float64 row,
+    which ``bisect`` searches as it would a list.  With ``certify``, also
+    the hold thresholds tau[m][k], as lists, and each label's least finite
+    shift.  Where one of those ratios is +inf or NaN, or all are -inf, the
+    shift is -inf and the sweep falls back on the per-sweep selection.
+    Without ``certify`` every label gets the list ``never``."""
     n = len(ratios)
     others = np.repeat(ratios[:, None], n, axis=1)
     others[np.arange(n), np.arange(n)] = -_INF
@@ -616,11 +640,12 @@ def _prefix_tables(ratios, v, never, certify: bool):
         prefix[j] += prefix[j - 1]
     finite = np.isfinite(shift)
     shift[~finite] = -_INF
-    flat = prefix.transpose(1, 2, 0).reshape(n, -1).tolist()
+    flat = prefix.transpose(1, 2, 0).reshape(n, -1)
+    shifts, flats = [memoryview(x) for x in shift], [memoryview(x) for x in flat]
     if not certify:
-        return shift.tolist(), flat, [never] * n, [_INF] * n
+        return shifts, flats, [never] * n, [_INF] * n
     least = np.where(finite, shift, _INF).min(axis=1).tolist()
-    return shift.tolist(), flat, _holds(shift, prefix, v), least
+    return shifts, flats, _holds(shift, prefix, v), least
 
 
 def _general_refresh(bundle, streams, sel):
@@ -646,10 +671,10 @@ def _general_refresh(bundle, streams, sel):
 def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     """Sweeps with the MH or the frozen refresh, by point index p (module
     docstring, *Blocks*): a point, its log pi* and its log q are read from
-    columns by ``_at``, its ratio and h from flat lists and MwG's carry from
-    a flat list of rows, all by p.  Each pass of the loop skips the sweeps
-    certified to keep the held label and point, then runs the next sweep
-    by the exact selection and MH test."""
+    columns by ``_at``, its ratio, its h and MwG's interval of an accepted
+    proposal from flat tables, all by p.  Each pass of the loop skips the
+    sweeps certified to keep the held label and point, then runs the next
+    sweep by the exact selection and MH test."""
     sel, kind = kernel
     n, labels = bundle.target.n, range(1, bundle.target.n + 1)
     pseudo, q = sel is _PSEUDO, bundle.proposal.rho if kind is _MH else None
@@ -660,27 +685,25 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     never = [_INF] * (size + 1)
     sigmas = [never] * n
     pts = [z, *blocks]
+    if q is not None:
+        x = _draws(bundle, "proposal.rho.sampler", q.sampler, streams.proposal, size)
+        pts += x
+        prop = sel.rows(bundle, labels, x, q)
+        a = streams.mh.random(size)
+        if not pseudo:
+            hz, hs, vlos, vhis = _own_tables(prop, size)
     if pseudo:
-        lts, rs, hs = [carry[0], *aux[0]], [carry[1]], None
+        lts, parts = [carry[0], *aux[0]], [aux]
         if q is not None:
-            lqs, hs = [carry[2], *aux[2]], [carry[0] - carry[2]]
-        ratios, _ = _pseudo_lists(aux, size, rs, hs)
+            lts += prop[0]
+            lqs, parts = [carry[2], *aux[2], *prop[2]], [aux, prop]
+        rs, hs, ratios, hz = _pseudo_lists(carry, parts, size)
         if ratios is None:  # a block of one sweep builds no table
             shifts, prefixes = [[-_INF]] * n, [None] * n
             taus, least = [never] * n, [_INF] * n
         else:
             shifts, prefixes, taus, least = _prefix_tables(ratios, v, never, certify)
     if q is not None:
-        x = _draws(bundle, "proposal.rho.sampler", q.sampler, streams.proposal, size)
-        pts += x
-        prop = sel.rows(bundle, labels, x, q)
-        a = streams.mh.random(size)
-        if pseudo:
-            lts += prop[0]
-            lqs += prop[2]
-            _, hz = _pseudo_lists(prop, size, rs, hs)
-        else:
-            hz, hs, vlos, vhis = _own_tables(prop, size)
         if certify:
             sigmas = _rejections(hz, a)
         a = a.tolist()

@@ -324,7 +324,9 @@ def _counted(bundle, counts):
     """The bundle with every model callback counting in ``counts`` the
     points it evaluates or draws: a density its block's length (one for a
     single point), a block sampler its size, a proposal callback one.  An
-    independence proposal's rho counts its points as proposal points."""
+    independence proposal's rho counts its points as proposal points,
+    unless it is the pseudo-prior itself: then it stays the wrapped
+    pseudo-prior, so ``proposal.rho is pseudo`` holds as it did."""
 
     def wrap(name, fn, points):
         def counted(*args):
@@ -350,8 +352,14 @@ def _counted(bundle, counts):
             target,
             conditional_sampler=wrap("conditional", target.conditional_sampler, drawn),
         )
-    rho = proposal.rho
-    if rho is not None:
+    rho, counted_pseudo = proposal.rho, replace(
+        pseudo,
+        log_density=wrap("pseudo", pseudo.log_density, evaluated),
+        sampler=wrap("pseudo_draw", pseudo.sampler, drawn),
+    )
+    if rho is pseudo:
+        rho = counted_pseudo
+    elif rho is not None:
         rho = replace(
             rho,
             log_density=wrap("proposal", rho.log_density, evaluated),
@@ -359,11 +367,7 @@ def _counted(bundle, counts):
         )
     return ModelBundle(
         replace(target, log_density=wrap("target", target.log_density, evaluated)),
-        replace(
-            pseudo,
-            log_density=wrap("pseudo", pseudo.log_density, evaluated),
-            sampler=wrap("pseudo_draw", pseudo.sampler, drawn),
-        ),
+        counted_pseudo,
         replace(
             proposal,
             log_density=wrap("proposal", proposal.log_density, one),

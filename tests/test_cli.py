@@ -15,6 +15,8 @@ from ccmix.cli import (
     EXIT_USAGE,
     RunConfig,
     UsageError,
+    _fmt,
+    _write_csv,
     emit_reports,
     main,
     parse_args,
@@ -222,6 +224,23 @@ class TestEmitReports:
         emit_reports(tiny_toy_report, tmp_path)
         raw = (tmp_path / "summary.csv").read_bytes()
         assert b"\r" not in raw
+
+    def test_csv_bytes_match_the_row_by_row_writer(self, tmp_path):
+        # The writer that wrote each row with its own write call.
+        def row_by_row(path, header, rows):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+        header = ["a", "b", "c"]
+        rows = [(0, "", -0.0), (5e-324, 1e16, 0.1), ("gibbs", 7, "")]
+        for rows_of, want in ((rows, b"0,,-0.0\n5e-324,1e+16,0.1\n"), ([], b"a,b,c\n")):
+            _write_csv(tmp_path / "new.csv", header, iter(rows_of))
+            row_by_row(tmp_path / "old.csv", header, iter(rows_of))
+            new = (tmp_path / "new.csv").read_bytes()
+            assert new == (tmp_path / "old.csv").read_bytes()
+            assert want in new
 
 
 _GOOD_SPEC = (

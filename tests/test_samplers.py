@@ -47,7 +47,7 @@ from ccmix import (
     step,
 )
 from ccmix import samplers
-from ccmix.experiments import posterior_model, toy_model
+from ccmix.experiments import _gaussian_pseudo, posterior_model, toy_model
 from ccmix.oracle import FiniteMixtureSpec
 
 Z_EDGES = np.linspace(-2.2, 2.2, 19)
@@ -120,6 +120,19 @@ def _three_component_bundle():
 
 def _two_d_bundle():
     return _gaussian_mixture([(-1.0, 0.0), (1.0, 0.5)], [0.4, 0.6], 1.5, 0.7)
+
+
+def _strata_bundle(n=6):
+    """n Gaussian strata, pi*(m, z) = N(z; mu_m, 0.2) with mu evenly spaced
+    on [-3, 3], and N(mu_m + 0.3, 0.5) as pseudo-prior and independence
+    proposal."""
+    means = np.linspace(-3.0, 3.0, n).tolist()
+    strata = _gaussian_pseudo(means, [0.2] * n)
+    pseudo = _gaussian_pseudo([mu + 0.3 for mu in means], [0.5] * n)
+    target = MixtureTarget(
+        n=n, z_dim=1, log_density=strata.log_density, conditional_sampler=strata.sampler
+    )
+    return ModelBundle(target, pseudo, ProposalFamily.independent(pseudo))
 
 
 def _exact_conditional_proposal(target):
@@ -624,6 +637,8 @@ _MODELS = [
     (posterior_model, State(2, 0.6)),
     (_three_component_bundle, State(3, 0.4)),
     (_two_d_bundle, State(2, np.array([0.3, -0.2]))),
+    # Six labels: the prefix sums are searched on both sides of label 3.
+    (_strata_bundle, State(3, -0.5)),
 ]
 
 
@@ -770,8 +785,9 @@ class TestCarriedDensities:
         # label's proposal and weighs it with the densities of the carry:
         # the target and q at every label for MwG; the target, the
         # pseudo-prior and q at its own label for MCC, which also weighs
-        # the auxiliaries with q.
-        q = ProposalFamily.independent(bundle.pseudo)
+        # the auxiliaries with q.  Here q is an equal copy of the
+        # pseudo-prior, another object.
+        q = ProposalFamily.independent(replace(bundle.pseudo))
         independent = replace(bundle, proposal=q)
         blocked = {
             SamplerId.MWG: {"target": n * n, "proposal": n * n, "proposal_draw": n},
@@ -786,6 +802,13 @@ class TestCarriedDensities:
         for sid, points in blocked.items():
             for got in self._per_step_points(sid, independent, state, 40):
                 assert dict(got) == points, sid
+        # With q the pseudo-prior itself, MCC weighs each point once with
+        # it: 4n points, not 6n.  Its 2n draws, the auxiliaries' and the
+        # proposals', all go through the one sampler.
+        shared = replace(bundle, proposal=ProposalFamily.independent(bundle.pseudo))
+        want_shared = {"target": 2 * n, "pseudo": 2 * n, "pseudo_draw": 2 * n}
+        for got in self._per_step_points(SamplerId.MCC, shared, state, 40):
+            assert dict(got) == want_shared  # no proposal point
         # A general proposal is refreshed one point at a time: the MH
         # refresh weighs its proposal, and after an accepted move the rest
         # of the carry at the new point: the other labels' target densities
@@ -1506,6 +1529,72 @@ class TestInfiniteDensities:
                 assert np.all(trace.m == 2)
             new, _ = step(sampler_id, bundle, state, np.random.default_rng(0))
         assert new.m == 2
+
+
+def _first_error(sid, bundle, state, n_steps, seed):
+    """The number of sweeps of the chain that run clean and the error, as
+    (type, message), of the next one, found by bisection: the sweeps that
+    run clean are a prefix at every block size."""
+
+    def error(k):
+        try:
+            _chain(sid, bundle, state, k, seed)
+        except (ConfigError, PseudoPriorZero, InvalidCurrentState) as exc:
+            return type(exc), str(exc)
+        return None
+
+    lo, hi, raised = 0, n_steps, error(n_steps)
+    assert raised is not None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (found := error(mid)) is None:
+            lo = mid
+        else:
+            hi, raised = mid, found
+    return lo, raised
+
+
+class TestRhoThePseudoPrior:
+    """With rho the pseudo-prior itself, as in both studies, MCC weighs
+    each point once with it and reuses those rows as rho's.  The chain,
+    and the error a bad density raises, must be those of an equal copy of
+    the pseudo-prior as rho, which is weighed by calls of its own."""
+
+    @staticmethod
+    def _with_copy(bundle):
+        copy = ProposalFamily.independent(replace(bundle.pseudo))
+        assert bundle.proposal.rho is bundle.pseudo and copy.rho is not bundle.pseudo
+        return replace(bundle, proposal=copy)
+
+    @pytest.mark.parametrize("model", [toy_model, posterior_model])
+    def test_chain_is_that_of_a_copy(self, model):
+        bundle = model()
+        copied, state = self._with_copy(bundle), State(1, -1.0)
+        for block_size, seed in itertools.product((1, 2, 7, 1024), (0, 1, 42)):
+            with _block_size(block_size):
+                want = _chain(SamplerId.MCC, copied, state, 6000, seed)
+                got = _chain(SamplerId.MCC, bundle, state, 6000, seed)
+            assert np.array_equal(got.m, want.m), (block_size, seed)
+            assert np.array_equal(got.z, want.z), (block_size, seed)
+            assert got.acceptance_rate == want.acceptance_rate, (block_size, seed)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_bad_density_raises_as_with_a_copy(self, value):
+        # log rho is +inf or NaN above 1.2, where the chain goes.
+        bundle = toy_model()
+        bad = _nan_where(bundle.pseudo, lambda j, z: z > 1.2, value)
+        bundle = ModelBundle(bundle.target, bad, ProposalFamily.independent(bad))
+        copied, state = self._with_copy(bundle), State(1, -1.0)
+        clean, raised = _first_error(SamplerId.MCC, bundle, state, 20000, 3)
+        assert clean >= 1 and raised[0] is ConfigError
+        assert _first_error(SamplerId.MCC, copied, state, 20000, 3) == (clean, raised)
+        for block_size in (1, 7):
+            with _block_size(block_size):
+                for b in (bundle, copied):
+                    _chain(SamplerId.MCC, b, state, clean, 3)
+                    with pytest.raises(ConfigError) as exc:
+                        _chain(SamplerId.MCC, b, state, clean + 1, 3)
+                    assert str(exc.value) == raised[1], block_size
 
 
 def _kept_by_selection(r, m, k, n, shift, prefix, v):
