@@ -223,14 +223,16 @@ class ExperimentReport:
 
 
 def default_initial_state(bundle: ModelBundle, seed: int) -> State:
-    """m = 1 with z drawn from the first pseudo-prior (own RNG stream)."""
+    """m = 1 with z drawn from the first pseudo-prior (own RNG stream), else
+    from the first exact conditional, else z = 0 of the target's shape."""
     rng = np.random.default_rng([seed, 1])
     if bundle.pseudo is not None:
         z0 = bundle.pseudo.sampler(1, rng, 1)[0]
     elif bundle.target.conditional_sampler is not None:
         z0 = bundle.target.conditional_sampler(1, rng, 1)[0]
     else:
-        z0 = 0.0
+        z_dim = bundle.target.z_dim
+        z0 = 0.0 if z_dim == 1 else np.zeros(z_dim)
     return State(1, z0)
 
 

@@ -31,24 +31,25 @@ scan of an n x B label table built in numpy.  With the MH or frozen
 refresh a block numbers its points, and a sweep moves one integer index
 p over them: p = 0 is the carried point and p = 1 + b B + k point k of
 block b, the labels' auxiliaries first, then the labels' independence
-proposals, or else the block of a general MH refresh.  Every quantity of
-a point (the point, log pi*, log q, its ratio to rho, its MH log-ratio)
-is read by p alone.  The pseudo-prior selection adds the current point's
-weight to stored prefix sums of the other labels' weights, MwG draws
-from the current point's label weights, made once per point from its
-row of densities, which it reads from the blocks only to weigh the point
-or to end the block, and the MH test compares the two points' log-ratios
-log pi* - log q, read from a table by p.  The per-sweep selection and MH
-test serve the first sweep of an exact-refresh block, the entries the
-tables cannot settle (a +inf or NaN ratio, a weight too large for exp,
-no mass or a vanishing q) and ``step``, which runs blocks of one sweep.
-The tables by p or by label and sweep (ratios, h, MwG's intervals, the
-shifts and prefix sums) stay the float64 arrays numpy builds, read
-through memoryviews, which return the same floats as lists would: a sweep
-reads only the held label's entries, and only where no certificate
-settles it, so a ``tolist`` copy of every entry costs more than it saves.
-The thresholds tau and sigma, read at every skipped sweep, and the
-uniforms stay lists; a block of one sweep reads its entries by ``item``.
+proposals, or else the block of the points a general MH refresh accepts.
+Each quantity of a point (log pi*, log q, its ratio to rho, its MH
+log-ratio h, MwG's certified interval) is read from one flat table at
+base + p: base is 0 for the pseudo-prior selection, which uses a point
+at its own label only, and (m - 1) S for MwG, which keeps the point when
+its label changes, so its tables hold their S points at every label.
+The pseudo-prior selection adds the current point's weight to stored
+prefix sums of the other labels' weights, MwG draws from the current
+point's label weights, made once a point, and the MH test compares the
+two points' h.  The per-sweep selection and MH test serve the first
+sweep of an exact-refresh block, the entries the tables cannot settle (a
++inf or NaN ratio, a weight too large for exp, no mass or a vanishing q)
+and ``step``, which runs blocks of one sweep.  The tables stay the
+float64 arrays numpy builds, read through memoryviews, which return the
+same floats as lists would: a sweep reads only the held label's entries,
+and only where no certificate settles it, so a ``tolist`` copy of every
+entry costs more than it saves.  The thresholds tau and sigma, read at
+every skipped sweep, and the uniforms stay lists, the points blocks; a
+block of one sweep builds its tables as lists by ``item``.
 
 *Certified holds.*  With the frozen refresh or the MH refresh of an
 independence proposal, a block of more than one sweep also holds, for
@@ -56,10 +57,8 @@ each label and sweep, thresholds that prove that a held point keeps its
 label and point under those float tests: tau on the point's ratio for
 the pseudo-prior selection, MwG's interval of the index uniform, and
 sigma on its MH log-ratio (the derivation is beside ``_holds``).  MwG's
-intervals for the independence proposals, each at its own label, are
-made in numpy with the other tables and read by p; only the carried
-point and a label changed by a sweep's test get theirs from the
-per-sweep weights (the bound for both is beside ``_SLACK``).  The
+intervals are made with its other tables, for every point at every
+label, the carried point included (the bound is beside ``_SLACK``).  The
 loop skips the sweeps they certify with two or three comparisons each
 and runs the tests on the others, so the chain is that of the per-sweep
 tests, errors included.  There is no certificate where a threshold's
@@ -77,8 +76,9 @@ reuses the pseudo-prior's rows as q's (``model._pseudo_rows``): 4n
 density points a sweep, not 6n.  The MH refresh of a general proposal
 weighs one point at a time, calling the densities on single points rather
 than on blocks of one, which cost ten times as much in numpy, and copies
-the point it accepts at sweep k into slot k of a block of its own, so its
-sampler may return the same array at every call.
+the point it accepts at sweep k into slot k of a block of its own, and
+its log pi* into the tables' slots, so its sampler may return the same
+array at every call.
 
 *Streams.*  ``run_chain`` gives each label's auxiliaries, each label's
 exact draws, the index uniforms, the MH draws (a general proposal's
@@ -116,7 +116,6 @@ import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -309,7 +308,7 @@ class _Refresh(NamedTuple):
 
 
 def _conditional_select(v, m, carry, aux):
-    # The exact refresh's carry, the row log pi*(., z); MwG selects inline.
+    # The exact refresh's carry, the row log pi*(., z); MwG picks in its loop.
     return _pick(_weights(carry), v)
 
 
@@ -444,50 +443,55 @@ def _exact_block(kernel, bundle, streams, size, m, z, carry):
     return ms, zs, m, _point(zs, -1), sel.carry_of(rows, m - 1, size - 1), 0
 
 
-def _at(col: list, p: int, size: int):
-    """The entry of point p in a column of a block's points or of one of
-    their quantities: col = [its value at z, *blocks of ``size``]."""
+def _at(pts: list, p: int, size: int):
+    """Point p of a block's points, pts = [z, *blocks of ``size``]."""
     if p == 0:
-        return col[0]
-    x, k = col[(p - 1) // size + 1], (p - 1) % size
+        return pts[0]
+    x, k = pts[(p - 1) // size + 1], (p - 1) % size
     return x.item(k) if x.ndim == 1 else x[k]  # ``_point`` inlined: step reads many
 
 
-def _by_point(first: float, x: np.ndarray) -> memoryview:
-    """``first``, then the entries of x in C order: a float64 array read
-    through a memoryview, which returns the array's floats."""
-    return memoryview(np.concatenate(([first], x.ravel())))
+def _by_point(first: float, x: np.ndarray, slots: int = 0) -> memoryview:
+    """``first``, then the entries of x in C order, then ``slots`` unset
+    entries: a float64 array read through a memoryview, which returns the
+    array's floats."""
+    return memoryview(np.concatenate(([first], x.ravel(), np.empty(slots))))
 
 
-def _pseudo_lists(carry, parts, size: int):
-    """The ratios rs = log pi* - log rho of the carry and of the points that
-    ``parts`` weigh (rows [density][label][sweep] each: the auxiliaries,
-    then any independence proposals), by point index p, and, given q's
-    log-density as the carry's third entry and the parts' third row, their
-    MH log-ratios hs = log pi* - log q (else None).  A block of more than
-    one sweep gets rs and hs as ``_by_point`` memoryviews, with the
-    auxiliaries' ratios and the last part's h as arrays [label, sweep];
-    a block of one sweep, where numpy's per-call cost outweighs the work,
-    gets lists by ``item`` and no arrays."""
+def _pseudo_lists(carry, parts, size: int, slots: int):
+    """The pseudo-prior selection's tables by point index p, of the carry
+    and of the points that ``parts`` weigh (rows [density][label][sweep]
+    each: the auxiliaries, then any independence proposals): log pi* (lts),
+    then ``slots`` entries for the points a general MH refresh accepts, and
+    the ratios rs = log pi* - log rho; given q's log-density as the carry's
+    third entry and the parts' third row, also log q (lqs) and the MH
+    log-ratios hs = log pi* - log q (else None).  A block of more than one
+    sweep gets them as ``_by_point`` memoryviews, with the auxiliaries'
+    ratios and the last part's h as arrays [label, sweep]; a block of one
+    sweep, where numpy's per-call cost outweighs the work, gets lists by
+    ``item`` and no arrays."""
     with_q = len(carry) == 3
-    h0 = carry[0] - carry[2] if with_q else None
     if size == 1:
-        rs, hs = [carry[1]], [h0] if with_q else None
+        lts, rs, lqs = [carry[0]], [carry[1]], [carry[2]] if with_q else None
         for rows in parts:
             for j in range(len(rows[0])):
                 lt = rows[0][j].item(0)
+                lts.append(lt)
                 rs.append(_ratio(lt, rows[1][j].item(0)))
                 if with_q:
-                    hs.append(lt - rows[2][j].item(0))
-        return rs, hs, None, None
+                    lqs.append(rows[2][j].item(0))
+        hs = [lt - lq for lt, lq in zip(lts, lqs)] if with_q else None
+        return lts + [0.0] * slots, rs, lqs, hs, None, None
     lt = np.array([rows[0] for rows in parts])  # [part, label, sweep]
     ratios = _ratios(lt, np.array([rows[1] for rows in parts]))
-    hs = h = None
+    lqs = hs = h = None
     if with_q:
+        lq = np.array([rows[2] for rows in parts])
         with np.errstate(invalid="ignore"):
-            h = lt - np.array([rows[2] for rows in parts])
-        hs, h = _by_point(h0, h), h[-1]
-    return _by_point(carry[1], ratios), hs, ratios[0], h
+            h = lt - lq
+        lqs, hs, h = _by_point(carry[2], lq), _by_point(carry[0] - carry[2], h), h[-1]
+    lts = _by_point(carry[0], lt, slots)
+    return lts, _by_point(carry[1], ratios), lqs, hs, ratios[0], h
 
 
 # *Certified holds.*  A sweep that would keep the held label and point is
@@ -528,24 +532,24 @@ def _pseudo_lists(carry, parts, size: int):
 # d = -inf, which the general test rejects too.  sigma is NaN or +inf
 # where hz is not finite, and +inf where a = 0.
 #
-# MwG's selection (in the sweep loop).  Let A_j be the held point's label
-# weights summed over labels 1..j and T their sum.  The exact test keeps
-# label m iff (m = 1 or A_(m-1) <= v T) and (m = n or v T < A_m), v T
-# rounded within u; v > A_(m-1) / T (1 + _SLACK) and v < A_m / T
-# (1 - _SLACK), each bound rounded within 2u, give both.
+# MwG's selection (``_intervals``).  Let A_j be a point's label weights
+# summed over labels 1..j and T their sum.  The exact test keeps label m
+# iff (m = 1 or A_(m-1) <= v T) and (m = n or v T < A_m), v T rounded
+# within u; v > A_(m-1) / T (1 + _SLACK) and v < A_m / T (1 - _SLACK),
+# each bound rounded within 2u, give both.
 #
-# MwG's tables (``_intervals``).  The intervals of an independence
-# proposal's points, each at its own label, are made in numpy for the
-# whole block: numpy's exp of the same differences l_i - max l as the
-# exact test's (a subtraction rounds alike), running sums of those
-# weights and one division per end.  The exact test takes math.exp,
-# divides each weight by their sum and sums the quotients.  Each side's
-# quotient is within (2n + 8)u relative of A_j / T of the exact
-# exponentials: 4u per weight from exp (numpy's tests hold its float64 exp
-# to 1 ulp, glibc's is under 1 ulp; either is 2 ulp at most), (n - 1)u per
-# running sum, two of them, and u per division.  So the two differ by
-# under (4n + 16)u, which _SLACK = 2^23 u covers many times over for any
-# n < 2^20: it need not grow.  A weight below 2^-1022 errs absolutely
+# MwG's tables (``_own_tables``).  The intervals of every point of a
+# block, the carried one included, at every label, are made in numpy:
+# numpy's exp of the same differences l_i - max l as the exact test's (a
+# subtraction rounds alike), running sums of those weights and one
+# division per end.  The exact test takes math.exp, divides each weight by
+# their sum and sums the quotients.  Each side's quotient is within
+# (2n + 8)u relative of A_j / T of the exact exponentials: 4u per weight
+# from exp (numpy's tests hold its float64 exp to 1 ulp, glibc's is under
+# 1 ulp; either is 2 ulp at most), (n - 1)u per running sum, two of them,
+# and u per division.  So the two differ by under (4n + 16)u, for any
+# point and any label, which _SLACK = 2^23 u covers many times over for
+# any n < 2^20: it need not grow.  A weight below 2^-1022 errs absolutely
 # instead, by up to 2^-1072, and so a quotient (T >= 1) by up to
 # n 2^-1072.  A lower bound certifies only v > 0, so v >= 2^-53, far
 # beyond that error; an upper bound is lowered by _FLOOR = 2^-1000, so it
@@ -585,39 +589,63 @@ def _rejections(hz, a) -> list:
         return (hz + _SLACK * np.abs(hz) - log_a).tolist()
 
 
-def _intervals(logw, own):
-    """MwG's certified intervals (vlo, vhi) of the index uniform (above)
-    for points with label log-weights logw [label, point], each at its
-    label own + 1; NaN, which certifies nothing, where a log-weight is NaN
-    or +inf."""
-    n, cols = len(logw), np.arange(logw.shape[1])
+def _intervals(logw):
+    """MwG's certified intervals (vlo, vhi) of the index uniform (above) at
+    every label of points with label log-weights logw [label, point], as
+    arrays [label, point]; NaN, which certifies nothing, where a log-weight
+    is NaN or +inf."""
     with np.errstate(invalid="ignore"):
         acc = np.cumsum(np.exp(logw - logw.max(axis=0)), axis=0)
-        total = acc[-1]
-        vlo = np.where(own > 0, acc[own - 1, cols] / total * (1.0 + _SLACK), -1.0)
-        vhi = acc[own, cols] / total * (1.0 - _SLACK) - _FLOOR
-        one = total / total  # or NaN with the weights
-    return vlo, np.where(own < n - 1, vhi, one)
+        share = acc / acc[-1]  # share[-1] is 1, or NaN with the weights
+    first = np.full((1, logw.shape[1]), -1.0)
+    vlo = np.concatenate((first, share[:-1] * (1.0 + _SLACK)))
+    vhi = share * (1.0 - _SLACK) - _FLOOR
+    vhi[-1] = share[-1]
+    return vlo, vhi
 
 
-def _own_tables(prop, size: int):
-    """MwG's tables of the independence proposals that ``prop`` weighs
-    (rows [density][label][sweep], q's after the target's), each point at
-    its own label, by point index p: h = log pi* - log q and, for a block
-    of more than one sweep, the interval (vlo, vhi) of ``_intervals``, as
-    ``_by_point`` memoryviews whose entry 0, the carried point's, is a NaN
-    the loop never reads.  Also h as an array [label, sweep]; a block of one
-    sweep gets h as a list by ``item``, entry 0 None, and no arrays."""
+def _own_tables(carry, prop, size: int):
+    """MwG's tables of every point at every label, label-major: entry
+    (j - 1) S + p is point p's at label j, S points a label, the carried
+    point p = 0 first, then the independence proposals that ``prop`` weighs
+    (rows [density][label][sweep], q's after the target's): log pi* (lts),
+    log q (lqs), h = log pi* - log q (hs) and, for a block of more than one
+    sweep, the intervals (vlo, vhi) of ``_intervals``, as memoryviews of
+    float64 arrays, with each label's proposals' h at that label as an
+    array [label, sweep].  A block of one sweep gets lists by ``item`` and
+    no arrays.  With no ``prop`` (a general MH refresh) there is only lts,
+    a list, with ``size`` slots after the carried point for the points the
+    refresh accepts."""
+    if prop is None:
+        lts = []
+        for lt in carry:
+            lts += [lt] + [0.0] * size
+        return lts, None, None, None, None, None
     n = len(prop) // 2
     if size == 1:
-        hs = [prop[j][j].item(0) - prop[n + j][j].item(0) for j in range(n)]
-        return None, [None, *hs], None, None
-    lt, ix = np.array(prop[:n]), np.arange(n)  # lt [weighed, drawn, sweep]
+        lts, lqs, hs = [], [], []
+        for j in range(n):
+            lt, lq = carry[j], carry[n + j]
+            lts.append(lt)
+            lqs.append(lq)
+            hs.append(lt - lq)
+            for x, y in zip(prop[j], prop[n + j]):
+                lt, lq = x.item(0), y.item(0)
+                lts.append(lt)
+                lqs.append(lq)
+                hs.append(lt - lq)
+        return lts, lqs, hs, None, None, None
+    rows = np.array(prop).reshape(2 * n, -1)
+    rows = np.concatenate((np.array(carry)[:, None], rows), axis=1)
+    lt, lq = rows[:n], rows[n:]  # [label, point]
     with np.errstate(invalid="ignore"):
-        h = lt[ix, ix] - np.array([prop[n + j][j] for j in ix])
-    vlo, vhi = _intervals(lt.reshape(n, -1), np.repeat(ix, size))
-    hs, vlos, vhis = (_by_point(math.nan, x) for x in (h, vlo, vhi))
-    return h, hs, vlos, vhis
+        h = lt - lq
+    ix = np.arange(n)
+    hz = h[:, 1:].reshape(n, n, size)[ix, ix]
+    lts, lqs, hs, vlos, vhis = (
+        memoryview(x.ravel()) for x in (lt, lq, h, *_intervals(lt))
+    )
+    return lts, lqs, hs, hz, vlos, vhis
 
 
 def _prefix_tables(ratios, v, never, certify: bool):
@@ -670,39 +698,45 @@ def _general_refresh(bundle, streams, sel):
 
 def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     """Sweeps with the MH or the frozen refresh, by point index p (module
-    docstring, *Blocks*): a point, its log pi* and its log q are read from
-    columns by ``_at``, its ratio, its h and MwG's interval of an accepted
-    proposal from flat tables, all by p.  Each pass of the loop skips the
-    sweeps certified to keep the held label and point, then runs the next
-    sweep by the exact selection and MH test."""
+    docstring, *Blocks*): a point is read from the blocks by ``_at``, each
+    of its quantities from a flat table at base + p, base 0 for the
+    pseudo-prior selection and (m - 1) S for MwG's tables of S points a
+    label.  Each pass of the loop skips the sweeps certified to keep the
+    held label and point, then runs the next sweep by the exact selection
+    and MH test."""
     sel, kind = kernel
     n, labels = bundle.target.n, range(1, bundle.target.n + 1)
     pseudo, q = sel is _PSEUDO, bundle.proposal.rho if kind is _MH else None
     aux, blocks = sel.block(bundle, streams, size, q)
     v = streams.index.random(size)
     # A general MH refresh draws at every sweep, so it skips none.
-    certify = size > 1 and (q is not None or kind is _FROZEN)
+    general = kind is _MH and q is None
+    certify = size > 1 and not general
     never = [_INF] * (size + 1)
     sigmas = [never] * n
     pts = [z, *blocks]
+    # The point of label 1's proposal of sweep 0, or of the slot of the
+    # point a general refresh accepts at sweep 0.
+    first = 1 + len(blocks) * size
+    prop = None
     if q is not None:
         x = _draws(bundle, "proposal.rho.sampler", q.sampler, streams.proposal, size)
         pts += x
         prop = sel.rows(bundle, labels, x, q)
         a = streams.mh.random(size)
-        if not pseudo:
-            hz, hs, vlos, vhis = _own_tables(prop, size)
     if pseudo:
-        lts, parts = [carry[0], *aux[0]], [aux]
-        if q is not None:
-            lts += prop[0]
-            lqs, parts = [carry[2], *aux[2], *prop[2]], [aux, prop]
-        rs, hs, ratios, hz = _pseudo_lists(carry, parts, size)
+        parts = [aux] if q is None else [aux, prop]
+        slots = size if general else 0
+        lts, rs, lqs, hs, ratios, hz = _pseudo_lists(carry, parts, size, slots)
         if ratios is None:  # a block of one sweep builds no table
             shifts, prefixes = [[-_INF]] * n, [None] * n
             taus, least = [never] * n, [_INF] * n
         else:
             shifts, prefixes, taus, least = _prefix_tables(ratios, v, never, certify)
+        stride = 0
+    else:
+        lts, lqs, hs, hz, vlos, vhis = _own_tables(carry, prop, size)
+        stride = len(lts) // n
     if q is not None:
         if certify:
             sigmas = _rejections(hz, a)
@@ -710,26 +744,18 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     # Unless every point is finite, each is checked as it is kept (in a
     # block of one sweep, after it).
     check = size > 1 and not math.isfinite(sum(b.sum() for b in pts[1:]))
-    refresh = None
-    if kind is _MH and q is None:  # with the block of the points it accepts
+    if general:  # with the block of the points it accepts
         refresh, read = _general_refresh(bundle, streams, sel), None
         pts.append(np.empty((size, *_shape(z))))
-        if pseudo:
-            lts.append(np.empty(size))
+    base, sg = (m - 1) * stride, sigmas[m - 1]
     if pseudo:
         at = None  # each label's tables, made at the first move
-        j = m - 1
-        shift, prefix, tau_m, sg = shifts[j], prefixes[j], taus[j], sigmas[j]
+        shift, prefix, tau_m = shifts[m - 1], prefixes[m - 1], taus[m - 1]
         r = rs[0]
-        if q is not None:
-            h = hs[0]
     else:
-        # MwG reads a point's row, its carry, only to weigh it or to end
-        # the block; row is None from an accepted proposal until then.
-        sg = sigmas[m - 1]
-        row, weighed, vlo, vhi = carry, None, 2.0, 2.0
-        if q is not None:
-            h = row[m - 1] - row[n + m - 1]
+        weighed, vlo, vhi = None, 2.0, 2.0
+    if q is not None:
+        h = hs[base]
     v = v.tolist()
     v.append(2.0)  # ends a run of MwG's certified sweeps at k = size
     exp, bisect_right, inf, ninf = math.exp, bisect.bisect_right, _INF, -_INF
@@ -744,21 +770,8 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                 held = False
                 if pseudo:
                     tau = tau_m if r - least[m - 1] < 699.0 else never
-                elif row is None:  # an accepted proposal, at its own label
-                    vlo, vhi = vlos[p], vhis[p]
                 else:
-                    # MwG keeps label m while v_k lies inside m's interval of
-                    # the point's cumulative weights, shrunk by the slack.
-                    # Weighing raises only on a NaN, as sweep k would: the
-                    # held row has a finite entry, as _check wants pi*(m, z)
-                    # > 0, the MH test rejects log pi* = -inf and a label
-                    # change keeps the point.
-                    if p != weighed:
-                        weights = _weights(row[:n])
-                        total, acc = sum(weights), list(accumulate(weights))
-                        weighed = p
-                    vlo = acc[m - 2] / total * (1.0 + _SLACK) if m > 1 else -1.0
-                    vhi = acc[m - 1] / total * (1.0 - _SLACK) if m < n else 1.0
+                    vlo, vhi = vlos[base + p], vhis[base + p]
             if not pseudo:
                 while vlo < v[k] < vhi and sg[k] < h:
                     k += 1
@@ -782,9 +795,8 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                     i = min(bisect_right(prefix, uk - wk, lo + m, lo + n) - lo, n - 1)
                 i += 1
             else:  # label j's auxiliary of sweep k is point 1 + (j - 1) size + k
-                ps = range(1 + k, 1 + n * size, size)
-                aux_k = [(_at(lts, o, size), rs[o]) for o in ps]
-                i = sel.select(v[k], m, (_at(lts, p, size), r), aux_k)
+                aux_k = [(lts[o], rs[o]) for o in range(1 + k, 1 + n * size, size)]
+                i = sel.select(v[k], m, (lts[p], r), aux_k)
             if i != m:
                 if at is None:
                     at = list(zip(shifts, prefixes, taus, sigmas))
@@ -793,64 +805,43 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                 r = rs[p]
                 if q is not None:
                     h = hs[p]
-        elif vlo < (vk := v[k]) < vhi:
+        elif vlo < v[k] < vhi:
             pass  # the selection is certified, the MH test is not
         else:
-            # The current point's label weights stand until a move is
-            # accepted; ``_pick`` by their running sums.
+            # The held point's label weights stand until a move is accepted.
             if p != weighed:
-                if row is None:
-                    row = sel.carry_of(prop, *divmod(p - 1, size))
-                weights = _weights(row[:n])
-                weighed, total, acc = p, sum(weights), list(accumulate(weights))
-            i = min(bisect_right(acc, vk * total), n - 1) + 1
-            if i != m:
-                m, held, sg = i, True, sigmas[i - 1]
+                weights, weighed = _weights(lts[p::stride]), p
+            if (i := _pick(weights, v[k])) != m:
+                m, base, held, sg = i, (i - 1) * stride, True, sigmas[i - 1]
                 if q is not None:
-                    h = row[m - 1] - row[n + m - 1]
+                    h = hs[base + p]
         if q is not None:  # o: label m's proposal of sweep k
-            if pseudo:
-                o = 1 + (n + m - 1) * size + k
-                hk = hs[o]
-            else:
-                o = 1 + (m - 1) * size + k
-                hk = hs[o]
+            o = first + (m - 1) * size + k
+            hk = hs[base + o]
             d = hk - h
             if ninf < d < inf:
                 accept = d >= 0.0 or a[k] < exp(d)
             else:  # the errors and rejections of the general MH test
-                if pseudo:
-                    lt, lq = _at(lts, p, size), _at(lqs, p, size)
-                    lt_z, lq_z = _at(lts, o, size), _at(lqs, o, size)
-                else:
-                    if row is None:
-                        row = sel.carry_of(prop, *divmod(p - 1, size))
-                    lt, lq = row[m - 1], row[n + m - 1]
-                    lt_z = prop[m - 1][m - 1].item(k)
-                    lq_z = prop[n + m - 1][m - 1].item(k)
+                lt, lq = lts[base + p], lqs[base + p]
+                lt_z, lq_z = lts[base + o], lqs[base + o]
                 log_alpha = _mh_log_acceptance(m, lt, lq_z, lt_z, lq, _RHO)
                 accept = a[k] < exp(log_alpha)
             if accept:
                 p, n_accepted, held, h = o, n_accepted + 1, True, hk
                 if pseudo:
                     r = rs[p]
-                else:
-                    row = None
-        elif refresh is not None:
-            if p != read:  # the held point and its log pi*, read once a point
+        elif general:
+            if p != read:  # the held point, read once a point
                 read, u = p, _at(pts, p, size)
-                if pseudo:
-                    lt = _at(lts, p, size)
-            moved = refresh(m, u, lt if pseudo else row[m - 1])
+            moved = refresh(m, u, lts[base + p])
             if moved is not None:
                 # The engine keeps a copy: a sampler may reuse its array.
-                p = 1 + (len(pts) - 2) * size + k
-                n_accepted, held = n_accepted + 1, True
+                p, n_accepted, held = first + k, n_accepted + 1, True
                 pts[-1][k] = moved[0]
                 if pseudo:
-                    lts[-1][k], r = moved[1]
-                else:
-                    row = moved[1]
+                    lts[p], r = moved[1]
+                else:  # its row, log pi* at every label, into the list
+                    lts[p::stride] = moved[1]
         if held:
             held = certify
             starts.append(k)
@@ -860,10 +851,11 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         k += 1
     z = _at(pts, p, size)
     if pseudo:
-        lt = _at(lts, p, size)
-        carry = (lt, r) if q is None else (lt, r, _at(lqs, p, size))
+        carry = (lts[p], r) if q is None else (lts[p], r, lqs[p])
     else:
-        carry = row if row is not None else sel.carry_of(prop, *divmod(p - 1, size))
+        carry = list(lts[p::stride])
+        if q is not None:
+            carry += lqs[p::stride]
     if size == 1:
         _check_finite(z)
         return [m], [z], m, z, carry, n_accepted

@@ -1,12 +1,21 @@
 """Tests for the two numerical studies (light iteration counts)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ccmix import SamplerId
+from ccmix import (
+    MixtureTarget,
+    ModelBundle,
+    ProposalFamily,
+    SamplerConfig,
+    SamplerId,
+    State,
+    run_chain,
+)
 from ccmix.experiments import (
     DEFAULT_DENSITY_GRID_STEP,
     POSTERIOR_X_OBS,
@@ -132,6 +141,31 @@ class TestDefaultInitialState:
     def test_varies_with_seed(self):
         bundle = toy_model()
         assert default_initial_state(bundle, 1).z != default_initial_state(bundle, 2).z
+
+    def test_without_pseudo_prior_draws_the_exact_conditional(self):
+        bundle = replace(toy_model(), pseudo=None)
+        state = default_initial_state(bundle, 5)
+        draw = bundle.target.conditional_sampler(1, np.random.default_rng([5, 1]), 1)
+        assert state == State(1, draw[0])
+
+    @pytest.mark.parametrize("z_dim", [1, 2])
+    def test_without_samplers_starts_at_zero_of_the_targets_shape(self, z_dim):
+        # An MwG-only model: neither a pseudo-prior nor an exact conditional.
+        def log_density(m, z):
+            return -0.5 * np.sum(np.square(z), axis=-1) if z_dim > 1 else -0.5 * z * z
+
+        target = MixtureTarget(n=2, z_dim=z_dim, log_density=log_density)
+        walk = ProposalFamily(
+            n=2,
+            log_density=lambda l, u, z: 0.0,
+            sampler=lambda l, u, rng: u + rng.standard_normal(np.shape(u)),
+        )
+        bundle = ModelBundle(target, proposal=walk)
+        state = default_initial_state(bundle, 0)
+        assert state.m == 1 and np.shape(state.z) == (() if z_dim == 1 else (z_dim,))
+        assert np.all(state.z == 0.0)
+        config = SamplerConfig(SamplerId.MWG, 50, state, burn_in=0)
+        assert len(run_chain(config, bundle)) == 50
 
 
 @pytest.fixture(scope="module")

@@ -149,6 +149,13 @@ class TestKernelStructure:
         spec = specs[0]
         np.testing.assert_array_equal(build_Q4(spec).matrix, np.eye(spec.n_states))
 
+    @pytest.mark.parametrize("n, G", [(2, 5), (3, 10), (4, 6)])
+    def test_q3_with_identity_proposals_is_q4(self, n, G):
+        # The exact twin of MCC with a stay-put proposal running as FCC.
+        spec = random_spec(np.random.default_rng(n * G), n, G)
+        stay = replace(spec, proposal=np.tile(np.eye(G), (n, 1, 1)))
+        np.testing.assert_array_equal(build_Q3(stay).matrix, build_Q4(stay).matrix)
+
     def test_p3_single_component_fixes_the_state(self):
         spec = random_spec(np.random.default_rng(1), 1, 6)
         np.testing.assert_allclose(build_P3(spec).matrix, np.eye(6), atol=1e-14)

@@ -497,6 +497,27 @@ class TestCollapseSmoke:
             b = _one_step(SamplerId.FCC, delta, state, np.random.default_rng(i))
             assert a.m == b.m and a.z == b.z
 
+    @pytest.mark.parametrize(
+        "model, state",
+        [(toy_model, State(1, -1.0)), (posterior_model, State(2, 0.6))],
+        ids=["toy", "posterior"],
+    )
+    @pytest.mark.parametrize(
+        "block_size, n_steps", [(1, 3000), (2, 3000), (7, 3000), (1024, 20000)]
+    )
+    def test_mcc_chain_with_delta_proposal_is_fcc(
+        self, model, state, block_size, n_steps
+    ):
+        # The block engine's general refresh accepts every stay-put move,
+        # copying the point and its log pi* into the accepted points' slots.
+        bundle = model()
+        delta = ModelBundle(bundle.target, bundle.pseudo, _delta_proposal(2))
+        with _block_size(block_size):
+            mcc = _chain(SamplerId.MCC, delta, state, n_steps, 3)
+            fcc = _chain(SamplerId.FCC, delta, state, n_steps, 3)
+        assert np.array_equal(mcc.m, fcc.m) and np.array_equal(mcc.z, fcc.z)
+        assert mcc.acceptance_rate == 1.0
+
     def test_mcc_with_exact_conditional_proposal_equals_cc(self, toy_bundle):
         # The exact-conditional proposal is always accepted, and the
         # accepted point comes from the same position in the stream as
@@ -1648,8 +1669,8 @@ def _selection_cases(draw):
 @st.composite
 def _interval_cases(draw):
     """Label log-weights [label, point] for n in {1, 2, 3, 5}, with -inf,
-    NaN, +inf and +-700 entries and spans that make subnormal weights, each
-    point's own label (0-based) and two index uniforms."""
+    NaN, +inf and +-700 entries and spans that make subnormal weights, and
+    two index uniforms."""
     n = draw(st.sampled_from([1, 2, 3, 5]))
     size = draw(st.integers(1, 4))
     value = st.one_of(
@@ -1657,9 +1678,8 @@ def _interval_cases(draw):
         st.floats(-60.0, 60.0),
     )
     logw = np.array(draw(st.lists(value, min_size=n * size, max_size=n * size)))
-    own = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
     uniforms = draw(st.lists(_uniforms, min_size=2, max_size=2))
-    return logw.reshape(n, size), np.array(own), uniforms
+    return logw.reshape(n, size), uniforms
 
 
 class TestCertifiedHolds:
@@ -1728,22 +1748,25 @@ class TestCertifiedHolds:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_interval_cases())
     def test_mwg_intervals_keep_the_label(self, case):
-        logw, own, uniforms = case
-        vlo, vhi = samplers._intervals(logw, own)
+        # Every label of every point: the sweep loop reads the interval of
+        # the held point at whatever label it holds.
+        logw, uniforms = case
+        vlo, vhi = samplers._intervals(logw)
+        assert vlo.shape == vhi.shape == logw.shape
         for c in range(logw.shape[1]):
-            row, lo, hi = logw[:, c].tolist(), float(vlo[c]), float(vhi[c])
-            candidates = list(uniforms)
-            bounds = [lo, hi]
+            row = logw[:, c].tolist()
+            bounds = vlo[:, c].tolist() + vhi[:, c].tolist()
             with contextlib.suppress(ValueError):  # NaN or no mass
                 w = samplers._weights(row)
                 bounds += [a / sum(w) for a in itertools.accumulate(w)]
+            candidates = list(uniforms)
             for b in bounds:
                 if math.isfinite(b):
                     candidates += _ulps(b, 4)
-            for v in candidates:
+            for j, v in itertools.product(range(len(row)), candidates):
                 # An index uniform is 0 or at least 2^-53, and below 1.
-                if (v == 0.0 or 2.0**-53 <= v < 1.0) and lo < v < hi:
-                    assert samplers._pick(samplers._weights(row), v) == own[c] + 1
+                if (v == 0.0 or 2.0**-53 <= v < 1.0) and vlo[j, c] < v < vhi[j, c]:
+                    assert samplers._pick(samplers._weights(row), v) == j + 1
 
     def test_vanishing_pseudo_prior_in_certified_run_raises_at_its_sweep(self):
         # Label 1 has e^-30 of label 2's weight, so the chain holds label 2
