@@ -25,7 +25,6 @@ from .samplers import (
     step,
 )
 from .diagnostics import (
-    AcfEstimate,
     AsymptoticVarianceEstimate,
     acf,
     asymptotic_variance_batch_means,

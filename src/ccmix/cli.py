@@ -32,6 +32,7 @@ import numpy as np
 from . import oracle
 from .diagnostics import DEFAULT_MAX_LAG, ConstantSeries
 from .experiments import ExperimentReport, run_posterior_experiment, run_toy_experiment
+from .samplers import DEFAULT_BURN_IN
 
 __all__ = ["RunConfig", "UsageError", "parse_args", "emit_reports", "main"]
 
@@ -51,7 +52,7 @@ class RunConfig:
     command: str
     seed: int = 42
     iterations: int = 101_000
-    burn_in: int = 1000
+    burn_in: int = DEFAULT_BURN_IN
     output_dir: Path = Path("out")
     spec_file: Optional[Path] = None
     replicates: int = 10
@@ -96,16 +97,11 @@ def parse_args(argv) -> RunConfig:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The header and rows as one string, written at once."""
-    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+    """The header and rows as one string, written at once; ``str`` writes
+    a float, numpy's too, as its shortest round-trip text."""
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def emit_reports(report: ExperimentReport, output_dir: Path) -> list[Path]:
@@ -117,11 +113,7 @@ def emit_reports(report: ExperimentReport, output_dir: Path) -> list[Path]:
         for name, result in report.results.items():
             for component, est in (("m", result.acf_m), ("z", result.acf_z)):
                 path = output_dir / f"acf_{name}_{component}.csv"
-                _write_csv(
-                    path,
-                    ["lag", "value"],
-                    zip(est.lags.tolist(), est.values.tolist()),
-                )
+                _write_csv(path, ["lag", "value"], enumerate(est.tolist()))
                 written.append(path)
         summary = output_dir / "summary.csv"
         _write_csv(
@@ -210,7 +202,7 @@ def main(argv=None) -> int:
     for name, r in report.results.items():
         acc = "-" if r.acceptance_rate is None else f"{r.acceptance_rate:.3f}"
         print(
-            f"{name}: mean_z={r.mean_z:.4f} lag1_acf_m={r.acf_m.values[1]:.4f} "
+            f"{name}: mean_z={r.mean_z:.4f} lag1_acf_m={r.acf_m[1]:.4f} "
             f"acceptance={acc} wallclock={r.wall_clock_seconds:.2f}s"
         )
     if report.mu_z_true is not None:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "AcfEstimate",
     "AsymptoticVarianceEstimate",
     "ConstantSeries",
     "SeriesTooShort",
@@ -46,13 +45,6 @@ class EmptySample(ValueError):
 
 
 @dataclass(frozen=True)
-class AcfEstimate:
-    lags: np.ndarray
-    values: np.ndarray
-    series_length: int
-
-
-@dataclass(frozen=True)
 class AsymptoticVarianceEstimate:
     value: float
     method: str
@@ -69,8 +61,9 @@ def _series(series) -> np.ndarray:
     return x
 
 
-def acf(series, max_lag: int = DEFAULT_MAX_LAG) -> AcfEstimate:
-    """Empirical autocorrelation at lags 0..max_lag.
+def acf(series, max_lag: int = DEFAULT_MAX_LAG) -> np.ndarray:
+    """Empirical autocorrelation at lags 0..max_lag: a float64 array of
+    max_lag + 1 values, 1.0 at lag 0.
 
     Uses the biased (1/N) autocovariance estimator, which keeps the
     estimated sequence positive semidefinite.  The series must be 1-D and
@@ -89,7 +82,7 @@ def acf(series, max_lag: int = DEFAULT_MAX_LAG) -> AcfEstimate:
     values[0] = 1.0
     for k in range(1, max_lag + 1):
         values[k] = float(x[:-k] @ x[k:]) / len(x) / c0
-    return AcfEstimate(np.arange(max_lag + 1), values, len(x))
+    return values
 
 
 def asymptotic_variance_batch_means(

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import AcfEstimate, ConstantSeries, acf, kde
+from .diagnostics import ConstantSeries, acf, kde
 from .model import MixtureTarget, ProposalFamily, PseudoPriorSet, State
 from .samplers import ModelBundle, SamplerConfig, SamplerId, run_chain
 
@@ -86,15 +86,11 @@ def _gaussian_pseudo(means, variances) -> PseudoPriorSet:
     return PseudoPriorSet(n=len(means), log_density=log_density, sampler=sampler)
 
 
-def toy_model(
-    optimal_pseudo: bool = False, pseudo_var_scale: float = 1.0
-) -> ModelBundle:
-    """The Gaussian-strata study: pi*(m, z) = 0.5 N(z; mu_m, 0.2).
-
-    With ``optimal_pseudo`` the pseudo-priors equal the exact
-    conditionals N(mu_m, 0.2), in which case the CC sweep draws the
-    index i.i.d. from its marginal.  ``pseudo_var_scale``, finite and
-    > 0, perturbs the pseudo-prior variances for robustness checks.
+def toy_model(pseudo_var_scale: float = 1.0) -> ModelBundle:
+    """The Gaussian-strata study: pi*(m, z) = 0.5 N(z; mu_m, 0.2), with
+    the pseudo-priors N(TOY_PSEUDO_MEANS, TOY_PSEUDO_VARS) as independence
+    proposals.  ``pseudo_var_scale``, finite and > 0, scales the
+    pseudo-prior variances for robustness checks.
     """
     if not 0 < pseudo_var_scale < math.inf:
         raise ValueError(
@@ -114,11 +110,8 @@ def toy_model(
     target = MixtureTarget(
         n=2, z_dim=1, log_density=log_density, conditional_sampler=conditional_sampler
     )
-    if optimal_pseudo:
-        pseudo = _gaussian_pseudo(TOY_MEANS, (TOY_VAR, TOY_VAR))
-    else:
-        variances = tuple(pseudo_var_scale * v for v in TOY_PSEUDO_VARS)
-        pseudo = _gaussian_pseudo(TOY_PSEUDO_MEANS, variances)
+    variances = tuple(pseudo_var_scale * v for v in TOY_PSEUDO_VARS)
+    pseudo = _gaussian_pseudo(TOY_PSEUDO_MEANS, variances)
     return ModelBundle(target, pseudo, ProposalFamily.independent(pseudo))
 
 
@@ -200,8 +193,8 @@ def true_posterior(grid: Optional[np.ndarray] = None) -> tuple[float, np.ndarray
 @dataclass
 class SamplerResult:
     sampler_id: str
-    acf_m: AcfEstimate
-    acf_z: AcfEstimate
+    acf_m: np.ndarray  # lags 0..DEFAULT_MAX_LAG
+    acf_z: np.ndarray
     mean_z: float
     acceptance_rate: Optional[float]
     wall_clock_seconds: float
@@ -270,7 +263,7 @@ def _run_study(
             )
             traces.append(run_chain(config, bundle))
         try:
-            lag1 = [float(acf(t.m, 1).values[1]) for t in traces]
+            lag1 = [float(acf(t.m, 1)[1]) for t in traces]
             acf_m = acf(traces[0].m)
             acf_z = acf(traces[0].z)
         except ConstantSeries as exc:

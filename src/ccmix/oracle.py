@@ -93,7 +93,7 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class FiniteMixtureSpec:
-    """A mixture target discretized to ``grid``.
+    """A mixture target discretized to ``grid``, one-dimensional and finite.
 
     ``prob`` (n x G) holds the joint masses pi*(m, z_g) and sums to one;
     each row of ``pseudo`` (n x G) is a pseudo-prior mass function; each
@@ -108,6 +108,8 @@ class FiniteMixtureSpec:
     proposal: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if np.ndim(self.grid) != 1 or not np.all(np.isfinite(self.grid)):
+            raise ValueError("grid must be one-dimensional and finite")
         G = len(self.grid)
         if self.prob.shape != (self.n, G) or self.pseudo.shape != (self.n, G):
             raise DimensionMismatch("prob and pseudo must have shape (n, G)")

@@ -270,7 +270,7 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 # With an independence proposal q the carry also holds log q at z: the
 # row log q_.(z) after the row of the target, or a third entry
 # log q_m(z) after the pair.
-# A selection has eight parts:
+# A selection has seven parts:
 #   block(bundle, streams, size, q) draws and weighs every label's
 #     auxiliaries for ``size`` sweeps: their rows and their points;
 #   select(v, m, carry, aux) -> m' selects at one sweep from its index
@@ -282,7 +282,6 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 #   carry_of(rows, j, k) is the carry of point k of label j + 1's block;
 #   carry_at(bundle, m, z, lt) is the carry of one point z, given
 #     lt = log pi*(m, z), for the MH refresh of a general proposal;
-#   lt(carry, m) reads log pi*(m, z) back;
 #   exact_logw(rows, aux) is the log-weights [label, j, k] of the index
 #     draw at sweep k + 1 from label j + 1's exact point of sweep k;
 #   needs is the bundle part it requires, (name, accessor), or ().
@@ -297,7 +296,6 @@ class _Selection(NamedTuple):
     rows: Callable
     carry_of: Callable
     carry_at: Callable
-    lt: Callable
     exact_logw: Callable
     needs: tuple
 
@@ -381,7 +379,6 @@ _CONDITIONAL = _Selection(
     _conditional_rows,
     lambda rows, j, k: [row[j].item(k) for row in rows],
     _row_at,
-    lambda carry, m: carry[m - 1],
     lambda rows, aux: rows[:, :, :-1],
     (),
 )
@@ -393,7 +390,6 @@ _PSEUDO = _Selection(
     ),
     _ratio_of,
     _ratio_at,
-    lambda carry, m: carry[0],
     _pseudo_exact_logw,
     ("a PseudoPriorSet", lambda b: b.pseudo),
 )
@@ -664,7 +660,7 @@ def _prefix_tables(ratios, v, never, certify: bool):
     with np.errstate(invalid="ignore"):
         shift = others.max(axis=0)
         prefix = np.exp(others - shift)
-    for j in range(1, n):  # np.cumsum's sums, which it makes column by column
+    for j in range(1, n):  # np.cumsum's sums, in a tenth of its axis-0 time
         prefix[j] += prefix[j - 1]
     finite = np.isfinite(shift)
     shift[~finite] = -_INF
@@ -885,7 +881,8 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     part each of its records needs, every part with the target's n, an
     integer label in 1..n, z of the target's shape, log pi*(m, z) finite
     and log rho_m(z) and log q_m(z) not +inf.  Return the sampler's kernel
-    and the state's carry.
+    and the state's carry, which holds those densities as the comment
+    above ``_Selection`` lays out.
 
     Weighing the state is the first checked call (``model._call``); the
     sweeps check every later one, so a callback that breaks the protocol
@@ -920,7 +917,8 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     q = proposal.rho if kernel[1] is _MH else None
     rows = sel.rows(bundle, [m], [_block(state.z)], q)
     carry = sel.carry_of(rows, 0, 0)
-    if not -math.inf < (lt := sel.lt(carry, m)) < math.inf:
+    lt = carry[0] if sel is _PSEUDO else carry[m - 1]
+    if not -math.inf < lt < math.inf:
         kinds = {-math.inf: "zero mass", math.inf: "a +inf log-density"}
         what = kinds.get(lt, "a NaN log-density")
         raise ConfigError(f"the target has {what} at the initial state {state}")

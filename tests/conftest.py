@@ -14,6 +14,8 @@ from ccmix.experiments import (
     POSTERIOR_X_OBS,
     TOY_MEANS,
     TOY_VAR,
+    _gaussian_pseudo,
+    toy_model,
 )
 from ccmix.oracle import FiniteMixtureSpec
 
@@ -212,8 +214,14 @@ def independence_bundle(spec: FiniteMixtureSpec, q=None):
     return bundle, twin
 
 
+def optimal_toy_bundle():
+    """The toy target with pseudo-priors equal to its exact conditionals
+    N(mu_m, 0.2), as independence proposals: the CC sweep then draws the
+    index i.i.d. from its marginal."""
+    pseudo = _gaussian_pseudo(TOY_MEANS, (TOY_VAR, TOY_VAR))
+    return ModelBundle(toy_model().target, pseudo, ProposalFamily.independent(pseudo))
+
+
 @pytest.fixture(scope="session")
 def toy_bundle():
-    from ccmix.experiments import toy_model
-
     return toy_model()

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from conftest import (
     chi2_pvalue,
+    optimal_toy_bundle,
     runs_test_zscore,
     sample_toy_exact,
 )
@@ -295,7 +296,7 @@ def test_criterion_7_posterior_study(posterior_report):
     for name in ("mwg", "mcc", "fcc"):
         assert abs(report.results[name].mean_z - 0.315) <= 0.02, name
     lag_gap = float(
-        report.results["mwg"].acf_m.values[1] - report.results["fcc"].acf_m.values[1]
+        report.results["mwg"].acf_m[1] - report.results["fcc"].acf_m[1]
     )
     assert lag_gap >= 0.1
     assert (
@@ -466,7 +467,7 @@ def test_criterion_9_optimal_pseudo_priors():
     """With pseudo-priors equal to the exact conditionals the index
     weights are uniform to near machine precision and the CC label
     sequence is i.i.d."""
-    bundle = toy_model(optimal_pseudo=True)
+    bundle = optimal_toy_bundle()
     rng = np.random.default_rng(9001)
     worst = 0.0
     for _ in range(1000):

@@ -15,7 +15,6 @@ from ccmix.cli import (
     EXIT_USAGE,
     RunConfig,
     UsageError,
-    _fmt,
     _write_csv,
     emit_reports,
     main,
@@ -201,8 +200,8 @@ class TestEmitReports:
         assert len(lines) == 52  # header + lags 0..50
         lag, value = lines[1].split(",")
         assert lag == "0" and float(value) == 1.0
-        # Every value survives a text round trip exactly (repr floats).
-        for line, expected in zip(lines[1:], tiny_toy_report.results["gibbs"].acf_m.values):
+        # Every value survives a text round trip exactly (str of a float).
+        for line, expected in zip(lines[1:], tiny_toy_report.results["gibbs"].acf_m):
             assert float(line.split(",")[1]) == expected
 
     def test_summary_csv_schema(self, tmp_path, tiny_posterior_report):
@@ -231,11 +230,12 @@ class TestEmitReports:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(",".join(header) + "\n")
                 for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                    fh.write(",".join(str(v) for v in row) + "\n")
 
         header = ["a", "b", "c"]
-        rows = [(0, "", -0.0), (5e-324, 1e16, 0.1), ("gibbs", 7, "")]
-        for rows_of, want in ((rows, b"0,,-0.0\n5e-324,1e+16,0.1\n"), ([], b"a,b,c\n")):
+        rows = [(0, "", -0.0), (5e-324, 1e16, 0.1), ("gibbs", 7, np.float64(0.5))]
+        pinned = b"0,,-0.0\n5e-324,1e+16,0.1\ngibbs,7,0.5\n"
+        for rows_of, want in ((rows, pinned), ([], b"a,b,c\n")):
             _write_csv(tmp_path / "new.csv", header, iter(rows_of))
             row_by_row(tmp_path / "old.csv", header, iter(rows_of))
             new = (tmp_path / "new.csv").read_bytes()
@@ -291,6 +291,7 @@ class TestEndToEnd:
             "#grid\n0.0\t1.0\n",
             "#grid\n#pi\n0.5\t0.5\n#pseudo\n0.5\t0.5\n",
             "#grid\n0.0\t1.0\n#pi\nnan\t0.5\n0.25\t0.25\n#pseudo\n0.5\t0.5\n0.5\t0.5\n",
+            _GOOD_SPEC.replace("1.0", "nan", 1),
             # Valid specs that a kernel builder rejects.
             "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n0.5\t0.5\n0.5\t0.5\n",
             "#grid\n0.0\t1.0\n#pi\n0.25\t0.25\n0.25\t0.25\n#pseudo\n1.0\t0.0\n0.5\t0.5\n"
@@ -302,7 +303,7 @@ class TestEndToEnd:
             _GOOD_SPEC + "#pi\n0.1\t0.4\n0.1\t0.4\n",
             _GOOD_SPEC + "#weights\n1.0\t0.0\n",
         ],
-        ids=["missing", "non-numeric", "no-pi-section", "empty-grid", "nan-mass",
+        ids=["missing", "non-numeric", "no-pi-section", "empty-grid", "nan-mass", "nan-grid",
              "no-proposal", "vanishing-pseudo", "ratio-span", "duplicate-section",
              "unknown-section"],
     )

@@ -184,7 +184,7 @@ class TestRunToyExperiment:
         assert set(toy_report_small.results) == {"gibbs", "cc", "mcc", "fcc"}
         assert toy_report_small.mu_z_true is None and toy_report_small.density_grid is None
         for r in toy_report_small.results.values():
-            assert len(r.acf_m.values) == 51 and len(r.acf_z.values) == 51
+            assert r.acf_m.shape == r.acf_z.shape == (51,)
             assert len(r.wall_clocks) == 2 and len(r.lag1_m) == 2
             assert -1.5 < r.mean_z < 1.5
 
@@ -198,8 +198,8 @@ class TestRunToyExperiment:
         again = run_toy_experiment(seed=3, n_iter=3000, burn_in=200, replicates=2)
         for name, r in toy_report_small.results.items():
             r2 = again.results[name]
-            np.testing.assert_array_equal(r.acf_m.values, r2.acf_m.values)
-            np.testing.assert_array_equal(r.acf_z.values, r2.acf_z.values)
+            np.testing.assert_array_equal(r.acf_m, r2.acf_m)
+            np.testing.assert_array_equal(r.acf_z, r2.acf_z)
             assert r.mean_z == r2.mean_z
             assert r.lag1_m == r2.lag1_m
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import optimal_toy_bundle
+
 from ccmix import (
     AllZeroMass,
     ConfigError,
@@ -144,7 +146,7 @@ class TestCcIndexWeights:
             np.testing.assert_allclose(w0, w1, rtol=1e-13)
 
     def test_optimal_pseudo_gives_half_half(self):
-        bundle = toy_model(optimal_pseudo=True)
+        bundle = optimal_toy_bundle()
         rng = np.random.default_rng(7)
         for _ in range(20):
             u = rng.normal(size=2) * 2

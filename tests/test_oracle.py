@@ -84,6 +84,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FiniteMixtureSpec(2, np.arange(3.0), prob, pseudo)
 
+    @pytest.mark.parametrize(
+        "grid", [np.array([0.0, np.nan, 2.0]), np.array([0.0, 1.0, np.inf]),
+                 np.arange(3.0)[:, None]],
+        ids=["nan", "inf", "column"],
+    )
+    def test_grid_must_be_finite_and_one_dimensional(self, grid):
+        prob, pseudo = np.full((2, 3), 1 / 6), np.full((2, 3), 1 / 3)
+        with pytest.raises(ValueError, match="grid"):
+            FiniteMixtureSpec(2, grid, prob, pseudo)
+
     def test_proposal_must_be_row_stochastic(self):
         prob = np.full((2, 3), 1 / 6)
         pseudo = np.full((2, 3), 1 / 3)
