@@ -10,10 +10,6 @@ from .model import (
     PseudoPriorSet,
     PseudoPriorZero,
     State,
-    cc_index_weights,
-    conditional_index_weights,
-    draw_index,
-    mh_log_acceptance,
 )
 from .samplers import (
     ChainTrace,
@@ -21,6 +17,10 @@ from .samplers import (
     ModelBundle,
     SamplerConfig,
     SamplerId,
+    cc_index_weights,
+    conditional_index_weights,
+    draw_index,
+    mh_log_acceptance,
     run_chain,
     step,
 )

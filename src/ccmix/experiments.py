@@ -192,7 +192,6 @@ def true_posterior(grid: Optional[np.ndarray] = None) -> tuple[float, np.ndarray
 
 @dataclass
 class SamplerResult:
-    sampler_id: str
     acf_m: np.ndarray  # lags 0..DEFAULT_MAX_LAG
     acf_z: np.ndarray
     mean_z: float
@@ -270,7 +269,6 @@ def _run_study(
             raise ConstantSeries(f"sampler {sid.value}: {exc}") from exc
         wall_clocks = [t.wall_clock_seconds for t in traces]
         results[sid.value] = SamplerResult(
-            sampler_id=sid.value,
             acf_m=acf_m,
             acf_z=acf_z,
             mean_z=float(np.mean(traces[0].z)),

@@ -20,6 +20,11 @@ as is.  The table is ``_KERNELS``: per sampler, a ``_Selection`` record
 (``_CONDITIONAL``, ``_PSEUDO``) and a ``_Refresh`` record (``_EXACT``,
 ``_MH``, ``_FROZEN``), each naming the bundle part it needs; a refresh
 also names its block engine, ``_exact_block`` or ``_table_sweeps``.
+A sweep's index weights and MH test are computed in log-space, with
+max-subtraction so that well-separated modes do not underflow (``_weights``,
+``_resolve``, ``_pick``, ``_mh_log_acceptance``); ``cc_index_weights``,
+``conditional_index_weights``, ``draw_index`` and ``mh_log_acceptance`` give
+them for one point.
 
 *Blocks.*  The auxiliaries, the exact draws, the independence proposals
 and the uniforms do not depend on the chain state, so the sweeps run in
@@ -72,7 +77,7 @@ every label, for the next sweep's conditional weights), and its MH test
 is one comparison, a_k < exp(min(0, [lt(z') - lq(z')] - [lt(u) -
 lq(u)])) with lt = log pi*(m, .) and lq = log q_m, read at the indices of
 u and z'.  Where q is the pseudo-prior itself, as in both studies, MCC
-reuses the pseudo-prior's rows as q's (``model._pseudo_rows``): 4n
+reuses the pseudo-prior's rows as q's (``_pseudo_rows``): 4n
 density points a sweep, not 6n.  The MH refresh of a general proposal
 weighs one point at a time, calling the densities on single points rather
 than on blocks of one, which cost ten times as much in numpy, and copies
@@ -84,15 +89,16 @@ array at every call.
 exact draws, the index uniforms, the MH draws (a general proposal's
 points and uniforms, or an independence proposal's accept uniforms) and
 each label's independence proposals a child stream of the seed of their
-own, the last n spawned after the others, so a chain is the same at
-every block size, and samplers that share a seed share those streams.
-A block keeps each draw where its stream put it.  (The tables
-use numpy's exp, the per-sweep selection math.exp; a last-bit difference
-changes a label only if a uniform falls within rounding of a cumulative
-weight, and the tests check the equality.)  ``step`` draws every stream
-from its one generator in a fixed order: the auxiliaries in label order,
-then the index uniform, then the refresh (an independence proposal's
-points in label order, then its uniform).
+own, the last n spawned after the others, so a chain draws the same
+numbers at every block size, and samplers that share a seed share those
+streams.  A block keeps each draw where its stream put it.  Three float
+procedures decide an index draw: the per-sweep ``_pick(_weights(.))``
+with math.exp, ``_pick_table`` and the prefix sums with numpy's exp.  They
+can disagree where a uniform falls within rounding of a cumulative weight,
+and there a label, and the chain after it, can differ between block sizes.
+``step`` draws every stream from its one generator in a fixed order: the
+auxiliaries in label order, then the index uniform, then the refresh (an
+independence proposal's points in label order, then its uniform).
 
 *Lazy errors.*  PseudoPriorZero, AllZeroMass, the RuntimeWarning for a
 vanishing target and pseudo-prior pair, the ValueError for a non-finite
@@ -114,35 +120,27 @@ import bisect
 import math
 import numbers
 import time
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import (  # bench/spans.py looks up the public weight functions here
+from .model import (
+    AllZeroMass,
     ConfigError,
+    InvalidCurrentState,
     MixtureTarget,
     PseudoPriorSet,
+    PseudoPriorZero,
     ProposalFamily,
     State,
     _block,
     _call,
     _check_finite,
-    _mh_log_acceptance,
-    _pick,
-    _pseudo_rows,
-    _ratio,
-    _ratios,
-    _resolve,
+    _density_row,
     _shape,
-    _target_rows,
-    _unsettled,
-    _weights,
-    cc_index_weights,
-    conditional_index_weights,
-    draw_index,
-    mh_log_acceptance,
 )
 
 __all__ = [
@@ -153,9 +151,15 @@ __all__ = [
     "ConfigError",
     "step",
     "run_chain",
+    "conditional_index_weights",
+    "cc_index_weights",
+    "mh_log_acceptance",
+    "draw_index",
 ]
 
+_NEG_INF = float("-inf")
 _INF = float("inf")
+_NAN = float("nan")
 _RHO = "proposal.rho.log_density"  # the MH test's density, named in its errors
 
 
@@ -215,14 +219,14 @@ class ChainTrace:
     """Post-burn-in states of one chain, stored column-wise.
 
     ``m`` is an int array of component labels, ``z`` a float array of
-    shape (len,) or (len, z_dim).  ``acceptance_rate`` is present for
-    the metropolised samplers only and covers post-burn-in steps.
+    shape (len,) or (len, z_dim).  ``burn_in`` sweeps ran before them, and
+    ``wall_clock_seconds`` times all sweeps.  ``acceptance_rate`` is present
+    for the metropolised samplers only and covers post-burn-in steps.  The
+    sampler and the seed are the ``SamplerConfig``'s.
     """
 
     m: np.ndarray
     z: np.ndarray
-    sampler_id: SamplerId
-    seed: int
     burn_in: int
     wall_clock_seconds: float
     acceptance_rate: Optional[float] = None
@@ -250,6 +254,207 @@ def _spawn(seed: int, n: int) -> _Streams:
 def _point(x: np.ndarray, k: int):
     """Point k of a block: a float, or a row for vector z."""
     return x.item(k) if x.ndim == 1 else x[k]
+
+
+def _infinite_target(label: int) -> str:
+    return f"the target log-density of label {label} is +inf"
+
+
+def _weights(logw: Sequence[float]) -> list[float]:
+    """exp(logw) normalized, by max-subtraction; AllZeroMass if all are
+    -inf, ConfigError if a NaN or +inf entry makes the sum NaN.  A +inf
+    entry comes from the target: ``_resolve`` settles +inf ratios first."""
+    # Loops, not comprehensions: this runs every sweep.  exp(-inf) is 0.0.
+    top = max(logw)
+    w = []
+    for lw in logw:
+        w.append(math.exp(lw - top))
+    total = sum(w)
+    if total != total:  # NaN; so is an all -inf sum, as -inf - -inf is NaN
+        if all(lw == _NEG_INF for lw in logw):
+            raise AllZeroMass("every index weight is zero")
+        cause = f"from log-weights {list(logw)}"
+        if _INF in logw:
+            cause = f"as {_infinite_target(list(logw).index(_INF) + 1)}"
+        raise ConfigError(f"the index weights are NaN, {cause}")
+    for i in range(len(w)):
+        w[i] /= total
+    return w
+
+
+def _pick(weights: Sequence[float], v: float) -> int:
+    """The label 1..n whose cumulative weight first exceeds v times the total."""
+    u = v * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i + 1
+    return len(weights)
+
+
+def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """Draw a component label 1..n by inverse CDF with a single uniform.
+
+    Ties in the cumulative sums are resolved deterministically in label
+    order, so the draw is reproducible given the RNG stream.
+    """
+    return _pick(weights, rng.random())
+
+
+def _target_rows(name: str, target, blocks: Sequence) -> list[list]:
+    """log pi*(i, x) for each label i and block x of ``blocks``, a float
+    array each, in row i and column x; a PseudoPriorSet in place of the
+    target, with its callback's ``name``, gives log rho_i(x) likewise."""
+    return [
+        [_density_row(name, target.log_density, i, x) for x in blocks]
+        for i in range(1, target.n + 1)
+    ]
+
+
+def _pseudo_rows(
+    target, pseudo, labels: Sequence[int], blocks: Sequence, q=None
+) -> tuple:
+    """log pi*(j, x) and log rho_j(x) for each label j and its block x: two
+    rows of float arrays, and log q_j(x) as a third row when a
+    PseudoPriorSet ``q``, an independence proposal's rho, is given.  When q
+    is the pseudo-prior itself, its row is the pseudo-prior's, weighed once,
+    so an error from that call names ``pseudo.log_density``."""
+    shared = q is not None and q is pseudo
+    sets = [("target.log_density", target), ("pseudo.log_density", pseudo)]
+    if q is not None and not shared:
+        sets.append(("proposal.rho.log_density", q))
+    rows = tuple(
+        [_density_row(name, p.log_density, j, x) for j, x in zip(labels, blocks)]
+        for name, p in sets
+    )
+    return rows + (rows[1],) if shared else rows
+
+
+def _ratio(lt: float, lr: float) -> float:
+    """log pi* - log rho at one point, +inf where rho vanishes and NaN
+    where log rho is +inf; ``_resolve`` turns such an entry into an error
+    or a zero weight only once a sweep uses it."""
+    if lr == _NEG_INF:
+        return _INF
+    return lt - lr if lr != _INF else _NAN
+
+
+def _ratios(lt: np.ndarray, lr: np.ndarray) -> np.ndarray:
+    """``_ratio`` entry by entry on arrays."""
+    with np.errstate(invalid="ignore"):
+        ratio = lt - lr
+        if math.isfinite(ratio.sum()):  # no infinite log rho: the common case
+            return ratio
+    ratio[lr == _NEG_INF] = _INF
+    ratio[lr == _INF] = _NAN
+    return ratio
+
+
+def _unsettled(logw: Sequence[float]) -> bool:
+    """Whether index log-weights hold a +inf or NaN entry for ``_resolve``."""
+    return not sum(logw) < _INF  # a -inf entry only makes the sum -inf
+
+
+def _resolve(logw: Sequence[float], lts: Sequence[float]) -> list[float]:
+    """Index log-weights with their +inf and NaN entries settled:
+    ConfigError where the target (log pi* in ``lts``) is +inf, or where a
+    ratio is NaN, naming the target if its log-density is NaN, else the
+    pseudo-prior; else a pseudo-prior vanishes, and PseudoPriorZero where
+    the target is positive, zero weight with a RuntimeWarning where it
+    vanishes too."""
+    out = list(logw)
+    for i, lw in enumerate(logw):
+        if lw != lw:  # a NaN density, or log rho = +inf
+            if lts[i] == _INF:
+                raise ConfigError(_infinite_target(i + 1))
+            if lts[i] != lts[i]:
+                raise ConfigError(f"the target log-density of label {i + 1} is NaN")
+            raise ConfigError(f"pseudo.log_density of label {i + 1} is NaN or +inf")
+        if lw != _INF:
+            continue
+        if lts[i] == _INF:
+            raise ConfigError(_infinite_target(i + 1))
+        if lts[i] != _NEG_INF:
+            raise PseudoPriorZero(
+                f"pseudo-prior {i + 1} vanishes at a point where the target does not"
+            )
+        # Both vanish; the ratio is undefined and the paper gives no
+        # guidance, so the move gets zero weight.
+        warnings.warn(
+            f"target and pseudo-prior both vanish at component {i + 1}; "
+            "assigning zero move weight",
+            RuntimeWarning,
+        )
+        out[i] = _NEG_INF
+    return out
+
+
+def conditional_index_weights(target: MixtureTarget, z) -> np.ndarray:
+    """Conditional probabilities pi*(. | z) over the component labels.
+
+    Raises AllZeroMass if every component has -inf log-density at z.
+    """
+    rows = _target_rows("target.log_density", target, [_block(z)])
+    return np.array(_weights([r[0].item(0) for r in rows]))
+
+
+def cc_index_weights(
+    target: MixtureTarget, pseudo: PseudoPriorSet, u: Sequence
+) -> np.ndarray:
+    """Index-move probabilities pi(. | u) of the Carlin & Chib sweep.
+
+    Entry m is proportional to pi*(m, u_m) / rho_m(u_m); the ratio makes
+    the result invariant under rescaling of the unnormalized target.
+    ``u`` holds one point per component, u[m - 1] for label m.
+    """
+    if len(u) != target.n:
+        raise ValueError(f"expected {target.n} auxiliary points, got {len(u)}")
+    blocks = [_block(uj) for uj in u]
+    lts, lrs = _pseudo_rows(target, pseudo, range(1, target.n + 1), blocks)
+    lts = [a.item(0) for a in lts]
+    logw = [_ratio(lt, a.item(0)) for lt, a in zip(lts, lrs)]
+    if _unsettled(logw):
+        logw = _resolve(logw, lts)
+    return np.array(_weights(logw))
+
+
+def mh_log_acceptance(
+    target: MixtureTarget, proposal: ProposalFamily, ell: int, u, z
+) -> float:
+    """Log Metropolis-Hastings acceptance for the move u -> z within component ell.
+
+    Returns min(0, log pi*(ell, z) + log r_ell(z, u)
+                   - log pi*(ell, u) - log r_ell(u, z)).
+    A proposed move to a zero-mass point gets log-acceptance -inf; a +inf
+    target or proposal log-density, or a NaN log-ratio, from a NaN density,
+    raises ConfigError.
+    """
+    lt_u, lt_z = float(target.log_density(ell, u)), float(target.log_density(ell, z))
+    lr_uz, lr_zu = proposal.log_density(ell, u, z), proposal.log_density(ell, z, u)
+    return _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu)
+
+
+def _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu, name="proposal.log_density"):
+    """mh_log_acceptance from lt_u = log pi*(ell, u), lr_uz = log r_ell(u, z)
+    and their counterparts lt_z and lr_zu at z; ``name`` is the proposal
+    density's, for its error."""
+    if lt_u == _INF or lt_z == _INF:
+        raise ConfigError(_infinite_target(ell))
+    if lr_uz == _INF or lr_zu == _INF:
+        raise ConfigError(f"{name} of label {ell} is +inf")
+    if lt_u == _NEG_INF or lr_uz == _NEG_INF:
+        raise InvalidCurrentState(
+            f"zero target or proposal density at current point (ell={ell})"
+        )
+    if lt_z == _NEG_INF or lr_zu == _NEG_INF:
+        return _NEG_INF
+    log_ratio = lt_z + lr_zu - lt_u - lr_uz
+    if log_ratio != log_ratio:
+        raise ConfigError(
+            f"the MH log-ratio is NaN (ell={ell}): a log-density or point is not finite"
+        )
+    return min(0.0, log_ratio)
 
 
 def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -955,10 +1160,10 @@ def step(
 def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     """Iterate the configured sampler and record the post-burn-in states.
 
-    Fully deterministic given the seed, and the same at every block size.
+    Fully deterministic given the seed, and the same at every block size
+    but where a uniform falls within rounding of a cumulative weight.
     """
-    sid = config.sampler_id
-    kernel, carry = _check(sid, bundle, config.initial_state)
+    kernel, carry = _check(config.sampler_id, bundle, config.initial_state)
     m, z = config.initial_state.m, config.initial_state.z
     streams = _spawn(config.seed, bundle.target.n)
     burn_in, size = config.burn_in, _BLOCK_SIZE
@@ -984,8 +1189,6 @@ def run_chain(config: SamplerConfig, bundle: ModelBundle) -> ChainTrace:
     return ChainTrace(
         m=np.concatenate(ms, dtype=np.int64),
         z=np.concatenate(zs, dtype=float),
-        sampler_id=sid,
-        seed=config.seed,
         burn_in=config.burn_in,
         wall_clock_seconds=wall,
         acceptance_rate=acc,

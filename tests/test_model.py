@@ -61,6 +61,20 @@ class TestState:
         assert s.z.shape == (2,)
 
 
+class TestModelParts:
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: MixtureTarget(0, 1, _scipy_toy_logpdf), "component count"),
+         (lambda: MixtureTarget(2, 0, _scipy_toy_logpdf), "z_dim"),
+         (lambda: PseudoPriorSet(0, _scipy_pseudo_logpdf, None), "component count"),
+         (lambda: ProposalFamily(0, None, None), "component count")],
+        ids=["target-n", "target-z_dim", "pseudo-n", "proposal-n"],
+    )
+    def test_sizes_below_one_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message} must be positive$"):
+            build()
+
+
 class TestConditionalIndexWeights:
     def test_symmetric_point(self, toy_bundle):
         w = conditional_index_weights(toy_bundle.target, 0.0)

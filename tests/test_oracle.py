@@ -94,6 +94,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="grid"):
             FiniteMixtureSpec(2, grid, prob, pseudo)
 
+    def test_pseudo_rows_must_sum_to_one(self):
+        pseudo = np.array([[0.5, 0.3, 0.1], [1 / 3, 1 / 3, 1 / 3]])
+        with pytest.raises(ValueError, match="^each pseudo-prior row must sum to 1$"):
+            FiniteMixtureSpec(2, np.arange(3.0), np.full((2, 3), 1 / 6), pseudo)
+
+    def test_proposal_shape_checked(self):
+        prob, pseudo = np.full((2, 3), 1 / 6), np.full((2, 3), 1 / 3)
+        proposal = np.full((2, 3, 2), 0.5)
+        message = r"^proposal must have shape \(n, G, G\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            FiniteMixtureSpec(2, np.arange(3.0), prob, pseudo, proposal)
+
     def test_proposal_must_be_row_stochastic(self):
         prob = np.full((2, 3), 1 / 6)
         pseudo = np.full((2, 3), 1 / 3)
@@ -108,6 +120,18 @@ class TestSpecValidation:
     def test_kernel_row_sums_checked(self):
         with pytest.raises(ValueError):
             FiniteKernel(np.array([[0.5, 0.4], [0.0, 1.0]]), 2, 1)
+
+    def test_kernel_size_checked(self):
+        message = r"^kernel matrix must be 2x2, got \(3, 3\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            FiniteKernel(np.eye(3), 2, 1)
+
+    def test_label_without_mass_has_no_conditional(self):
+        prob = np.array([[0.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]])
+        pseudo, proposal = np.full((2, 3), 1 / 3), np.full((2, 3, 3), 1 / 3)
+        spec = FiniteMixtureSpec(2, np.arange(3.0), prob, pseudo, proposal)
+        with pytest.raises(ValueError, match="^a component has zero total mass$"):
+            build_Q3(spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["prob", "pseudo", "proposal"])
@@ -736,6 +760,21 @@ class TestChecks:
         with pytest.raises(NotReversible):
             check_covariance_ordering(K, eye, np.full(3, 1 / 3))
 
+    @pytest.mark.parametrize(
+        "check, message",
+        [(lambda K2, K3: check_reversibility(K3, np.full(2, 0.5)),
+          "distribution length does not match the kernel"),
+         (lambda K2, K3: check_offdiagonal_dominance(K2, K3),
+          "kernels have different sizes"),
+         (lambda K2, K3: check_covariance_ordering(K2, K3, np.full(2, 0.5)),
+          "kernels have different sizes")],
+        ids=["reversibility", "offdiagonal", "covariance"],
+    )
+    def test_sizes_must_match(self, check, message):
+        K2, K3 = FiniteKernel(np.eye(2), 2, 1), FiniteKernel(np.eye(3), 3, 1)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            check(K2, K3)
+
 
 class TestAsymptoticVariance:
     def test_two_state_closed_form(self):
@@ -1117,6 +1156,15 @@ class TestHelpers:
         path = tmp_path / "spec.tsv"
         save_spec(spec, path)
         assert load_spec(path).proposal is None
+
+    def test_load_skips_blank_lines(self, tmp_path, specs):
+        path = tmp_path / "spec.tsv"
+        save_spec(specs[0], path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+        back = load_spec(path)
+        for name in ("grid", "prob", "pseudo", "proposal"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(specs[0], name))
 
     def test_load_rejects_missing_section(self, tmp_path):
         path = tmp_path / "bad.tsv"

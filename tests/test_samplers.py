@@ -1462,6 +1462,16 @@ class TestInfiniteTarget:
         ):
             _chain(sampler_id, self._bundle(), State(1, -1.0), 4000, 3)
 
+    @pytest.mark.parametrize("sampler_id", [SamplerId.CC, SamplerId.FCC])
+    def test_inf_over_inf_ratio_names_the_target(self, sampler_id):
+        # Where the pseudo-prior is +inf too, the ratio pi*/rho is NaN.
+        bundle = self._bundle()
+        pseudo = _nan_where(bundle.pseudo, lambda j, z: z > 1.5, np.inf)
+        with pytest.raises(
+            ConfigError, match=r"^the target log-density of label [12] is \+inf$"
+        ):
+            _chain(sampler_id, replace(bundle, pseudo=pseudo), State(1, -1.0), 4000, 3)
+
     def test_inf_target_at_the_initial_state_rejected(self):
         for sampler_id in SamplerId:
             with pytest.raises(

@@ -31,3 +31,26 @@ def test_all_names_exist():
         problems += [f"{name}.{n} is missing" for n in exported if not hasattr(module, n)]
         problems += [f"{name}.{n} repeats" for n in set(exported) if exported.count(n) > 1]
     assert not problems, "\n".join(problems)
+
+
+PROTOCOL = {"_block", "_call", "_check_finite", "_density_row", "_shape"}
+
+
+def test_only_the_callback_protocol_leaves_model():
+    """``ccmix.model`` holds the model and the callback protocol it shares
+    with the samplers and the oracle; the index and MH arithmetic lives
+    in ``ccmix.samplers``, so no other module imports another private name
+    of ``model``."""
+    import ast
+
+    found = [
+        f"{path.name} imports model.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "model"
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("model", 1), ("ccmix.model", 0))
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name not in PROTOCOL
+    ]
+    assert not found, "\n".join(found)
