@@ -23,6 +23,11 @@ DEFAULT_MAX_LAG = 50
 # exp(-d*d/2) is exactly 0.0 in float64 once d*d/2 passes about 745.13, so
 # samples more than this many bandwidths from a grid point add nothing.
 _KDE_REACH = math.sqrt(2.0 * 745.2)
+# Within that, a grid point's reach is sqrt(d0^2 + 2 (_KDE_TAIL + ln N))
+# bandwidths, d0 the distance to its nearest sample and N the sample count
+# with repeats: a term left out is below 2^-60 / N of the nearest term, so
+# all of them, counted with their multiplicities, stay below 2^-60 of the sum.
+_KDE_TAIL = 60.0 * math.log(2.0)
 # Pairs (grid point, distinct sample) that kde weighs in one numpy pass,
 # so that its arrays stay at 128 KiB each whatever the input sizes.
 _KDE_BLOCK_PAIRS = 2**14
@@ -111,10 +116,15 @@ def kde(samples, grid, bandwidth: float) -> np.ndarray:
     sorted and the bandwidth positive and finite; the returned values
     integrate to roughly one when the grid spans the sample range plus a
     few bandwidths.  A chain repeats its states, so each distinct sample's
-    kernel is evaluated once and weighted by its multiplicity.  Consecutive
-    grid points are weighed in blocks, each by one matrix-vector product
-    over the union of their windows; the result differs from the sum over
-    every sample only in summation order.
+    kernel is evaluated once and weighted by its multiplicity.  Each grid
+    point weighs only the samples whose terms are at least 2^-60 / N of
+    its nearest sample's term, N = len(samples) counting repeats, so the
+    terms left out, weighted by their multiplicities, stay below 2^-60 of
+    its sum; where the nearest term is subnormal or zero, it weighs every
+    sample at which exp is not exactly zero.  Consecutive grid points are
+    weighed in blocks, each by one matrix-vector product over the union of
+    their windows; the result differs from the sum over every sample only
+    in summation order and in those left-out terms.
     """
     x = np.asarray(samples, dtype=float)
     g = np.asarray(grid, dtype=float)
@@ -132,15 +142,24 @@ def kde(samples, grid, bandwidth: float) -> np.ndarray:
     if not 0 < h < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     norm = len(x) * h * np.sqrt(2.0 * np.pi)
-    # Each grid point sums only the distinct sorted samples within
-    # _KDE_REACH bandwidths: every term left out is exactly zero.  A block
-    # also weighs the pairs at the corners of its union of windows, beyond
-    # their grid point's reach: they add exact zeros, at exp's slow
-    # underflow speed, and the bound on a block keeps them few (about 5%
-    # of the pairs of the posterior study's estimate).
+    # Each grid point sums only the distinct sorted samples within its own
+    # reach (see _KDE_TAIL).  N is len(x), not the distinct count, because
+    # a left-out sample weighs in with its multiplicity.  Where the nearest
+    # term is subnormal or zero, the reach is all of _KDE_REACH.  d0, and so
+    # the reach in bandwidths, moves by at most as much as the grid point,
+    # so, up to rounding at the reach's edge, the windows' ends rise with
+    # the grid and a block's union of windows holds each of its points'
+    # windows.  A block also weighs the pairs at its corners, beyond their
+    # grid point's reach: about a fifth of the pairs of the posterior
+    # study's estimate.
     xs, counts = np.unique(x, return_counts=True)
     counts = counts.astype(float)
-    reach = _KDE_REACH * h
+    k = np.searchsorted(xs, g)
+    d0 = np.minimum(
+        np.abs(g - xs[np.maximum(k - 1, 0)]), np.abs(xs[np.minimum(k, len(xs) - 1)] - g)
+    ) / h
+    tail = 2.0 * (_KDE_TAIL + math.log(len(x)))
+    reach = np.minimum(np.sqrt(d0 * d0 + tail), _KDE_REACH) * h
     lo = np.searchsorted(xs, g - reach, side="left").tolist()
     hi = np.searchsorted(xs, g + reach, side="right").tolist()
     out = np.zeros(len(g))

@@ -132,6 +132,29 @@ def _dense_kde(x, grid, h):
     return np.exp(-0.5 * d * d).sum(axis=1) / (len(x) * h * np.sqrt(2.0 * np.pi))
 
 
+def _chunked_dense_kde(x, grid, h):
+    """_dense_kde over 60 parts of the grid, so no (grid x samples) array
+    is built at once."""
+    return np.concatenate([_dense_kde(x, p, h) for p in np.array_split(grid, 60)])
+
+
+def _window_widths(x, grid, h):
+    """How many distinct samples each grid point's window holds: those
+    within sqrt(d0^2 + 2 (60 ln 2 + ln N)) bandwidths, d0 the distance to
+    the nearest sample and N = len(x), and at most _KDE_REACH."""
+    xs = np.unique(x)
+    k = np.searchsorted(xs, grid)
+    d0 = np.minimum(
+        np.abs(grid - xs[np.maximum(k - 1, 0)]),
+        np.abs(xs[np.minimum(k, len(xs) - 1)] - grid),
+    ) / h
+    tail = 2.0 * (60.0 * math.log(2.0) + math.log(len(x)))
+    reach = np.minimum(np.sqrt(d0 * d0 + tail), diagnostics._KDE_REACH) * h
+    return np.searchsorted(xs, grid + reach, "right") - np.searchsorted(
+        xs, grid - reach, "left"
+    )
+
+
 @pytest.mark.parametrize(
     "series",
     [
@@ -218,15 +241,63 @@ class TestKde:
         grid = np.concatenate(
             [np.linspace(-6.0, -3.0, 150), np.linspace(-0.5, 0.5, 300), jumps]
         )
-        h = 0.1
-        reach = diagnostics._KDE_REACH * h
-        xs = np.unique(x)
-        widths = np.searchsorted(xs, grid + reach, "right") - np.searchsorted(
-            xs, grid - reach, "left"
-        )
+        h = 0.15
+        widths = _window_widths(x, grid, h)
         assert widths.max() > diagnostics._KDE_BLOCK_PAIRS and widths.min() == 0
-        want = np.concatenate([_dense_kde(x, p, h) for p in np.array_split(grid, 60)])
-        np.testing.assert_allclose(kde(x, grid, bandwidth=h), want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            kde(x, grid, bandwidth=h), _chunked_dense_kde(x, grid, h), rtol=1e-14, atol=0
+        )
+
+    @pytest.mark.parametrize(
+        "tail, side",
+        [
+            (60.0 * math.log(2.0) + math.log(10**6 + 1), 1.0 + 1e-9),
+            (60.0 * math.log(2.0) + math.log(10**6 + 1), 1.0 - 1e-9),
+            (60.0 * math.log(2.0) + math.log(2.0), 1.0 + 1e-9),
+        ],
+        ids=["beyond-the-reach", "inside-the-reach", "beyond-a-distinct-count-reach"],
+    )
+    def test_a_million_repeats_at_the_edge_of_the_reach(self, tail, side):
+        # One sample at the grid point, so its term is the nearest, and 10^6
+        # copies of one more at sqrt(2 tail) bandwidths, just beyond or just
+        # inside that distance.  kde's reach there counts the copies: N =
+        # 10^6 + 1 sets it near 10.5 bandwidths, and the copies beyond it add
+        # under 2^-60 of the sum.  A reach from the distinct count, N = 2,
+        # would end near 9.2 and leave out copies there worth 4e-13 of it.
+        h = 0.5
+        x = np.concatenate([[0.0], np.full(10**6, math.sqrt(2.0 * tail) * side * h)])
+        grid = np.array([0.0])
+        np.testing.assert_allclose(
+            kde(x, grid, bandwidth=h), _dense_kde(x, grid, h), rtol=1e-14, atol=0
+        )
+
+    def test_posterior_study_input_matches_the_chunked_dense_sum(self):
+        # The estimate ccmix posterior makes at the benchmark's size: FCC's
+        # z pooled over two chains of 6000 sweeps (1000 burn-in), on the
+        # study's 1201-point grid.
+        from ccmix import SamplerId
+        from ccmix.experiments import (
+            POSTERIOR_KDE_BANDWIDTH,
+            _density_grid,
+            _run_study,
+            posterior_model,
+        )
+
+        _, x = _run_study(
+            "posterior",
+            posterior_model(),
+            (SamplerId.FCC,),
+            seed=42,
+            n_iter=6000,
+            burn_in=1000,
+            replicates=2,
+        )
+        grid = _density_grid()
+        assert len(x) == 10_000 and len(grid) == 1201
+        h = POSTERIOR_KDE_BANDWIDTH
+        np.testing.assert_allclose(
+            kde(x, grid, bandwidth=h), _chunked_dense_kde(x, grid, h), rtol=1e-14, atol=0
+        )
 
     @pytest.mark.parametrize("size", [50_000, 400_000])
     def test_memory_beyond_the_sort_does_not_grow_with_the_sample(self, size):
