@@ -91,11 +91,11 @@ points and uniforms, or an independence proposal's accept uniforms) and
 each label's independence proposals a child stream of the seed of their
 own, the last n spawned after the others, so a chain draws the same
 numbers at every block size, and samplers that share a seed share those
-streams.  A block keeps each draw where its stream put it.  Three float
-procedures decide an index draw: the per-sweep ``_pick(_weights(.))``
-with math.exp, ``_pick_table`` and the prefix sums with numpy's exp.  They
-can disagree where a uniform falls within rounding of a cumulative weight,
-and there a label, and the chain after it, can differ between block sizes.
+streams.  A block keeps each draw where its stream put it.  The per-sweep
+``_pick(_weights(.))`` and ``_pick_table`` differ only in their exp (math's,
+numpy's), the prefix sums also in shift and order: where a uniform falls
+within rounding of a cumulative weight, a label, and the chain after it,
+can differ between block sizes.
 ``step`` draws every stream from its one generator in a fixed order: the
 auxiliaries in label order, then the index uniform, then the refresh (an
 independence proposal's points in label order, then its uniform).
@@ -117,6 +117,7 @@ sampler evaluates and draws per sweep.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import numbers
 import time
@@ -261,36 +262,35 @@ def _infinite_target(label: int) -> str:
 
 
 def _weights(logw: Sequence[float]) -> list[float]:
-    """exp(logw) normalized, by max-subtraction; AllZeroMass if all are
+    """Running sums of exp(logw) by max-subtraction; AllZeroMass if all are
     -inf, ConfigError if a NaN or +inf entry makes the sum NaN.  A +inf
     entry comes from the target: ``_resolve`` settles +inf ratios first."""
-    # Loops, not comprehensions: this runs every sweep.  exp(-inf) is 0.0.
+    # A loop, not a comprehension: this runs every sweep.  exp(-inf) is 0.0.
     top = max(logw)
-    w = []
+    sums, acc = [], 0.0
     for lw in logw:
-        w.append(math.exp(lw - top))
-    total = sum(w)
-    if total != total:  # NaN; so is an all -inf sum, as -inf - -inf is NaN
+        acc += math.exp(lw - top)
+        sums.append(acc)
+    if acc != acc:  # NaN; so is an all -inf sum, as -inf - -inf is NaN
         if all(lw == _NEG_INF for lw in logw):
             raise AllZeroMass("every index weight is zero")
         cause = f"from log-weights {list(logw)}"
         if _INF in logw:
             cause = f"as {_infinite_target(list(logw).index(_INF) + 1)}"
         raise ConfigError(f"the index weights are NaN, {cause}")
-    for i in range(len(w)):
-        w[i] /= total
-    return w
+    return sums
 
 
-def _pick(weights: Sequence[float], v: float) -> int:
-    """The label 1..n whose cumulative weight first exceeds v times the total."""
-    u = v * sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i + 1
-    return len(weights)
+def _shares(logw: Sequence[float]) -> np.ndarray:
+    """exp(logw) normalized: each weight over the total of ``_weights``."""
+    total, top = _weights(logw)[-1], max(logw)
+    return np.array([math.exp(lw - top) / total for lw in logw])
+
+
+def _pick(sums: Sequence[float], v: float) -> int:
+    """The label 1..n whose running sum first exceeds v times the total, else
+    n (v times a zero or subnormal total can round up to it)."""
+    return min(bisect.bisect_right(sums, v * sums[-1]), len(sums) - 1) + 1
 
 
 def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
@@ -299,7 +299,7 @@ def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
     Ties in the cumulative sums are resolved deterministically in label
     order, so the draw is reproducible given the RNG stream.
     """
-    return _pick(weights, rng.random())
+    return _pick(list(itertools.accumulate(weights)), rng.random())
 
 
 def _target_rows(name: str, target, blocks: Sequence) -> list[list]:
@@ -396,7 +396,7 @@ def conditional_index_weights(target: MixtureTarget, z) -> np.ndarray:
     Raises AllZeroMass if every component has -inf log-density at z.
     """
     rows = _target_rows("target.log_density", target, [_block(z)])
-    return np.array(_weights([r[0].item(0) for r in rows]))
+    return _shares([r[0].item(0) for r in rows])
 
 
 def cc_index_weights(
@@ -416,7 +416,7 @@ def cc_index_weights(
     logw = [_ratio(lt, a.item(0)) for lt, a in zip(lts, lrs)]
     if _unsettled(logw):
         logw = _resolve(logw, lts)
-    return np.array(_weights(logw))
+    return _shares(logw)
 
 
 def mh_log_acceptance(
@@ -458,9 +458,9 @@ def _mh_log_acceptance(ell, lt_u, lr_uz, lt_z, lr_zu, name="proposal.log_density
 
 
 def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``_pick(_weights(column), v_k)`` for every column of log-weights
-    (labels on axis 0, sweeps on the last axis), or 0 where a column holds
-    +inf or NaN or only -inf, which the per-sweep selection settles."""
+    """``_pick(_weights(column), v_k)``, with numpy's exp, for each column of
+    log-weights (labels on axis 0, sweeps on the last), or 0 where a column
+    holds +inf or NaN or only -inf, which the per-sweep selection settles."""
     with np.errstate(invalid="ignore"):
         top = logw.max(axis=0)
         acc = np.cumsum(np.exp(logw - top), axis=0)
@@ -743,19 +743,19 @@ def _pseudo_lists(carry, parts, size: int, slots: int):
 # block, the carried one included, at every label, are made in numpy:
 # numpy's exp of the same differences l_i - max l as the exact test's (a
 # subtraction rounds alike), running sums of those weights and one
-# division per end.  The exact test takes math.exp, divides each weight by
-# their sum and sums the quotients.  Each side's quotient is within
-# (2n + 8)u relative of A_j / T of the exact exponentials: 4u per weight
-# from exp (numpy's tests hold its float64 exp to 1 ulp, glibc's is under
-# 1 ulp; either is 2 ulp at most), (n - 1)u per running sum, two of them,
-# and u per division.  So the two differ by under (4n + 16)u, for any
-# point and any label, which _SLACK = 2^23 u covers many times over for
-# any n < 2^20: it need not grow.  A weight below 2^-1022 errs absolutely
-# instead, by up to 2^-1072, and so a quotient (T >= 1) by up to
-# n 2^-1072.  A lower bound certifies only v > 0, so v >= 2^-53, far
-# beyond that error; an upper bound is lowered by _FLOOR = 2^-1000, so it
-# certifies v = 0 only where A_m / T exceeds 2^-1000, which that error
-# cannot reach.
+# division per end.  The exact test makes the same running sums of
+# math.exp's weights and divides nothing.  A running sum, on either side,
+# is within (n + 3)u relative of that of the exact exponentials: 4u from
+# exp (numpy's tests hold its float64 exp to 1 ulp, glibc's is under 1
+# ulp; either is 2 ulp at most) and (n - 1)u from the additions.  So each
+# side's A_j / T is within (2n + 8)u of the exact exponentials' (numpy's
+# division adds u), and the two differ by under (4n + 16)u, for any point
+# and any label, which _SLACK = 2^23 u covers many times over for any
+# n < 2^20: it need not grow.  A weight below 2^-1022 errs absolutely
+# instead, by up to 2^-1072, and so A_j / T (T >= 1) by up to n 2^-1072.
+# A lower bound certifies only v > 0, so v >= 2^-53, far beyond that
+# error; an upper bound is lowered by _FLOOR = 2^-1000, so it certifies
+# v = 0 only where A_m / T exceeds 2^-1000, which that error cannot reach.
 _SLACK = 2.0**-30
 _FLOOR = 2.0**-1000
 
@@ -1011,8 +1011,8 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         else:
             # The held point's label weights stand until a move is accepted.
             if p != weighed:
-                weights, weighed = _weights(lts[p::stride]), p
-            if (i := _pick(weights, v[k])) != m:
+                sums, weighed = _weights(lts[p::stride]), p
+            if (i := _pick(sums, v[k])) != m:
                 m, base, held, sg = i, (i - 1) * stride, True, sigmas[i - 1]
                 if q is not None:
                     h = hs[base + p]

@@ -325,6 +325,14 @@ class TestDrawIndex:
         rng = np.random.default_rng(1)
         assert draw_index([0.0, 0.0, 1.0], rng) == 3
 
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [5e-324]])
+    def test_label_at_most_n_where_v_times_the_total_rounds_to_it(self, weights):
+        # A zero total, or a subnormal one that v >= 1/2 times rounds back
+        # up to: no running sum exceeds v T, and the draw falls to label n.
+        rng = np.random.default_rng(2)
+        draws = {draw_index(weights, rng) for _ in range(50)}
+        assert draws <= set(range(1, len(weights) + 1))
+
 
 class TestVectorZ:
     def test_two_dimensional_target(self):

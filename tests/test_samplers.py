@@ -1204,6 +1204,48 @@ class TestIndexTables:
         with pytest.raises(PseudoPriorZero):
             _chain(SamplerId.CC, bundle, State(2, 0.3), 200, 4)
 
+    def _labels_at_block_sizes(self, sid, bundle, state, n_steps, seed):
+        runs = []
+        for size in (1, 2, 1024):
+            with _block_size(size):
+                runs.append(_chain(sid, bundle, state, n_steps, seed).m.tolist())
+        return runs
+
+    def test_gibbs_labels_do_not_depend_on_the_block_size(self):
+        """A uniform within rounding of a cumulative weight: at block size 1
+        the per-sweep draw decides sweep 1, at 2 and 1024 ``_pick_table``.
+        Both bisect the same running sums, so they agree here.  The
+        pseudo-prior tables' prefix sums stay a separate procedure, so this
+        does not make the labels independent of the block size in general."""
+        a = (2.672303688794309, 0.0)
+        target = MixtureTarget(
+            2,
+            1,
+            lambda m, z: a[m - 1] - 0.5 * z * z,
+            lambda m, rng, size: rng.normal(0.0, 1.0, size),
+        )
+        runs = self._labels_at_block_sizes(
+            SamplerId.GIBBS, ModelBundle(target), State(1, 0.3), 10, 4
+        )
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_fcc_labels_do_not_depend_on_the_block_size(self):
+        """As for Gibbs, with FCC's first sweep: the per-sweep draw at block
+        size 1, the prefix-sum bisection at 2 and 1024.  That bisection
+        still shifts and sums in its own order, so it can disagree with the
+        per-sweep draw elsewhere."""
+        b = (4.434952432901652, 0.20980023430607941, -1.071338746322222)
+        target = MixtureTarget(3, 1, lambda m, z: b[m - 1] - 0.5 * z * z)
+        pseudo = PseudoPriorSet(
+            3,
+            lambda j, u: -0.5 * math.log(2 * math.pi) - 0.5 * u * u,
+            lambda j, rng, size: rng.normal(0.0, 1.0, size),
+        )
+        runs = self._labels_at_block_sizes(
+            SamplerId.FCC, ModelBundle(target, pseudo), State(2, 0.3), 3, 636
+        )
+        assert runs[0] == runs[1] == runs[2]
+
 
 def _spans_wrapped(bundle):
     """Every callback behind a forwarding wrapper, put in with
@@ -1262,6 +1304,31 @@ def test_pick_table_picks_a_label_with_mass():
     picks = samplers._pick_table(logw, v)
     assert np.all((1 <= picks) & (picks <= 4))
     assert np.all(np.isfinite(logw[picks - 1, np.arange(400)]))
+
+
+def test_per_sweep_draw_is_the_label_tables_arithmetic():
+    # Uniforms within 3 ulps of each cumulative share, where a label turns
+    # on the last bits: the per-sweep draw picks as ``_pick_table`` does
+    # wherever numpy's exp and math.exp agree on every weight.
+    rng = np.random.default_rng(30)
+    checked = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        col = rng.normal(0.0, 3.0, n)
+        col[rng.random(n) < 0.2] = -np.inf
+        if not np.isfinite(col).any():
+            continue
+        shifted = (col - col.max()).tolist()
+        if np.exp(shifted).tolist() != [math.exp(x) for x in shifted]:
+            continue
+        acc, sums = np.cumsum(np.exp(shifted)), samplers._weights(col.tolist())
+        for share in (acc / acc[-1]).tolist():
+            for v in _ulps(share, 3):
+                if 0.0 <= v < 1.0:
+                    table = samplers._pick_table(col[:, None], np.array([v]))
+                    assert samplers._pick(sums, v) == table[0]
+                    checked += 1
+    assert checked > 3000
 
 
 class TestIndependenceRefresh:
@@ -1768,7 +1835,7 @@ class TestCertifiedHolds:
             bounds = vlo[:, c].tolist() + vhi[:, c].tolist()
             with contextlib.suppress(ValueError):  # NaN or no mass
                 w = samplers._weights(row)
-                bounds += [a / sum(w) for a in itertools.accumulate(w)]
+                bounds += [a / w[-1] for a in w]
             candidates = list(uniforms)
             for b in bounds:
                 if math.isfinite(b):
