@@ -31,12 +31,12 @@ and the uniforms do not depend on the chain state, so the sweeps run in
 blocks of B: for every label, one sampler call draws the block's points
 (the active label's auxiliary is drawn and discarded) and one call per
 density weighs them.  With the exact refresh the label of a sweep depends
-only on the label before it, so a block of more than one sweep is one
-scan of an n x B label table built in numpy.  With the MH or frozen
-refresh a block numbers its points, and a sweep moves one integer index
-p over them: p = 0 is the carried point and p = 1 + b B + k point k of
-block b, the labels' auxiliaries first, then the labels' independence
-proposals, or else the block of the points a general MH refresh accepts.
+only on the label before it, so a block is one scan of an n x B label
+table built in numpy.  With the MH or frozen refresh a block numbers its
+points, and a sweep moves one integer index p over them: p = 0 is the
+carried point and p = 1 + b B + k point k of block b, the labels'
+auxiliaries first, then the labels' independence proposals, or else the
+block of the points a general MH refresh accepts.
 Each quantity of a point (log pi*, log q, its ratio to rho, its MH
 log-ratio h, MwG's certified interval) is read from one flat table at
 base + p: base is 0 for the pseudo-prior selection, which uses a point
@@ -46,30 +46,30 @@ The pseudo-prior selection adds the current point's weight to stored
 prefix sums of the other labels' weights, MwG draws from the current
 point's label weights, made once a point, and the MH test compares the
 two points' h.  The per-sweep selection and MH test serve the first
-sweep of an exact-refresh block, the entries the tables cannot settle (a
-+inf or NaN ratio, a weight too large for exp, no mass or a vanishing q)
-and ``step``, which runs blocks of one sweep.  The tables stay the
-float64 arrays numpy builds, read through memoryviews, which return the
-same floats as lists would: a sweep reads only the held label's entries,
-and only where no certificate settles it, so a ``tolist`` copy of every
-entry costs more than it saves.  The thresholds tau and sigma, read at
-every skipped sweep, and the uniforms stay lists, the points blocks; a
-block of one sweep builds its tables as lists by ``item``.
+sweep of an exact-refresh block and the entries the tables cannot settle
+(a +inf or NaN ratio, a weight too large for exp, no mass or a vanishing
+q); ``step`` is one sweep of them, with no table.  Every block, one sweep
+included, keeps its tables as the float64 arrays numpy builds, read
+through memoryviews, which return the same floats as lists would: a
+sweep reads only the held label's entries, and only where no certificate
+settles it, so a ``tolist`` copy of every entry costs more than it
+saves.  The thresholds tau and sigma, read at every skipped sweep, and
+the uniforms stay lists, the points blocks.
 
 *Certified holds.*  With the frozen refresh or the MH refresh of an
-independence proposal, a block of more than one sweep also holds, for
-each label and sweep, thresholds that prove that a held point keeps its
-label and point under those float tests: tau on the point's ratio for
-the pseudo-prior selection, MwG's interval of the index uniform, and
-sigma on its MH log-ratio (the derivation is beside ``_holds``).  MwG's
-intervals are made with its other tables, for every point at every
-label, the carried point included (the bound is beside ``_SLACK``).  The
-loop skips the sweeps they certify with two or three comparisons each
-and runs the tests on the others, so the chain is that of the per-sweep
-tests, errors included.  There is no certificate where a threshold's
-bound does not hold: an entry the tables cannot settle, a uniform within
-2^-20 of 1 or a ratio within 699 of overflow; nor for the MH refresh of
-a general proposal, which draws at every sweep, nor in ``step``.
+independence proposal, a block also holds, for each label and sweep,
+thresholds that prove that a held point keeps its label and point under
+those float tests: tau on the point's ratio for the pseudo-prior
+selection, MwG's interval of the index uniform, and sigma on its MH
+log-ratio (the derivation is beside ``_holds``).  MwG's intervals are
+made with its other tables, for every point at every label, the carried
+point included (the bound is beside ``_SLACK``).  The loop skips the
+sweeps they certify with two or three comparisons each and runs the
+tests on the others, so the chain is that of the per-sweep tests, errors
+included.  There is no certificate where a threshold's bound does not
+hold: an entry the tables cannot settle, a uniform within 2^-20 of 1 or
+a ratio within 699 of overflow; nor for the MH refresh of a general
+proposal, which draws at every sweep, nor in ``step``.
 
 An independence proposal's points (``ProposalFamily.independent``,
 R_l(u, .) = q_l) are weighed by one call per label and density (MwG's at
@@ -97,8 +97,9 @@ numpy's), the prefix sums also in shift and order: where a uniform falls
 within rounding of a cumulative weight, a label, and the chain after it,
 can differ between block sizes.
 ``step`` draws every stream from its one generator in a fixed order: the
-auxiliaries in label order, then the index uniform, then the refresh (an
-independence proposal's points in label order, then its uniform).
+auxiliaries in label order, the index uniform, then every label's exact
+point, or every label's independence proposal and then the accept
+uniform, or a general proposal and then its uniform.
 
 *Lazy errors.*  PseudoPriorZero, AllZeroMass, the RuntimeWarning for a
 vanishing target and pseudo-prior pair, the ValueError for a non-finite
@@ -111,7 +112,7 @@ raises.
 The selection hands the densities of the point it selects to the
 refresh, and the refresh those of the point it keeps to the next sweep,
 so no density is evaluated twice.  The README tables the points each
-sampler evaluates and draws per sweep.
+sampler evaluates and draws per sweep of ``run_chain``.
 """
 
 from __future__ import annotations
@@ -297,8 +298,15 @@ def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
     """Draw a component label 1..n by inverse CDF with a single uniform.
 
     Ties in the cumulative sums are resolved deterministically in label
-    order, so the draw is reproducible given the RNG stream.
+    order, so the draw is reproducible given the RNG stream.  No weights,
+    or a negative or non-finite one, raise ValueError.
     """
+    if len(weights) == 0:
+        raise ValueError("draw_index needs at least one weight")
+    for i, w in enumerate(weights, 1):
+        if not 0.0 <= w < _INF:
+            fault = "negative" if math.isfinite(w) else "not finite"
+            raise ValueError(f"weight {i} of draw_index is {fault}: {w}")
     return _pick(list(itertools.accumulate(weights)), rng.random())
 
 
@@ -610,19 +618,9 @@ def _exact_block(kernel, bundle, streams, size, m, z, carry):
     aux, _ = sel.block(bundle, streams, size, None)
     v = streams.index.random(size)
     labels = range(1, bundle.target.n + 1)
-
-    def select(k, vk, m, carry):
-        aux_k = aux and [sel.carry_of(aux, j, k) for j in range(len(labels))]
-        return sel.select(vk, m, carry, aux_k)
-
     draw = bundle.target.conditional_sampler
     x = _draws(bundle, "target.conditional_sampler", draw, streams.exact, size)
     rows = sel.rows(bundle, labels, x)
-    if size == 1:  # ``step``: one sweep by the per-sweep selection
-        m = select(0, v.item(0), m, carry)
-        z = _point(x[m - 1], 0)
-        _check_finite(z)
-        return [m], [z], m, z, sel.carry_of(rows, m - 1, 0), 0
     x = np.array(x, dtype=float)
     finite = math.isfinite(x.sum())
     logw = sel.exact_logw(np.array(rows), np.array(aux))
@@ -634,7 +632,8 @@ def _exact_block(kernel, bundle, streams, size, m, z, carry):
         if not j:
             if k:
                 carry = sel.carry_of(rows, m - 1, k - 1)
-            j = select(k, uniforms[k], m, carry)
+            aux_k = aux and [sel.carry_of(aux, i, k) for i in range(len(labels))]
+            j = sel.select(uniforms[k], m, carry, aux_k)
         if not finite:
             _check_finite(x[j - 1, k])
         m = j
@@ -648,8 +647,7 @@ def _at(pts: list, p: int, size: int):
     """Point p of a block's points, pts = [z, *blocks of ``size``]."""
     if p == 0:
         return pts[0]
-    x, k = pts[(p - 1) // size + 1], (p - 1) % size
-    return x.item(k) if x.ndim == 1 else x[k]  # ``_point`` inlined: step reads many
+    return _point(pts[(p - 1) // size + 1], (p - 1) % size)
 
 
 def _by_point(first: float, x: np.ndarray, slots: int = 0) -> memoryview:
@@ -659,34 +657,20 @@ def _by_point(first: float, x: np.ndarray, slots: int = 0) -> memoryview:
     return memoryview(np.concatenate(([first], x.ravel(), np.empty(slots))))
 
 
-def _pseudo_lists(carry, parts, size: int, slots: int):
+def _pseudo_tables(carry, parts, slots: int):
     """The pseudo-prior selection's tables by point index p, of the carry
     and of the points that ``parts`` weigh (rows [density][label][sweep]
     each: the auxiliaries, then any independence proposals): log pi* (lts),
     then ``slots`` entries for the points a general MH refresh accepts, and
     the ratios rs = log pi* - log rho; given q's log-density as the carry's
     third entry and the parts' third row, also log q (lqs) and the MH
-    log-ratios hs = log pi* - log q (else None).  A block of more than one
-    sweep gets them as ``_by_point`` memoryviews, with the auxiliaries'
-    ratios and the last part's h as arrays [label, sweep]; a block of one
-    sweep, where numpy's per-call cost outweighs the work, gets lists by
-    ``item`` and no arrays."""
-    with_q = len(carry) == 3
-    if size == 1:
-        lts, rs, lqs = [carry[0]], [carry[1]], [carry[2]] if with_q else None
-        for rows in parts:
-            for j in range(len(rows[0])):
-                lt = rows[0][j].item(0)
-                lts.append(lt)
-                rs.append(_ratio(lt, rows[1][j].item(0)))
-                if with_q:
-                    lqs.append(rows[2][j].item(0))
-        hs = [lt - lq for lt, lq in zip(lts, lqs)] if with_q else None
-        return lts + [0.0] * slots, rs, lqs, hs, None, None
+    log-ratios hs = log pi* - log q (else None), as ``_by_point``
+    memoryviews, with the auxiliaries' ratios and the last part's h as
+    arrays [label, sweep]."""
     lt = np.array([rows[0] for rows in parts])  # [part, label, sweep]
     ratios = _ratios(lt, np.array([rows[1] for rows in parts]))
     lqs = hs = h = None
-    if with_q:
+    if len(carry) == 3:
         lq = np.array([rows[2] for rows in parts])
         with np.errstate(invalid="ignore"):
             h = lt - lq
@@ -810,32 +794,18 @@ def _own_tables(carry, prop, size: int):
     (j - 1) S + p is point p's at label j, S points a label, the carried
     point p = 0 first, then the independence proposals that ``prop`` weighs
     (rows [density][label][sweep], q's after the target's): log pi* (lts),
-    log q (lqs), h = log pi* - log q (hs) and, for a block of more than one
-    sweep, the intervals (vlo, vhi) of ``_intervals``, as memoryviews of
-    float64 arrays, with each label's proposals' h at that label as an
-    array [label, sweep].  A block of one sweep gets lists by ``item`` and
-    no arrays.  With no ``prop`` (a general MH refresh) there is only lts,
-    a list, with ``size`` slots after the carried point for the points the
-    refresh accepts."""
+    log q (lqs), h = log pi* - log q (hs) and the intervals (vlo, vhi) of
+    ``_intervals``, as memoryviews of float64 arrays, with each label's
+    proposals' h at that label as an array [label, sweep].  With no
+    ``prop`` (a general MH refresh) there is only lts, a list, with
+    ``size`` slots after the carried point for the points the refresh
+    accepts."""
     if prop is None:
         lts = []
         for lt in carry:
             lts += [lt] + [0.0] * size
         return lts, None, None, None, None, None
     n = len(prop) // 2
-    if size == 1:
-        lts, lqs, hs = [], [], []
-        for j in range(n):
-            lt, lq = carry[j], carry[n + j]
-            lts.append(lt)
-            lqs.append(lq)
-            hs.append(lt - lq)
-            for x, y in zip(prop[j], prop[n + j]):
-                lt, lq = x.item(0), y.item(0)
-                lts.append(lt)
-                lqs.append(lq)
-                hs.append(lt - lq)
-        return lts, lqs, hs, None, None, None
     rows = np.array(prop).reshape(2 * n, -1)
     rows = np.concatenate((np.array(carry)[:, None], rows), axis=1)
     lt, lq = rows[:n], rows[n:]  # [label, point]
@@ -877,9 +847,9 @@ def _prefix_tables(ratios, v, never, certify: bool):
     return shifts, flats, _holds(shift, prefix, v), least
 
 
-def _general_refresh(bundle, streams, sel):
+def _general_refresh(bundle, streams):
     """The MH refresh of a general proposal, one point at a time: (m, u,
-    lt_u) -> None to keep u, else the accepted point and its carry."""
+    lt_u) -> None to keep u, else the accepted point z and log pi*(m, z)."""
     target, proposal, rng = bundle.target, bundle.proposal, streams.mh
     shape = () if target.z_dim == 1 else (target.z_dim,)
 
@@ -891,7 +861,7 @@ def _general_refresh(bundle, streams, sel):
         log_alpha = _mh_log_acceptance(m, lt_u, lr_uz, lt_z, lr_zu)
         if rng.random() < math.exp(log_alpha):
             _check_finite(z)
-            return z, sel.carry_at(bundle, m, z, lt_z)
+            return z, lt_z
         return None
 
     return refresh
@@ -912,7 +882,7 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     v = streams.index.random(size)
     # A general MH refresh draws at every sweep, so it skips none.
     general = kind is _MH and q is None
-    certify = size > 1 and not general
+    certify = not general
     never = [_INF] * (size + 1)
     sigmas = [never] * n
     pts = [z, *blocks]
@@ -928,25 +898,18 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     if pseudo:
         parts = [aux] if q is None else [aux, prop]
         slots = size if general else 0
-        lts, rs, lqs, hs, ratios, hz = _pseudo_lists(carry, parts, size, slots)
-        if ratios is None:  # a block of one sweep builds no table
-            shifts, prefixes = [[-_INF]] * n, [None] * n
-            taus, least = [never] * n, [_INF] * n
-        else:
-            shifts, prefixes, taus, least = _prefix_tables(ratios, v, never, certify)
+        lts, rs, lqs, hs, ratios, hz = _pseudo_tables(carry, parts, slots)
+        shifts, prefixes, taus, least = _prefix_tables(ratios, v, never, certify)
         stride = 0
     else:
         lts, lqs, hs, hz, vlos, vhis = _own_tables(carry, prop, size)
         stride = len(lts) // n
     if q is not None:
-        if certify:
-            sigmas = _rejections(hz, a)
-        a = a.tolist()
-    # Unless every point is finite, each is checked as it is kept (in a
-    # block of one sweep, after it).
-    check = size > 1 and not math.isfinite(sum(b.sum() for b in pts[1:]))
+        sigmas, a = _rejections(hz, a), a.tolist()
+    # Unless every point is finite, each is checked as it is kept.
+    check = not math.isfinite(sum(b.sum() for b in pts[1:]))
     if general:  # with the block of the points it accepts
-        refresh, read = _general_refresh(bundle, streams, sel), None
+        refresh, read = _general_refresh(bundle, streams), None
         pts.append(np.empty((size, *_shape(z))))
     base, sg = (m - 1) * stride, sigmas[m - 1]
     if pseudo:
@@ -1040,9 +1003,9 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                 p, n_accepted, held = first + k, n_accepted + 1, True
                 pts[-1][k] = moved[0]
                 if pseudo:
-                    lts[p], r = moved[1]
+                    lts[p], r = sel.carry_at(bundle, m, *moved)
                 else:  # its row, log pi* at every label, into the list
-                    lts[p::stride] = moved[1]
+                    lts[p::stride] = sel.carry_at(bundle, m, *moved)
         if held:
             held = certify
             starts.append(k)
@@ -1057,9 +1020,6 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         carry = list(lts[p::stride])
         if q is not None:
             carry += lqs[p::stride]
-    if size == 1:
-        _check_finite(z)
-        return [m], [z], m, z, carry, n_accepted
     es = np.repeat(es, np.diff(starts + [size]))
     points = np.concatenate([_block(pts[0]), *pts[1:]])
     return es % n + 1, points[es // n], m, z, carry, n_accepted
@@ -1145,15 +1105,51 @@ def step(
     """One sweep of the sampler from ``state``, every draw from ``rng``.
 
     Returns the new state and whether the MH refresh accepted its
-    proposal (None for samplers without one).
+    proposal (None for samplers without one).  The per-sweep selection
+    and refresh, with no table: it weighs the state, the auxiliaries and
+    only the kept label's independence proposal.
     """
     kernel, carry = _check(sampler_id, bundle, state)
-    per_label = [rng] * bundle.target.n
+    (sel, kind), target = kernel, bundle.target
+    n, q = target.n, bundle.proposal.rho if kind is _MH else None
+    per_label = [rng] * n
     streams = _Streams(per_label, per_label, rng, rng, per_label)
-    _, _, m, z, _, n_accepted = kernel[1].sweeps(
-        kernel, bundle, streams, 1, state.m, state.z, carry
-    )
-    accepted = n_accepted == 1 if kernel[1] is _MH else None
+    aux, u = sel.block(bundle, streams, 1, q)
+    v = rng.random()
+    if kind is _EXACT:
+        draw = target.conditional_sampler
+        x = _draws(bundle, "target.conditional_sampler", draw, per_label, 1)
+    elif q is not None:
+        x = _draws(bundle, "proposal.rho.sampler", q.sampler, per_label, 1)
+        a = rng.random()
+    z, accepted = state.z, None
+    if sel is _PSEUDO:
+        aux_carries = [_ratio_of(aux, j, 0) for j in range(n)]
+        m = _pseudo_select(v, state.m, carry, aux_carries)
+        if m != state.m:  # the selected auxiliary, with its carry
+            carry, z = aux_carries[m - 1], _point(u[m - 1], 0)
+        lt, at_q = carry[0], 2
+    else:
+        m = _pick(_weights(carry[:n]), v)
+        lt, at_q = carry[m - 1], n + m - 1
+    if kind is _EXACT:
+        z = _point(x[m - 1], 0)
+    elif q is not None:  # the engine's arithmetic: d, then the general test
+        lt_z = _density_row("target.log_density", target.log_density, m, x[m - 1])
+        lq_z = _density_row(_RHO, q.log_density, m, x[m - 1])
+        lt_z, lq_z, lq = lt_z.item(0), lq_z.item(0), carry[at_q]
+        d = (lt_z - lq_z) - (lt - lq)
+        if _NEG_INF < d < _INF:
+            accepted = d >= 0.0 or a < math.exp(d)
+        else:
+            accepted = a < math.exp(_mh_log_acceptance(m, lt, lq_z, lt_z, lq, _RHO))
+        if accepted:
+            z = _point(x[m - 1], 0)
+    elif kind is _MH:
+        moved = _general_refresh(bundle, streams)(m, z, lt)
+        accepted = moved is not None
+        if accepted:  # a copy: a sampler may reuse its array
+            z = _point(_block(moved[0]), 0)
     return State(m, z), accepted
 
 

@@ -333,6 +333,29 @@ class TestDrawIndex:
         draws = {draw_index(weights, rng) for _ in range(50)}
         assert draws <= set(range(1, len(weights) + 1))
 
+    @pytest.mark.parametrize("weights", [[], np.array([])])
+    def test_no_weights_raise(self, weights):
+        with pytest.raises(ValueError, match="at least one weight"):
+            draw_index(weights, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "weights, fault",
+        [
+            ([1.0, -1.0], "weight 2 of draw_index is negative"),
+            (np.array([-0.0, -1e-300]), "weight 2 of draw_index is negative"),
+            ([np.nan, 1.0], "weight 1 of draw_index is not finite"),
+            ([1.0, np.inf], "weight 2 of draw_index is not finite"),
+            ([-np.inf, 1.0], "weight 1 of draw_index is not finite"),
+        ],
+    )
+    def test_bad_weight_raises_naming_it(self, weights, fault):
+        # Negative weights would make the running sums non-monotone, and
+        # the bisection would draw from them all the same.
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=fault):
+            draw_index(weights, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
 
 class TestVectorZ:
     def test_two_dimensional_target(self):

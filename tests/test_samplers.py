@@ -564,15 +564,18 @@ def _independence_accepts(target, q, m, u, z, uniform):
 
 def _reference_chain(sid, bundle, state, n_steps, seed, burn_in=0):
     """The chain sweep by sweep through the public weight and acceptance
-    functions, drawing from run_chain's child streams of the seed: every
-    label's auxiliary and exact draw, the index uniform, the MH draws and,
-    for an independence proposal, every label's proposal.  The sweeps
-    after ``burn_in``, and their acceptance rate."""
+    functions, drawing from run_chain's child streams of the seed, or, as
+    ``step`` does, from ``seed`` itself for every stream when it is a
+    Generator: every label's auxiliary and exact draw, the index uniform,
+    the MH draws and, for an independence proposal, every label's
+    proposal.  The sweeps after ``burn_in``, and their acceptance rate."""
     target, pseudo, proposal = bundle.target, bundle.pseudo, bundle.proposal
     n = target.n
-    streams = [
-        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3 * n + 2)
-    ]
+    if isinstance(seed, np.random.Generator):
+        streams = [seed] * (3 * n + 2)
+    else:
+        children = np.random.SeedSequence(seed).spawn(3 * n + 2)
+        streams = [np.random.default_rng(s) for s in children]
     aux, exact, proposals = streams[:n], streams[n : 2 * n], streams[2 * n + 2 :]
     index, mh = streams[2 * n], streams[2 * n + 1]
     labels = range(1, n + 1)
@@ -661,6 +664,21 @@ _MODELS = [
     # Six labels: the prefix sums are searched on both sides of label 3.
     (_strata_bundle, State(3, -0.5)),
 ]
+
+
+def _rho_variants(bundle):
+    """The bundle, and for an independence proposal also the bundle with
+    an equal copy of its rho and with rho stripped (a general proposal
+    with the same callbacks)."""
+    proposal = bundle.proposal
+    if proposal is None or proposal.rho is None:
+        return [bundle]
+    copy = ProposalFamily.independent(replace(proposal.rho))
+    return [
+        bundle,
+        replace(bundle, proposal=copy),
+        replace(bundle, proposal=replace(proposal, rho=None)),
+    ]
 
 
 def _sparse_start(spec):
@@ -849,6 +867,93 @@ class TestCarriedDensities:
                 assert got in (want_rejected, want_accepted), sid
                 moves += got == want_accepted
             assert 0 < moves < 39, sid
+
+
+class TestStepIsOneSweep:
+    """``step`` is one sweep of the per-sweep selection and refresh: the
+    reference sweep with one generator for every stream, drawing and
+    weighing only what that sweep uses."""
+
+    @pytest.mark.parametrize("model, state", _MODELS)
+    def test_step_is_the_reference_sweep(self, model, state):
+        n_steps = 150
+        for bundle in _rho_variants(model()):
+            for sid in _supported(bundle):
+                rng, s, ms, zs, accepts = np.random.default_rng(8), state, [], [], []
+                for _ in range(n_steps):
+                    s, accepted = step(sid, bundle, s, rng)
+                    ms.append(s.m)
+                    zs.append(s.z)
+                    accepts.append(accepted)
+                want = np.random.default_rng(8)
+                m, z, rate = _reference_chain(sid, bundle, state, n_steps, want)
+                assert ms == m.tolist(), sid
+                assert np.array_equal(np.asarray(zs, dtype=float), z), sid
+                if rate is None:
+                    assert accepts == [None] * n_steps, sid
+                else:
+                    assert sum(accepts) / n_steps == rate, sid
+                # Both drew the same numbers from their generators.
+                assert rng.random() == want.random(), sid
+
+    @staticmethod
+    def _step_points(sid, bundle, state, n_steps):
+        """The points evaluated and drawn by each of n_steps step calls."""
+        rng, points = np.random.default_rng(3), []
+        for _ in range(n_steps):
+            counts = Counter()
+            state, _ = step(sid, _counted(bundle, counts), state, rng)
+            points.append(dict(counts))
+        return points
+
+    @pytest.mark.parametrize(
+        "model, state",
+        [(toy_model, State(1, -1.0)), (_three_component_bundle, State(3, 0.4))],
+    )
+    def test_step_weighs_only_the_points_it_uses(self, model, state):
+        # A step call weighs the state (every label's target for the
+        # conditional selection, and q's with an independence proposal),
+        # draws and weighs every label's auxiliary and draws every label's
+        # exact point or proposal, but weighs no exact draw and only the
+        # kept label's proposal: it hands no carry to a next sweep.
+        bundle = model()
+        n = bundle.target.n
+        selection = {"target": n + 1, "pseudo": n + 1, "pseudo_draw": n}
+        want = {
+            SamplerId.GIBBS: {"target": n, "conditional": n},
+            SamplerId.CC: {**selection, "conditional": n},
+            SamplerId.FCC: selection,
+        }
+        q = ProposalFamily.independent(replace(bundle.pseudo))
+        independent = replace(bundle, proposal=q)
+        want_independent = {
+            SamplerId.MWG: {"target": n + 1, "proposal": n + 1, "proposal_draw": n},
+            SamplerId.MCC: {
+                **selection,
+                "target": n + 2,
+                "proposal": n + 2,
+                "proposal_draw": n,
+            },
+        }
+        shared = replace(bundle, proposal=ProposalFamily.independent(bundle.pseudo))
+        want_shared = {"target": n + 2, "pseudo": n + 2, "pseudo_draw": 2 * n}
+        # A general proposal: its draw, two proposal densities and the
+        # target at the proposal; no other density after an accepted move.
+        general = replace(bundle, proposal=replace(bundle.proposal, rho=None))
+        mh = {"proposal": 2, "proposal_draw": 1}
+        want_general = {
+            SamplerId.MWG: {"target": n + 1, **mh},
+            SamplerId.MCC: {**selection, "target": n + 2, **mh},
+        }
+        for b, table in (
+            (bundle, want),
+            (independent, want_independent),
+            (shared, {SamplerId.MCC: want_shared}),
+            (general, want_general),
+        ):
+            for sid, points in table.items():
+                for got in self._step_points(sid, b, state, 30):
+                    assert got == points, sid
 
 
 class TestBlocks:
