@@ -32,11 +32,11 @@ blocks of B: for every label, one sampler call draws the block's points
 (the active label's auxiliary is drawn and discarded) and one call per
 density weighs them.  With the exact refresh the label of a sweep depends
 only on the label before it, so a block is one scan of an n x B label
-table built in numpy.  With the MH or frozen refresh a block numbers its
-points, and a sweep moves one integer index p over them: p = 0 is the
-carried point and p = 1 + b B + k point k of block b, the labels'
-auxiliaries first, then the labels' independence proposals, or else the
-block of the points a general MH refresh accepts.
+table built in numpy.  With the MH or frozen refresh a block puts its
+points in one array, and a sweep moves one integer index p over it:
+p = 0 is the carried point and p = 1 + b B + k point k of block b, the
+labels' auxiliaries first, then the labels' independence proposals, or
+else B rows for the points a general MH refresh accepts.
 Each quantity of a point (log pi*, log q, its ratio to rho, its MH
 log-ratio h, MwG's certified interval) is read from one flat table at
 base + p: base is 0 for the pseudo-prior selection, which uses a point
@@ -54,7 +54,8 @@ through memoryviews, which return the same floats as lists would: a
 sweep reads only the held label's entries, and only where no certificate
 settles it, so a ``tolist`` copy of every entry costs more than it
 saves.  The thresholds tau and sigma, read at every skipped sweep, and
-the uniforms stay lists, the points blocks.
+the uniforms stay lists, as does MwG's log pi* table under a general MH
+refresh, which a memoryview would slow at each accepted move's row write.
 
 *Certified holds.*  With the frozen refresh or the MH refresh of an
 independence proposal, a block also holds, for each label and sweep,
@@ -81,9 +82,9 @@ reuses the pseudo-prior's rows as q's (``_pseudo_rows``): 4n
 density points a sweep, not 6n.  The MH refresh of a general proposal
 weighs one point at a time, calling the densities on single points rather
 than on blocks of one, which cost ten times as much in numpy, and copies
-the point it accepts at sweep k into slot k of a block of its own, and
-its log pi* into the tables' slots, so its sampler may return the same
-array at every call.
+the point it accepts at sweep k into row k of those B, and its log pi*
+into the tables' slots, so its sampler may return the same array at
+every call.
 
 *Streams.*  ``run_chain`` gives each label's auxiliaries, each label's
 exact draws, the index uniforms, the MH draws (a general proposal's
@@ -172,6 +173,10 @@ class SamplerId(str, Enum):
     MCC = "mcc"
     FCC = "fcc"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"unknown sampler id {value!r}, not one of {', '.join(cls)}")
+
 
 DEFAULT_BURN_IN = 1000
 # Sweeps per block in run_chain.  The chain does not depend on it; larger
@@ -193,6 +198,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "sampler_id", SamplerId(self.sampler_id))
         for name in ("n_iterations", "burn_in", "seed"):
             if not _integer(value := getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -483,7 +489,7 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 # With an independence proposal q the carry also holds log q at z: the
 # row log q_.(z) after the row of the target, or a third entry
 # log q_m(z) after the pair.
-# A selection has seven parts:
+# A selection has six parts:
 #   block(bundle, streams, size, q) draws and weighs every label's
 #     auxiliaries for ``size`` sweeps: their rows and their points;
 #   select(v, m, carry, aux) -> m' selects at one sweep from its index
@@ -493,8 +499,6 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 #   rows(bundle, labels, blocks, q) weighs each label's block: lists of
 #     arrays indexed [density][label][point], q's last when given;
 #   carry_of(rows, j, k) is the carry of point k of label j + 1's block;
-#   carry_at(bundle, m, z, lt) is the carry of one point z, given
-#     lt = log pi*(m, z), for the MH refresh of a general proposal;
 #   exact_logw(rows, aux) is the log-weights [label, j, k] of the index
 #     draw at sweep k + 1 from label j + 1's exact point of sweep k;
 #   needs is the bundle part it requires, (name, accessor), or ().
@@ -508,7 +512,6 @@ class _Selection(NamedTuple):
     select: Callable
     rows: Callable
     carry_of: Callable
-    carry_at: Callable
     exact_logw: Callable
     needs: tuple
 
@@ -524,6 +527,7 @@ def _conditional_select(v, m, carry, aux):
 
 
 def _row_at(bundle, m, z, lt):
+    """The carry of one point z, given lt = log pi*(m, z): log pi*(., z)."""
     row, log_density = [], bundle.target.log_density
     for j in range(1, bundle.target.n + 1):
         lt_j = lt if j == m else _call("target.log_density", log_density, (j, z), ())
@@ -538,6 +542,7 @@ def _ratio_of(rows, j, k):
 
 
 def _ratio_at(bundle, m, z, lt):
+    """The carry of one point z, given lt = log pi*(m, z): (lt, its ratio)."""
     lr = _call("pseudo.log_density", bundle.pseudo.log_density, (m, z), ())
     return lt, _ratio(lt, float(lr))
 
@@ -591,7 +596,6 @@ _CONDITIONAL = _Selection(
     _conditional_select,
     _conditional_rows,
     lambda rows, j, k: [row[j].item(k) for row in rows],
-    _row_at,
     lambda rows, aux: rows[:, :, :-1],
     (),
 )
@@ -602,7 +606,6 @@ _PSEUDO = _Selection(
         bundle.target, bundle.pseudo, labels, blocks, q
     ),
     _ratio_of,
-    _ratio_at,
     _pseudo_exact_logw,
     ("a PseudoPriorSet", lambda b: b.pseudo),
 )
@@ -641,13 +644,6 @@ def _exact_block(kernel, bundle, streams, size, m, z, carry):
     ms = np.array(ms)
     zs = x[ms - 1, np.arange(size)]
     return ms, zs, m, _point(zs, -1), sel.carry_of(rows, m - 1, size - 1), 0
-
-
-def _at(pts: list, p: int, size: int):
-    """Point p of a block's points, pts = [z, *blocks of ``size``]."""
-    if p == 0:
-        return pts[0]
-    return _point(pts[(p - 1) // size + 1], (p - 1) % size)
 
 
 def _by_point(first: float, x: np.ndarray, slots: int = 0) -> memoryview:
@@ -799,7 +795,7 @@ def _own_tables(carry, prop, size: int):
     proposals' h at that label as an array [label, sweep].  With no
     ``prop`` (a general MH refresh) there is only lts, a list, with
     ``size`` slots after the carried point for the points the refresh
-    accepts."""
+    accepts into ``points``."""
     if prop is None:
         lts = []
         for lt in carry:
@@ -869,12 +865,12 @@ def _general_refresh(bundle, streams):
 
 def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     """Sweeps with the MH or the frozen refresh, by point index p (module
-    docstring, *Blocks*): a point is read from the blocks by ``_at``, each
-    of its quantities from a flat table at base + p, base 0 for the
-    pseudo-prior selection and (m - 1) S for MwG's tables of S points a
-    label.  Each pass of the loop skips the sweeps certified to keep the
-    held label and point, then runs the next sweep by the exact selection
-    and MH test."""
+    docstring, *Blocks*): the point is entry p of one array ``points``,
+    made at block entry, and each of its quantities is read from a flat
+    table at base + p, base 0 for the pseudo-prior selection and (m - 1) S
+    for MwG's tables of S points a label.  Each pass of the loop skips the
+    sweeps certified to keep the held label and point, then runs the next
+    sweep by the exact selection and MH test."""
     sel, kind = kernel
     n, labels = bundle.target.n, range(1, bundle.target.n + 1)
     pseudo, q = sel is _PSEUDO, bundle.proposal.rho if kind is _MH else None
@@ -885,8 +881,8 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
     certify = not general
     never = [_INF] * (size + 1)
     sigmas = [never] * n
-    pts = [z, *blocks]
-    # The point of label 1's proposal of sweep 0, or of the slot of the
+    pts = [_block(z), *blocks]
+    # The point of label 1's proposal of sweep 0, or of the row of the
     # point a general refresh accepts at sweep 0.
     first = 1 + len(blocks) * size
     prop = None
@@ -895,6 +891,12 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         pts += x
         prop = sel.rows(bundle, labels, x, q)
         a = streams.mh.random(size)
+    # Unless every drawn point is finite, each is checked as it is kept.
+    check = not math.isfinite(sum(b.sum() for b in pts[1:]))
+    if general:  # with a row for each point it accepts
+        refresh, read = _general_refresh(bundle, streams), None
+        pts.append(np.empty((size, *_shape(z))))
+    points = np.concatenate(pts)
     if pseudo:
         parts = [aux] if q is None else [aux, prop]
         slots = size if general else 0
@@ -906,11 +908,6 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         stride = len(lts) // n
     if q is not None:
         sigmas, a = _rejections(hz, a), a.tolist()
-    # Unless every point is finite, each is checked as it is kept.
-    check = not math.isfinite(sum(b.sum() for b in pts[1:]))
-    if general:  # with the block of the points it accepts
-        refresh, read = _general_refresh(bundle, streams), None
-        pts.append(np.empty((size, *_shape(z))))
     base, sg = (m - 1) * stride, sigmas[m - 1]
     if pseudo:
         at = None  # each label's tables, made at the first move
@@ -960,7 +957,7 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                 i += 1
             else:  # label j's auxiliary of sweep k is point 1 + (j - 1) size + k
                 aux_k = [(lts[o], rs[o]) for o in range(1 + k, 1 + n * size, size)]
-                i = sel.select(v[k], m, (lts[p], r), aux_k)
+                i = _pseudo_select(v[k], m, (lts[p], r), aux_k)
             if i != m:
                 if at is None:
                     at = list(zip(shifts, prefixes, taus, sigmas))
@@ -996,24 +993,24 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                     r = rs[p]
         elif general:
             if p != read:  # the held point, read once a point
-                read, u = p, _at(pts, p, size)
+                read, u = p, _point(points, p)
             moved = refresh(m, u, lts[base + p])
             if moved is not None:
                 # The engine keeps a copy: a sampler may reuse its array.
                 p, n_accepted, held = first + k, n_accepted + 1, True
-                pts[-1][k] = moved[0]
+                points[p] = moved[0]
                 if pseudo:
-                    lts[p], r = sel.carry_at(bundle, m, *moved)
+                    lts[p], r = _ratio_at(bundle, m, *moved)
                 else:  # its row, log pi* at every label, into the list
-                    lts[p::stride] = sel.carry_at(bundle, m, *moved)
+                    lts[p::stride] = _row_at(bundle, m, *moved)
         if held:
             held = certify
             starts.append(k)
             es.append(p * n + m - 1)
             if check:
-                _check_finite(_at(pts, p, size))
+                _check_finite(_point(points, p))
         k += 1
-    z = _at(pts, p, size)
+    z = _point(points, p)
     if pseudo:
         carry = (lts[p], r) if q is None else (lts[p], r, lqs[p])
     else:
@@ -1021,7 +1018,6 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
         if q is not None:
             carry += lqs[p::stride]
     es = np.repeat(es, np.diff(starts + [size]))
-    points = np.concatenate([_block(pts[0]), *pts[1:]])
     return es % n + 1, points[es // n], m, z, carry, n_accepted
 
 
@@ -1042,18 +1038,20 @@ _KERNELS = {
 
 
 def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
-    """Raise ConfigError unless the bundle and state fit the sampler: the
-    part each of its records needs, every part with the target's n, an
-    integer label in 1..n, z of the target's shape, log pi*(m, z) finite
-    and log rho_m(z) and log q_m(z) not +inf.  Return the sampler's kernel
-    and the state's carry, which holds those densities as the comment
-    above ``_Selection`` lays out.
+    """Raise ConfigError unless the sampler id, a SamplerId or its value,
+    is known and the bundle and state fit the sampler: the part each of
+    its records needs, every part with the target's n, an integer label in
+    1..n, z of the target's shape, log pi*(m, z) finite and log rho_m(z)
+    and log q_m(z) not +inf.  Return the sampler's kernel and the state's
+    carry, which holds those densities as the comment above ``_Selection``
+    lays out.
 
     Weighing the state is the first checked call (``model._call``); the
     sweeps check every later one, so a callback that breaks the protocol
     raises ConfigError naming it at the first call that shows it.  A
     TypeError or ValueError raised inside a callback, at any call, becomes
     such a ConfigError, with the original chained."""
+    sampler_id = SamplerId(sampler_id)
     kernel = _KERNELS[sampler_id]
     for name, get in (part.needs for part in kernel if part.needs):
         if get(bundle) is None:

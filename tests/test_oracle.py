@@ -983,7 +983,7 @@ def _reference_variance(P, Q, pi, F):
     return ((Fbar + g1) * L).sum(axis=0) + ((B.T @ L) * g2).sum(axis=0)
 
 
-class TestIllConditioned:
+class TestNearAbsorbingStates:
     """Near-absorbing states, whose 1 - stay cancels to 0 when formed by
     subtraction: the toy's FCC kernel on a grid wide enough that pi*/rho_1
     reaches exp(30), and the solve against state reduction."""

@@ -386,6 +386,35 @@ class TestRunChain:
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             SamplerConfig(SamplerId.GIBBS, 10, State(1, 0.0), burn_in=0, seed=-3)
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (
+                lambda b: SamplerConfig("foo", 10, State(1, 0.0), burn_in=0),
+                "unknown sampler id 'foo'",
+            ),
+            (
+                lambda b: step("foo", b, State(1, 0.0), np.random.default_rng(0)),
+                "unknown sampler id 'foo'",
+            ),
+            (
+                lambda b: step("gibbs", b, State(1, 0.0), np.random.default_rng(0)),
+                "gibbs sampling needs target.conditional_sampler",
+            ),
+        ],
+        ids=["config", "step", "step_by_value"],
+    )
+    def test_bad_sampler_id_rejected(self, call, error):
+        with pytest.raises(ConfigError, match=error):
+            call(posterior_model())
+
+    def test_sampler_id_by_value(self, toy_bundle):
+        config = SamplerConfig("mcc", 200, State(1, 0.0), burn_in=0)
+        assert config.sampler_id is SamplerId.MCC
+        a = run_chain(config, toy_bundle)
+        b = run_chain(replace(config, sampler_id=SamplerId.MCC), toy_bundle)
+        assert np.array_equal(a.m, b.m) and np.array_equal(a.z, b.z)
+
     def _assert_rejected(self, sid, bundle, state):
         """Both entry points raise ConfigError before drawing anything."""
         config = SamplerConfig(sid, n_iterations=10, burn_in=0, initial_state=state)
@@ -499,8 +528,12 @@ class TestCollapseSmoke:
 
     @pytest.mark.parametrize(
         "model, state",
-        [(toy_model, State(1, -1.0)), (posterior_model, State(2, 0.6))],
-        ids=["toy", "posterior"],
+        [
+            (toy_model, State(1, -1.0)),
+            (posterior_model, State(2, 0.6)),
+            (_two_d_bundle, State(2, np.array([0.3, -0.2]))),
+        ],
+        ids=["toy", "posterior", "two_d"],
     )
     @pytest.mark.parametrize(
         "block_size, n_steps", [(1, 3000), (2, 3000), (7, 3000), (1024, 20000)]
@@ -509,7 +542,9 @@ class TestCollapseSmoke:
         self, model, state, block_size, n_steps
     ):
         # The block engine's general refresh accepts every stay-put move,
-        # copying the point and its log pi* into the accepted points' slots.
+        # copying the point and its log pi* into the accepted points' slots;
+        # on the plane the proposal returns the held row of the block's
+        # points itself.
         bundle = model()
         delta = ModelBundle(bundle.target, bundle.pseudo, _delta_proposal(2))
         with _block_size(block_size):
@@ -647,7 +682,7 @@ def _assert_matches_reference(bundle, state, n_steps, seed):
 def _assert_block_size_invariant(bundle, state, n_steps, seed):
     for sid in _supported(bundle):
         want = _chain(sid, bundle, state, n_steps, seed)
-        # 2 is the smallest block that builds the index tables.
+        # At 1 every Gibbs and CC sweep takes the per-sweep draw.
         for block_size in (1, 2, 7):
             with _block_size(block_size):
                 got = _chain(sid, bundle, state, n_steps, seed)
