@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import ConstantSeries, acf, kde
-from .model import MixtureTarget, ProposalFamily, PseudoPriorSet, State
+from .model import MixtureTarget, ProposalFamily, PseudoPriorSet, State, _call
 from .samplers import ModelBundle, SamplerConfig, SamplerId, run_chain
 
 __all__ = [
@@ -216,14 +216,17 @@ class ExperimentReport:
 
 def default_initial_state(bundle: ModelBundle, seed: int) -> State:
     """m = 1 with z drawn from the first pseudo-prior (own RNG stream), else
-    from the first exact conditional, else z = 0 of the target's shape."""
+    from the first exact conditional, else z = 0 of the target's shape.  A
+    sampler that breaks the callback protocol raises ConfigError naming it."""
     rng = np.random.default_rng([seed, 1])
+    target, z_dim = bundle.target, bundle.target.z_dim
+    shape = (1,) if z_dim == 1 else (1, z_dim)
     if bundle.pseudo is not None:
-        z0 = bundle.pseudo.sampler(1, rng, 1)[0]
-    elif bundle.target.conditional_sampler is not None:
-        z0 = bundle.target.conditional_sampler(1, rng, 1)[0]
+        z0 = _call("pseudo.sampler", bundle.pseudo.sampler, (1, rng, 1), shape)[0]
+    elif target.conditional_sampler is not None:
+        draw = target.conditional_sampler
+        z0 = _call("target.conditional_sampler", draw, (1, rng, 1), shape)[0]
     else:
-        z_dim = bundle.target.z_dim
         z0 = 0.0 if z_dim == 1 else np.zeros(z_dim)
     return State(1, z0)
 

@@ -48,7 +48,10 @@ point's label weights, made once a point, and the MH test compares the
 two points' h.  The per-sweep selection and MH test serve the first
 sweep of an exact-refresh block and the entries the tables cannot settle
 (a +inf or NaN ratio, a weight too large for exp, no mass or a vanishing
-q); ``step`` is one sweep of them, with no table.  Every block, one sweep
+q); ``step`` is one sweep of them, with no table.  The per-sweep
+selection is ``_Selection.select``, given the rows and points that the
+selection's ``block`` drew and the sweep index; only MwG's engine picks
+a label itself, from its held point's weights.  Every block, one sweep
 included, keeps its tables as the float64 arrays numpy builds, read
 through memoryviews, which return the same floats as lists would: a
 sweep reads only the held label's entries, and only where no certificate
@@ -492,10 +495,11 @@ def _pick_table(logw: np.ndarray, v: np.ndarray) -> np.ndarray:
 # A selection has six parts:
 #   block(bundle, streams, size, q) draws and weighs every label's
 #     auxiliaries for ``size`` sweeps: their rows and their points;
-#   select(v, m, carry, aux) -> m' selects at one sweep from its index
-#     uniform v, the current point's carry and the auxiliaries' carries,
-#     one per label; the pseudo-prior selection then moves to label m''s
-#     auxiliary unless m' = m, the conditional one keeps the point;
+#   select(n, v, m, z, carry, aux, u, k) -> (m', z', carry') selects at
+#     sweep k of a block from its index uniform v, the current point z
+#     and its carry, and the rows aux and points u that block drew; the
+#     pseudo-prior selection moves to label m''s auxiliary u[m' - 1][k]
+#     unless m' = m, the conditional one keeps z;
 #   rows(bundle, labels, blocks, q) weighs each label's block: lists of
 #     arrays indexed [density][label][point], q's last when given;
 #   carry_of(rows, j, k) is the carry of point k of label j + 1's block;
@@ -521,9 +525,9 @@ class _Refresh(NamedTuple):
     needs: tuple
 
 
-def _conditional_select(v, m, carry, aux):
-    # The exact refresh's carry, the row log pi*(., z); MwG picks in its loop.
-    return _pick(_weights(carry), v)
+def _conditional_select(n, v, m, z, carry, aux, u, k):
+    # The carry's row log pi*(., z); MwG's block engine picks in its loop.
+    return _pick(_weights(carry[:n]), v), z, carry
 
 
 def _row_at(bundle, m, z, lt):
@@ -565,14 +569,16 @@ def _pseudo_block(bundle, streams, size, q):
     return _pseudo_rows(bundle.target, bundle.pseudo, labels, u, q), u
 
 
-def _pseudo_select(v, m, carry, aux):
-    logw = [a[1] for a in aux]
+def _pseudo_select(n, v, m, z, carry, aux, u, k):
+    carries = [_ratio_of(aux, j, k) for j in range(n)]
+    logw = [c[1] for c in carries]
     logw[m - 1] = carry[1]  # the active label's auxiliary is z itself
     if _unsettled(logw):
-        lts = [a[0] for a in aux]
+        lts = [c[0] for c in carries]
         lts[m - 1] = carry[0]
         logw = _resolve(logw, lts)
-    return _pick(_weights(logw), v)
+    i = _pick(_weights(logw), v)
+    return (m, z, carry) if i == m else (i, _point(u[i - 1], k), carries[i - 1])
 
 
 def _pseudo_exact_logw(rows, aux):
@@ -617,13 +623,12 @@ def _exact_block(kernel, bundle, streams, size, m, z, carry):
     only on the label of sweep k - 1: a table lookup, with the per-sweep
     selection for sweep 0 and the table's zeros.  In a block that holds a
     non-finite draw, each kept point is checked, table-driven or not."""
-    sel = kernel[0]
-    aux, _ = sel.block(bundle, streams, size, None)
+    sel, n = kernel[0], bundle.target.n
+    aux, u = sel.block(bundle, streams, size, None)
     v = streams.index.random(size)
-    labels = range(1, bundle.target.n + 1)
     draw = bundle.target.conditional_sampler
     x = _draws(bundle, "target.conditional_sampler", draw, streams.exact, size)
-    rows = sel.rows(bundle, labels, x)
+    rows = sel.rows(bundle, range(1, n + 1), x)
     x = np.array(x, dtype=float)
     finite = math.isfinite(x.sum())
     logw = sel.exact_logw(np.array(rows), np.array(aux))
@@ -635,8 +640,7 @@ def _exact_block(kernel, bundle, streams, size, m, z, carry):
         if not j:
             if k:
                 carry = sel.carry_of(rows, m - 1, k - 1)
-            aux_k = aux and [sel.carry_of(aux, i, k) for i in range(len(labels))]
-            j = sel.select(uniforms[k], m, carry, aux_k)
+            j = sel.select(n, uniforms[k], m, None, carry, aux, u, k)[0]
         if not finite:
             _check_finite(x[j - 1, k])
         m = j
@@ -955,9 +959,8 @@ def _table_sweeps(kernel, bundle, streams, size, m, z, carry):
                 if i == m - 1 and not uk < prefix[lo + i] + wk:
                     i = min(bisect_right(prefix, uk - wk, lo + m, lo + n) - lo, n - 1)
                 i += 1
-            else:  # label j's auxiliary of sweep k is point 1 + (j - 1) size + k
-                aux_k = [(lts[o], rs[o]) for o in range(1 + k, 1 + n * size, size)]
-                i = _pseudo_select(v[k], m, (lts[p], r), aux_k)
+            else:
+                i = sel.select(n, v[k], m, None, (lts[p], r), aux, blocks, k)[0]
             if i != m:
                 if at is None:
                     at = list(zip(shifts, prefixes, taus, sigmas))
@@ -1040,11 +1043,11 @@ _KERNELS = {
 def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     """Raise ConfigError unless the sampler id, a SamplerId or its value,
     is known and the bundle and state fit the sampler: the part each of
-    its records needs, every part with the target's n, an integer label in
-    1..n, z of the target's shape, log pi*(m, z) finite and log rho_m(z)
-    and log q_m(z) not +inf.  Return the sampler's kernel and the state's
-    carry, which holds those densities as the comment above ``_Selection``
-    lays out.
+    its records needs, an integer target n and every part with it, an
+    integer label in 1..n, z of the target's shape, log pi*(m, z) finite
+    and log rho_m(z) and log q_m(z) not +inf.  Return the sampler's kernel
+    and the state's carry, which holds those densities as the comment
+    above ``_Selection`` lays out.
 
     Weighing the state is the first checked call (``model._call``); the
     sweeps check every later one, so a callback that breaks the protocol
@@ -1057,21 +1060,21 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
         if get(bundle) is None:
             raise ConfigError(f"{sampler_id.value} sampling needs {name}")
     target, proposal = bundle.target, bundle.proposal
+    if not _integer(n := target.n):  # a float fails in range, True is one label
+        raise ConfigError(f"the target's component count must be an integer, got {n!r}")
     for name, part in (
         ("pseudo-prior", bundle.pseudo),
         ("proposal", proposal),
         ("proposal's rho", None if proposal is None else proposal.rho),
     ):
-        if part is not None and part.n != target.n:
-            raise ConfigError(
-                f"{name} has {part.n} components, the target has {target.n}"
-            )
+        if part is not None and part.n != n:
+            raise ConfigError(f"{name} has {part.n} components, the target has {n}")
     # A float label would pass the range test and never equal j in 1..n.
     m = state.m
     if not _integer(m):
         raise ConfigError(f"label must be an integer, got {m!r}")
-    if not 1 <= m <= target.n:
-        raise ConfigError(f"label {m} outside 1..{target.n}")
+    if not 1 <= m <= n:
+        raise ConfigError(f"label {m} outside 1..{n}")
     # A one-dimensional z is a scalar, not an array of length 1.
     shape = () if target.z_dim == 1 else (target.z_dim,)
     if _shape(state.z) != shape:
@@ -1089,7 +1092,7 @@ def _check(sampler_id: SamplerId, bundle: ModelBundle, state: State):
     # +inf), and log q_m(z), if weighed.
     if sel is _PSEUDO and carry[1] != carry[1] and rows[1][0].item(0) == math.inf:
         raise ConfigError(f"pseudo.log_density is +inf at the initial state {state}")
-    if q is not None and carry[2 if sel is _PSEUDO else target.n + m - 1] == math.inf:
+    if q is not None and carry[2 if sel is _PSEUDO else n + m - 1] == math.inf:
         raise ConfigError(f"{_RHO} is +inf at the initial state {state}")
     return kernel, carry
 
@@ -1120,16 +1123,9 @@ def step(
     elif q is not None:
         x = _draws(bundle, "proposal.rho.sampler", q.sampler, per_label, 1)
         a = rng.random()
-    z, accepted = state.z, None
-    if sel is _PSEUDO:
-        aux_carries = [_ratio_of(aux, j, 0) for j in range(n)]
-        m = _pseudo_select(v, state.m, carry, aux_carries)
-        if m != state.m:  # the selected auxiliary, with its carry
-            carry, z = aux_carries[m - 1], _point(u[m - 1], 0)
-        lt, at_q = carry[0], 2
-    else:
-        m = _pick(_weights(carry[:n]), v)
-        lt, at_q = carry[m - 1], n + m - 1
+    m, z, carry = sel.select(n, v, state.m, state.z, carry, aux, u, 0)
+    lt, at_q = (carry[0], 2) if sel is _PSEUDO else (carry[m - 1], n + m - 1)
+    accepted = None
     if kind is _EXACT:
         z = _point(x[m - 1], 0)
     elif q is not None:  # the engine's arithmetic: d, then the general test

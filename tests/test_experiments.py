@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from ccmix import (
+    ConfigError,
     MixtureTarget,
     ModelBundle,
     ProposalFamily,
@@ -147,6 +148,22 @@ class TestDefaultInitialState:
         state = default_initial_state(bundle, 5)
         draw = bundle.target.conditional_sampler(1, np.random.default_rng([5, 1]), 1)
         assert state == State(1, draw[0])
+
+    @pytest.mark.parametrize(
+        "part", ["pseudo.sampler", "target.conditional_sampler"]
+    )
+    def test_sampler_breaking_the_protocol_raises_config_error(self, part):
+        # A float where a block of one point is due: named, not a TypeError.
+        def draw(label, rng, size):
+            return 0.5
+
+        bundle = toy_model()
+        if part == "pseudo.sampler":
+            bundle = replace(bundle, pseudo=replace(bundle.pseudo, sampler=draw))
+        else:
+            bundle = ModelBundle(replace(bundle.target, conditional_sampler=draw))
+        with pytest.raises(ConfigError, match=rf"^{part} returned shape \(\)"):
+            default_initial_state(bundle, 0)
 
     @pytest.mark.parametrize("z_dim", [1, 2])
     def test_without_samplers_starts_at_zero_of_the_targets_shape(self, z_dim):

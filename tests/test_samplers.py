@@ -458,6 +458,18 @@ class TestRunChain:
         bundle = replace(toy_bundle, proposal=replace(toy_bundle.proposal, rho=rho))
         self._assert_rejected(sampler_id, bundle, State(1, 0.0))
 
+    @pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+    def test_non_integer_component_count_rejected(self, n, toy_bundle):
+        # A float n failed in range; True ran as a one-label model.
+        bundle = ModelBundle(replace(toy_bundle.target, n=n))
+        state = State(1, 0.0)
+        config = SamplerConfig(SamplerId.GIBBS, 10, state, burn_in=0)
+        error = "the target's component count must be an integer"
+        with pytest.raises(ConfigError, match=error):
+            run_chain(config, bundle)
+        with pytest.raises(ConfigError, match=error):
+            step(SamplerId.GIBBS, bundle, state, np.random.default_rng(0))
+
     @pytest.mark.parametrize("sampler_id", list(SamplerId))
     def test_non_integer_label_rejected(self, sampler_id, toy_bundle):
         for m in (1.5, 1.0, np.float64(2.0), True):
@@ -1240,6 +1252,54 @@ def _dominant_discarded_bundle():
     return ModelBundle(target, pseudo, proposal)
 
 
+def _counted_selects(monkeypatch):
+    """The arguments of every call of a selection's ``select``: both
+    selection records, and the kernel table, replaced by copies whose
+    ``select`` logs its call and passes it on."""
+    calls, copies = [], {}
+    for name in ("_CONDITIONAL", "_PSEUDO"):
+        sel = getattr(samplers, name)
+
+        def select(*args, select=sel.select):
+            calls.append(args)
+            return select(*args)
+
+        copies[sel] = sel._replace(select=select)
+        monkeypatch.setattr(samplers, name, copies[sel])
+    kernels = {
+        sid: (copies[sel], refresh) for sid, (sel, refresh) in samplers._KERNELS.items()
+    }
+    monkeypatch.setattr(samplers, "_KERNELS", kernels)
+    return calls
+
+
+def _one_unsettled_sweep():
+    """Labels 2 and 3 share N(0, 1) as target and pseudo-prior; label 1 has
+    no target mass, and its pseudo-prior vanishes above 5.  Label 1's
+    auxiliaries are drawn at 0, where its ratio is -inf, except at sweep
+    50 of a block of more than 50, drawn at 10, where target and
+    pseudo-prior both vanish: the tables cannot settle that sweep, and
+    the per-sweep selection gives label 1 zero weight with a warning."""
+
+    def pseudo_sampler(j, rng, size):
+        if j > 1:
+            return rng.standard_normal(size)
+        u = np.zeros(size)
+        if size > 50:
+            u[50] = 10.0
+        return u
+
+    def log_target(m, z):
+        return np.full(np.shape(z), -np.inf) if m == 1 else -0.5 * z * z
+
+    def log_pseudo(j, u):
+        return np.where((j == 1) & (u > 5.0), -np.inf, -0.5 * u * u)
+
+    target = MixtureTarget(n=3, z_dim=1, log_density=log_target)
+    pseudo = PseudoPriorSet(n=3, log_density=log_pseudo, sampler=pseudo_sampler)
+    return ModelBundle(target, pseudo, ProposalFamily.independent(pseudo))
+
+
 def _stays_at_label_two(nan_label=None, trap=False):
     """Label 1 has target mass only above 5, where both pseudo-priors
     vanish, and its auxiliaries are drawn at 0, so every sampler stays at
@@ -1335,6 +1395,26 @@ class TestIndexTables:
         monkeypatch.setattr(samplers, "_KERNELS", kernels)
         _chain(sampler_id, _stays_at_label_two(nan_label=1), State(2, 0.3), 200, 4)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("model, state", _MODELS[:2], ids=["toy", "posterior"])
+    def test_step_selects_once(self, model, state, monkeypatch):
+        # step's selection is the blocks' per-sweep selection, called once.
+        calls = _counted_selects(monkeypatch)
+        bundle = model()
+        for sid in _supported(bundle):
+            calls.clear()
+            step(sid, bundle, state, np.random.default_rng(3))
+            assert [args[-1] for args in calls] == [0], sid
+
+    @pytest.mark.parametrize("sampler_id", [SamplerId.MCC, SamplerId.FCC])
+    def test_unsettled_sweep_selects_at_that_sweep_only(self, sampler_id, monkeypatch):
+        # Every other sweep of the block is settled by the prefix tables.
+        calls = _counted_selects(monkeypatch)
+        bundle = _one_unsettled_sweep()
+        with pytest.warns(RuntimeWarning, match="both vanish"):
+            trace = _chain(sampler_id, bundle, State(2, 0.3), 200, 4)
+        assert [args[-1] for args in calls] == [50]
+        assert 1 not in trace.m and {2, 3} <= set(trace.m.tolist())
 
     def test_used_vanishing_pseudo_prior_raises_mid_block(self):
         bundle = _stays_at_label_two(trap=True)

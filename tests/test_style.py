@@ -1,5 +1,6 @@
 """Source layout rules that keep line counts honest."""
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ccmix"
@@ -41,8 +42,6 @@ def test_only_the_callback_protocol_leaves_model():
     with the samplers and the oracle; the index and MH arithmetic lives
     in ``ccmix.samplers``, so no other module imports another private name
     of ``model``."""
-    import ast
-
     found = [
         f"{path.name} imports model.{alias.name}"
         for path in sorted(SRC.glob("*.py"))
@@ -54,3 +53,36 @@ def test_only_the_callback_protocol_leaves_model():
         if alias.name.startswith("_") and alias.name not in PROTOCOL
     ]
     assert not found, "\n".join(found)
+
+
+def _private_top_level_names(tree):
+    """The names of the private functions, classes and assignments at the
+    top level of a module, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+def test_every_private_name_is_used():
+    """Every private top-level name defined in src/ccmix is loaded somewhere
+    in src/ccmix, as a name, an attribute or an imported name, so a
+    refactor leaves no dead helper behind for the tests alone."""
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        defined += [(path.name, n) for n in _private_top_level_names(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{file}: {name}" for file, name in defined if name not in used]
+    assert not unused, "\n".join(unused)
